@@ -27,7 +27,7 @@ cfg = SolverConfig(grad_tol=1e-9)
 eig = minimize_rayleigh(dom, params, regime, cfg, seed=0)
 tau = 1.0 / (2 * eig.lam)
 traj = evolve(dom, np.ones(n), tau, 30, params, regime, cfg)
-fill_dual_columns(dom, traj, cfg, stride=1)
+fill_dual_columns(dom, traj, cfg)
 
 print(f"p = {p}: oracle lambda = {eig.lam:.8f}, mu = {eig.mu:.8f}")
 print()

@@ -1,8 +1,9 @@
 """Batch front end: ``dnflow <evolve|eigen|oracle|verify|sweep> --config FILE``.
 
 Plain-text configs hold ``key = value`` lines with ``#`` comments.  Exit
-codes: 0 success, 1 config error, 2 solver non-convergence, 3 invariant
-violation, 4 I/O error.  Identical config + seed produces byte-identical
+codes: 0 success, 1 config error or bad input data, 2 solver
+non-convergence, 3 invariant violation (a failed check or a sign-changing
+profile), 4 I/O error.  Identical config + seed produces byte-identical
 CSV output.
 """
 
@@ -18,13 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .domain import Domain, build_interval, build_rectangle, load_mask, lp_norm
+from .domain import Domain, build_interval, build_rectangle, load_mask
 from .elliptic import SolverConfig
-from .errors import ConfigError, NonConvergenceError
+from .errors import ConfigError, DnflowError, NonConvergenceError, SignViolationError
 from .flow import (
     auto_tau,
     evolve,
     evolve_until_settled,
+    profile_gap,
     read_snapshot,
     rescaled_profile,
     write_snapshot,
@@ -221,8 +223,7 @@ def _eigen_numbers(cfg: RunConfig):
     if prof is None:
         gap = float("nan")
     else:
-        gap = min(lp_norm(dom, prof - ref.extremal, params.p),
-                  lp_norm(dom, prof + ref.extremal, params.p))
+        gap = profile_gap(dom, prof, ref.extremal, params.p)
     return lam, mu, gap, k
 
 
@@ -254,9 +255,7 @@ def _sweep_one(args):
     cfg_dict, key, value = args
     cfg = RunConfig(**cfg_dict)
     attr, typ = _KEYS[key]
-    setattr(cfg, attr, typ(value) if typ is not float else float(value))
-    if typ is int:
-        setattr(cfg, attr, int(value))
+    setattr(cfg, attr, typ(value))
     _validate(cfg)
     lam, mu, gap, steps = _eigen_numbers(cfg)
     return value, lam, mu, gap, steps
@@ -335,6 +334,12 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"dnflow: solver did not converge: {exc}", file=sys.stderr)
         return 2
+    except SignViolationError as exc:
+        print(f"dnflow: invariant violation: {exc}", file=sys.stderr)
+        return 3
+    except DnflowError as exc:
+        print(f"dnflow: bad input: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"dnflow: i/o error: {exc}", file=sys.stderr)
         return 4

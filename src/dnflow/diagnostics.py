@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain, integrate_power
-from .elliptic import SolverConfig, inverse_operator
+from .elliptic import SolverConfig, inverse_operator, project_cperp
 from .errors import DegenerateInputError
 from .operators import BoundaryRegime, EnergyParams, jp
 
@@ -44,10 +44,17 @@ class DiagnosticsRow:
     rayleigh: float
     dual_q: float
     lambda_decay: float
-    lambda_rayleigh: float
-    mu_from_dual: float
     conservation: float
     energy_residual: float
+
+    # The CSV repeats the two quotients as the lambda and mu estimates.
+    @property
+    def lambda_rayleigh(self) -> float:
+        return self.rayleigh
+
+    @property
+    def mu_from_dual(self) -> float:
+        return self.dual_q
 
     def csv_line(self) -> str:
         vals = [self.k, self.t, self.Np, self.rayleigh, self.dual_q,
@@ -60,8 +67,8 @@ def dual_norm_q(dom: Domain, f, params: EnergyParams, regime: BoundaryRegime,
                 cfg: SolverConfig, warm_start=None):
     """q-th power of the dual norm: <f, (-Delta_p)^{-1} f> = p E(u).
 
-    Returns the scalar; pass ``return_solution=True`` via
-    :func:`dual_norm_q_with_solution` when the inverse is needed too.
+    Returns the scalar; :func:`dual_norm_q_with_solution` also returns the
+    inverse u.
     """
     val, _ = dual_norm_q_with_solution(dom, f, params, regime, cfg, warm_start)
     return val
@@ -81,9 +88,7 @@ def dual_quotient(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime,
     num = integrate_power(dom, u, params.p)
     if num == 0.0:
         raise DegenerateInputError("dual quotient of the zero field")
-    f = jp(u, params.p)
-    if regime.kind == "neumann":
-        f = f - float(np.mean(f))  # project off solver drift; C-perp data
+    f = project_cperp(jp(u, params.p), regime)  # project off solver drift
     denom = dual_norm_q(dom, f, params, regime, cfg, warm_start)
     return num / denom
 
@@ -127,24 +132,21 @@ def energy_identity_residual(traj, k: int) -> float:
     return (n_cur - n_prev) / p + (traj.tau / (p - 1.0)) * p * e_k
 
 
-def fill_dual_columns(dom: Domain, traj, cfg: SolverConfig, stride: int = 1) -> None:
-    """Compute dual_q / mu_from_dual for every stride-th row, warm-starting
+def fill_dual_columns(dom: Domain, traj, cfg: SolverConfig) -> None:
+    """Compute dual_q (and so mu_from_dual) for every row, warm-starting
     each inverse solve from the previous step's solution."""
     warm = None
-    for k in range(0, len(traj.diagnostics), stride):
+    for k in range(len(traj.diagnostics)):
         row = traj.diagnostics[k]
         u = traj.states[k]
         if row.Np <= 0.0:
             continue
         params_k = traj.params.with_epsilon(traj.eps_used[k])
-        f = jp(u, traj.params.p)
-        if traj.regime.kind == "neumann":
-            f = f - float(np.mean(f))
+        f = project_cperp(jp(u, traj.params.p), traj.regime)
         val, sol = dual_norm_q_with_solution(dom, f, params_k, traj.regime,
                                              cfg, warm_start=warm)
         warm = sol
         row.dual_q = row.Np / val
-        row.mu_from_dual = row.dual_q
 
 
 def rows_to_csv(rows) -> str:
@@ -162,8 +164,6 @@ def build_row(dom: Domain, traj, k: int) -> DiagnosticsRow:
     else:
         ray = math.nan
     cons = vol * float(np.sum(jp(u, p)))
-    row = DiagnosticsRow(
+    return DiagnosticsRow(
         k=k, t=k * traj.tau, Np=n_p, rayleigh=ray, dual_q=math.nan,
-        lambda_decay=math.nan, lambda_rayleigh=ray, mu_from_dual=math.nan,
-        conservation=cons, energy_residual=math.nan)
-    return row
+        lambda_decay=math.nan, conservation=cons, energy_residual=math.nan)

@@ -45,9 +45,6 @@ class Domain:
     nodes : ndarray
         Interior node coordinates, shape ``(n,)`` in 1-D or ``(n, 2)`` in 2-D,
         ordered row-major.
-    interior_mask : ndarray of bool
-        One flag per stored node.  Always all-True: boundary and exterior
-        nodes are not stored, only implied.
     trace_index : ndarray of int
         For each boundary surface element, the interior node carrying its
         trace value.  Empty on masked domains.
@@ -65,7 +62,6 @@ class Domain:
     hx: float
     hy: float
     nodes: np.ndarray
-    interior_mask: np.ndarray
     trace_index: np.ndarray
     trace_weight: np.ndarray
     shape: tuple
@@ -106,7 +102,6 @@ def build_interval(n: int) -> Domain:
         hx=h,
         hy=0.0,
         nodes=nodes,
-        interior_mask=np.ones(n, dtype=bool),
         trace_index=np.array([0, n - 1]),
         trace_weight=np.array([1.0, 1.0]),
         shape=(n,),
@@ -165,7 +160,6 @@ def build_rectangle(nx: int, ny: int, lx: float, ly: float) -> Domain:
         hx=hx,
         hy=hy,
         nodes=nodes,
-        interior_mask=np.ones(nx * ny, dtype=bool),
         trace_index=np.array(idx),
         trace_weight=np.array(wts),
         shape=(ny, nx),
@@ -205,7 +199,6 @@ def build_masked(bitmap, h: float) -> Domain:
         hx=h,
         hy=h,
         nodes=nodes,
-        interior_mask=np.ones(rows.size, dtype=bool),
         trace_index=np.array([], dtype=int),
         trace_weight=np.array([]),
         shape=mask.shape,

@@ -35,37 +35,36 @@ __all__ = [
     "SolverConfig",
     "implicit_step",
     "inverse_operator",
+    "project_cperp",
     "zero_pmean_shift",
 ]
 
 _TINY = 1e-300
 
+# Line search and direction constants of the NCG minimizer.
+SUFFICIENT_DECREASE = 1e-4  # Armijo c1
+MAX_BACKTRACKS = 60
+RESTART_PERIOD = 250  # iterations between forced steepest-descent restarts
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping and line-search knobs for the inner minimizer.
+    """Stopping rule of the inner minimizer.
 
     grad_tol is the relative weighted-l2 gradient-norm threshold; every
     monotonicity assertion downstream carries slack proportional to it.
+    max_iters caps the NCG iterations of one solve.
     """
 
     grad_tol: float = 1e-9
     max_iters: int = 100_000
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
-    restart_period: int = 250
-    max_backtracks: int = 60
 
     def __post_init__(self):
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0,1)")
-        if not 0.0 < self.sufficient_decrease < 0.5:
-            raise ValueError("sufficient_decrease must lie in (0, 0.5)")
 
 
-def _line_search(value_grad, x, f, g, d, gd, alpha0, cfg: SolverConfig):
+def _line_search(value_grad, x, f, g, d, gd, alpha0):
     """Step along the descent direction d with certified decrease.
 
     Primary acceptance is the Armijo sufficient-decrease test, backtracking
@@ -79,13 +78,13 @@ def _line_search(value_grad, x, f, g, d, gd, alpha0, cfg: SolverConfig):
 
     Returns (a, xa, fa, ga) or None when no acceptable step exists.
     """
-    c1 = cfg.sufficient_decrease
+    c1 = SUFFICIENT_DECREASE
     a = alpha0
     lo_a, lo_g = 0.0, gd
     hi_a = hi_g = None
-    for _ in range(cfg.max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         xa = x + a * d
-        fa, ga = value_grad(xa, True)
+        fa, ga = value_grad(xa)
         gad = float(ga @ d)
         if not (np.isfinite(fa) and np.isfinite(gad)):
             # Overflowed trial: force the bracket down and retry.
@@ -109,7 +108,7 @@ def _line_search(value_grad, x, f, g, d, gd, alpha0, cfg: SolverConfig):
                 a2 = a
             if np.isfinite(a2) and a2 > 0 and abs(a2 - a) > 1e-12 * a:
                 xb = x + a2 * d
-                fb, gb = value_grad(xb, True)
+                fb, gb = value_grad(xb)
                 if np.isfinite(fb) and fb <= fa + 1e-14 * (abs(fa) + abs(fb)):
                     return a2, xb, fb, gb
             return a, xa, fa, ga
@@ -138,12 +137,11 @@ def _ncg(value_grad, x0, ref_norm, cfg: SolverConfig):
     """Minimize a smooth convex function; returns (x, gnorm, iterations).
 
     Polak-Ribiere+ directions with periodic restarts; steepest-descent
-    fallback when a conjugate direction stalls.  value_grad(x, need_grad)
-    -> (f, g or None).  Stops when ||g||_2 <= grad_tol * R0 with
-    R0 = max(||g(x0)||, ref_norm).
+    fallback when a conjugate direction stalls.  value_grad(x) -> (f, g).
+    Stops when ||g||_2 <= grad_tol * R0 with R0 = max(||g(x0)||, ref_norm).
     """
     x = x0.copy()
-    f, g = value_grad(x, True)
+    f, g = value_grad(x)
     gnorm = float(np.linalg.norm(g))
     ref = max(gnorm, ref_norm, _TINY)
     target = cfg.grad_tol * ref
@@ -166,7 +164,7 @@ def _ncg(value_grad, x0, ref_norm, cfg: SolverConfig):
             d = -g
             gd = -gg
             steepest = True
-        hit = _line_search(value_grad, x, f, g, d, gd, alpha, cfg)
+        hit = _line_search(value_grad, x, f, g, d, gd, alpha)
         if hit is None:
             if steepest:
                 raise NonConvergenceError(
@@ -193,7 +191,7 @@ def _ncg(value_grad, x0, ref_norm, cfg: SolverConfig):
 
         gg_new = float(g_new @ g_new)
         beta = max(0.0, float(g_new @ (g_new - g)) / gg) if gg > 0 else 0.0
-        if (it + 1) % cfg.restart_period == 0:
+        if (it + 1) % RESTART_PERIOD == 0:
             beta = 0.0
         d = -g_new + beta * d
         steepest = beta == 0.0
@@ -222,16 +220,10 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     p = params.p
     b = vol * jp(u_prev, p)  # linear-term coefficients
 
-    def fg(u, need_grad):
-        if need_grad:
-            e_val, raw = energy_and_gradient(dom, u, params, regime)
-        else:
-            e_val, raw = energy(dom, u, params, regime), None
+    def fg(u):
+        e_val, raw = energy_and_gradient(dom, u, params, regime)
         phi = (vol / p) * float(np.sum(np.abs(u) ** p))
-        f = tau * e_val + phi - float(b @ u)
-        if not need_grad:
-            return f, None
-        return f, tau * raw + vol * jp(u, p) - b
+        return tau * e_val + phi - float(b @ u), tau * raw + vol * jp(u, p) - b
 
     u, _, _ = _ncg(fg, u_prev, 0.0, cfg)
     return u
@@ -260,17 +252,22 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
             raise CompatibilityError(
                 f"neumann data must have zero mean; got sum {mean:.3e}")
 
-    def fg(u, need_grad):
-        if need_grad:
-            e_val, raw = energy_and_gradient(dom, u, params, regime)
-            return e_val - float(b @ u), raw - b
-        return energy(dom, u, params, regime) - float(b @ u), None
+    def fg(u):
+        e_val, raw = energy_and_gradient(dom, u, params, regime)
+        return e_val - float(b @ u), raw - b
 
     x0 = dom.check_field(warm_start) if warm_start is not None else np.zeros_like(f)
     u, _, _ = _ncg(fg, x0, bnorm, cfg)
     if regime.kind == "neumann":
         u = zero_pmean_shift(dom, u, params.p)
     return u
+
+
+def project_cperp(f, regime: BoundaryRegime) -> np.ndarray:
+    """Neumann data minus its mean, which puts it in C-perp; else f itself."""
+    if regime.kind == "neumann":
+        return f - float(np.mean(f))
+    return f
 
 
 def zero_pmean_shift(dom: Domain, u, p: float) -> np.ndarray:

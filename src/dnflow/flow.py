@@ -1,9 +1,9 @@
 """Run the implicit scheme, build its interpolants, expose rescaled iterates.
 
 Each step minimizes the backward functional at a frozen regularization
-length eps_k = epsilon * max|u^{k-1}| (the relative default keeps the
-per-step operator consistent with the flow's degree-p homogeneity as the
-solution decays).  The per-step eps is recorded so diagnostics evaluate the
+length eps_k = epsilon * max|u^{k-1}| (relative, so the per-step operator
+stays consistent with the flow's degree-p homogeneity as the solution
+decays).  The per-step eps is recorded so diagnostics evaluate the
 same functional the solver minimized.
 """
 
@@ -28,6 +28,7 @@ __all__ = [
     "interpolant_v",
     "interpolant_w",
     "rescaled_profile",
+    "profile_gap",
     "write_snapshot",
     "read_snapshot",
 ]
@@ -35,6 +36,12 @@ __all__ = [
 # States whose L^p norm falls below this multiple of the initial norm are
 # reported as the degenerate (identically vanishing) limit.
 DEGENERATE_FLOOR = 1e3 * np.finfo(float).eps
+
+# evolve_until_settled's stationarity test and auto_tau's bootstrap run.
+SETTLE_REL_TOL = 1e-7
+SETTLE_WINDOW = 10
+BOOTSTRAP_TAU = 0.1
+BOOTSTRAP_STEPS = 10
 
 
 @dataclass
@@ -66,9 +73,7 @@ class FlowTrajectory:
         return val
 
 
-def _step_epsilon(params: EnergyParams, u_prev: np.ndarray, adaptive: bool) -> float:
-    if not adaptive:
-        return params.epsilon
+def _step_epsilon(params: EnergyParams, u_prev: np.ndarray) -> float:
     scale = float(np.max(np.abs(u_prev))) if u_prev.size else 0.0
     eps = params.epsilon * scale
     # Zero or underflowed scale: fall back to the nominal value (the state is
@@ -76,16 +81,16 @@ def _step_epsilon(params: EnergyParams, u_prev: np.ndarray, adaptive: bool) -> f
     return eps if eps > 0.0 else params.epsilon
 
 
-def evolve(dom: Domain, g, tau: float, steps: int, params: EnergyParams,
-           regime: BoundaryRegime, cfg: SolverConfig,
-           adaptive_epsilon: bool = True) -> FlowTrajectory:
-    """March K implicit steps from g and record diagnostics per step.
+def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
+           regime: BoundaryRegime, cfg: SolverConfig, stop) -> FlowTrajectory:
+    """March up to max_steps implicit steps from g, recording diagnostics.
 
     Neumann initial data is first shifted to its zero-p-mean representative.
-    Solver failures propagate with the step index attached.
+    Solver failures propagate with the step index attached.  After each step
+    stop(traj) is asked whether to end the march early.
     """
-    if steps < 1:
-        raise ValueError(f"need at least one step, got {steps}")
+    if max_steps < 1:
+        raise ValueError(f"need at least one step, got {max_steps}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     g = dom.check_field(g)
@@ -99,12 +104,12 @@ def evolve(dom: Domain, g, tau: float, steps: int, params: EnergyParams,
 
     traj = FlowTrajectory(dom=dom, tau=tau, params=params, regime=regime,
                           states=[g], eps_used=[], projected_initial=projected)
-    traj.eps_used.append(_step_epsilon(params, g, adaptive_epsilon))
+    traj.eps_used.append(_step_epsilon(params, g))
     traj.diagnostics.append(diag.build_row(dom, traj, 0))
 
     u = g
-    for k in range(1, steps + 1):
-        eps_k = _step_epsilon(params, u, adaptive_epsilon)
+    for k in range(1, max_steps + 1):
+        eps_k = _step_epsilon(params, u)
         try:
             u = implicit_step(dom, u, tau, params.with_epsilon(eps_k), regime, cfg)
         except NonConvergenceError as err:
@@ -118,106 +123,88 @@ def evolve(dom: Domain, g, tau: float, steps: int, params: EnergyParams,
         row = traj.diagnostics[k]
         row.lambda_decay = diag.lambda_decay_estimate(traj, k)
         row.energy_residual = diag.energy_identity_residual(traj, k)
+        if stop(traj):
+            break
     return traj
 
 
+def evolve(dom: Domain, g, tau: float, steps: int, params: EnergyParams,
+           regime: BoundaryRegime, cfg: SolverConfig) -> FlowTrajectory:
+    """March exactly `steps` implicit steps from g (see _march)."""
+    return _march(dom, g, tau, steps, params, regime, cfg, lambda traj: False)
+
+
 def auto_tau(dom: Domain, g, params: EnergyParams, regime: BoundaryRegime,
-             cfg: SolverConfig, bootstrap_tau: float = 0.1,
-             bootstrap_steps: int = 10) -> float:
+             cfg: SolverConfig) -> float:
     """Pick tau = 1/(2 lambda-hat) from a short bootstrap run.
 
+    The bootstrap takes BOOTSTRAP_STEPS = 10 steps of size BOOTSTRAP_TAU =
+    0.1, which is also the fallback when it yields no positive estimate.
     The decay estimator is scale-free, so the bootstrap step size needs no
     reference to the size of g.
     """
-    traj = evolve(dom, g, bootstrap_tau, bootstrap_steps, params, regime, cfg)
+    traj = evolve(dom, g, BOOTSTRAP_TAU, BOOTSTRAP_STEPS, params, regime, cfg)
     lam = traj.diagnostics[-1].lambda_decay
     if not math.isfinite(lam) or lam <= 0.0:
-        return bootstrap_tau
+        return BOOTSTRAP_TAU
     return 1.0 / (2.0 * lam)
 
 
 def evolve_until_settled(dom: Domain, g, params: EnergyParams,
                          regime: BoundaryRegime, cfg: SolverConfig,
-                         tau: float | None = None, rel_tol: float = 1e-7,
-                         window: int = 10, max_steps: int = 400,
-                         adaptive_epsilon: bool = True) -> FlowTrajectory:
+                         tau: float | None = None,
+                         max_steps: int = 400) -> FlowTrajectory:
     """Evolve until the decay-rate estimate is stationary.
 
-    Stops once lambda-hat changes by less than rel_tol (relatively) over
-    `window` consecutive steps, or at the step budget.
+    Stops once lambda-hat changes by less than SETTLE_REL_TOL = 1e-7
+    (relatively) over SETTLE_WINDOW = 10 consecutive steps, once the state
+    reaches the degenerate floor, or at the step budget.  tau defaults to
+    auto_tau.
     """
     if tau is None:
         tau = auto_tau(dom, g, params, regime, cfg)
-    g = dom.check_field(g)
-    projected = None
-    if regime.kind == "neumann":
-        g = zero_pmean_shift(dom, g, params.p)
-        projected = g
-    traj = FlowTrajectory(dom=dom, tau=tau, params=params, regime=regime,
-                          states=[g], eps_used=[], projected_initial=projected)
-    traj.eps_used.append(_step_epsilon(params, g, adaptive_epsilon))
-    traj.diagnostics.append(diag.build_row(dom, traj, 0))
-
-    u = g
     settled = 0
-    prev_lam = math.nan
-    for k in range(1, max_steps + 1):
-        eps_k = _step_epsilon(params, u, adaptive_epsilon)
-        try:
-            u = implicit_step(dom, u, tau, params.with_epsilon(eps_k), regime, cfg)
-        except NonConvergenceError as err:
-            err.step = k
-            raise
-        if regime.kind == "neumann":
-            u = zero_pmean_shift(dom, u, params.p)  # stay on the constraint set
-        traj.states.append(u)
-        traj.eps_used.append(eps_k)
-        traj.diagnostics.append(diag.build_row(dom, traj, k))
-        row = traj.diagnostics[k]
-        row.lambda_decay = diag.lambda_decay_estimate(traj, k)
-        row.energy_residual = diag.energy_identity_residual(traj, k)
 
-        lam = row.lambda_decay
+    def stop(traj):
+        nonlocal settled
+        rows = traj.diagnostics
+        lam, prev_lam = rows[-1].lambda_decay, rows[-2].lambda_decay
         if math.isfinite(lam) and math.isfinite(prev_lam) and lam > 0:
-            if abs(lam - prev_lam) < rel_tol * abs(lam):
+            if abs(lam - prev_lam) < SETTLE_REL_TOL * abs(lam):
                 settled += 1
             else:
                 settled = 0
-        prev_lam = lam
-        if settled >= window:
-            break
-        if row.Np <= (DEGENERATE_FLOOR ** params.p) * traj.diagnostics[0].Np:
-            break  # degenerate limit; nothing left to estimate
-    return traj
+        # The degenerate limit leaves nothing to estimate.
+        return (settled >= SETTLE_WINDOW
+                or rows[-1].Np <= (DEGENERATE_FLOOR ** params.p) * rows[0].Np)
+
+    return _march(dom, g, tau, max_steps, params, regime, cfg, stop)
+
+
+def _check_time(traj: FlowTrajectory, t: float) -> None:
+    top = traj.steps * traj.tau
+    if not 0.0 <= t <= top + 1e-12 * traj.tau:
+        raise ValueError(f"t = {t} outside [0, {top}]")
 
 
 def interpolant_v(traj: FlowTrajectory, t: float) -> np.ndarray:
     """Piecewise-constant interpolant: g at t=0, u^k on ((k-1)tau, k tau]."""
-    k = _step_of(traj, t, right_closed=True)
-    return traj.states[k]
+    _check_time(traj, t)
+    if t == 0.0:
+        return traj.states[0]
+    k = int(math.ceil(t / traj.tau - 1e-12))
+    return traj.states[min(max(k, 1), traj.steps)]
 
 
 def interpolant_w(traj: FlowTrajectory, t: float) -> np.ndarray:
     """Piecewise-linear interpolant of jp(u^k) between the step images."""
+    _check_time(traj, t)
     tau, p = traj.tau, traj.params.p
-    if not 0.0 <= t <= traj.steps * tau + 1e-12 * tau:
-        raise ValueError(f"t = {t} outside [0, {traj.steps * tau}]")
     k = min(int(t / tau), traj.steps - 1)
     theta = (t - k * tau) / tau
     w0 = jp(traj.states[k], p)
     w1 = jp(traj.states[k + 1], p)
     return w0 + theta * (w1 - w0)
-
-
-def _step_of(traj, t, right_closed):
-    tau = traj.tau
-    top = traj.steps * tau
-    if not 0.0 <= t <= top + 1e-12 * tau:
-        raise ValueError(f"t = {t} outside [0, {top}]")
-    if t == 0.0:
-        return 0
-    k = int(math.ceil(t / tau - 1e-12))
-    return min(max(k, 1), traj.steps)
 
 
 def rescaled_profile(traj: FlowTrajectory, k: int):
@@ -234,13 +221,15 @@ def rescaled_profile(traj: FlowTrajectory, k: int):
     return u / norm_k
 
 
-def write_snapshot(path, dom: Domain, traj_or_params, regime: BoundaryRegime,
+def profile_gap(dom: Domain, a, b, p: float) -> float:
+    """L^p distance between two profiles up to sign: min |a - b|, |a + b|."""
+    return min(lp_norm(dom, a - b, p), lp_norm(dom, a + b, p))
+
+
+def write_snapshot(path, dom: Domain, params: EnergyParams, regime: BoundaryRegime,
                    u, k: int, tau: float) -> None:
     """Plain-text state dump: one header line, then node values row-major."""
-    if isinstance(traj_or_params, EnergyParams):
-        p = traj_or_params.p
-    else:
-        p = traj_or_params.params.p
+    p = params.p
     if dom.kind == "interval":
         dims = f"n={dom.shape[0]} h={dom.hx!r}"
     elif dom.kind == "rectangle":

@@ -16,13 +16,13 @@ calls a dense symmetric eigensolver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
 from .domain import Domain, integrate_power
-from .elliptic import SolverConfig, inverse_operator, zero_pmean_shift
+from .elliptic import SolverConfig, inverse_operator, project_cperp, zero_pmean_shift
 from .errors import BudgetError, DegenerateInputError, NonConvergenceError, SignViolationError
 from .fractional import kernel_for
 from .operators import (
@@ -42,6 +42,8 @@ __all__ = [
     "extremal_sign_normalize",
     "eigen_residual",
 ]
+
+MAX_SWEEPS = 400  # inverse-power sweep budget of minimize_rayleigh
 
 
 @dataclass
@@ -130,13 +132,13 @@ def _newton_polish(dom, u, lam, params, regime, target, max_steps=10):
 
 
 def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
-                      cfg: SolverConfig, seed: int = 0,
-                      max_sweeps: int = 400) -> EigenResult:
+                      cfg: SolverConfig, seed: int = 0) -> EigenResult:
     """Minimize p*E(u) / int |u|^p over unit-L^p fields (zero p-mean for Neumann).
 
-    Deterministic given the seed.  The returned pair satisfies the
-    eigen-relation to within 10*grad_tol in the weighted relative norm, or a
-    non-convergence error carries out the best iterate.
+    Deterministic given the seed; runs at most MAX_SWEEPS = 400 sweeps.  The
+    returned pair satisfies the eigen-relation to within 10*grad_tol in the
+    weighted relative norm, or a non-convergence error carries out the best
+    iterate.
     """
     validate_regime(dom, regime)
     p = params.p
@@ -153,17 +155,12 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
     stall = 0
     prev_step = None
     res = eigen_residual(dom, u, lam, params, regime)
-    while sweeps < max_sweeps:
+    while sweeps < MAX_SWEEPS:
         if res <= target or stall >= 3:
             break
         inner_tol = max(min(0.05 * res, 1e-3), 0.3 * cfg.grad_tol)
-        inner_cfg = SolverConfig(
-            grad_tol=inner_tol, max_iters=cfg.max_iters, shrink=cfg.shrink,
-            sufficient_decrease=cfg.sufficient_decrease,
-            restart_period=cfg.restart_period, max_backtracks=cfg.max_backtracks)
-        f = lam * jp(u, p)
-        if regime.kind == "neumann":
-            f = f - float(np.mean(f))
+        inner_cfg = replace(cfg, grad_tol=inner_tol)
+        f = project_cperp(lam * jp(u, p), regime)
         u_old = u
         try:
             u = inverse_operator(dom, f, params, regime, inner_cfg, warm_start=u)

@@ -18,9 +18,9 @@ from .diagnostics import (
     lambda_decay_estimate,
     mu_lambda_consistency,
 )
-from .domain import Domain, integrate_power, lp_norm
-from .elliptic import SolverConfig, pmean_defect, zero_pmean_shift
-from .flow import evolve, evolve_until_settled, rescaled_profile
+from .domain import Domain, integrate_power
+from .elliptic import SolverConfig, pmean_defect, project_cperp, zero_pmean_shift
+from .flow import evolve, evolve_until_settled, profile_gap, rescaled_profile
 from .operators import BoundaryRegime, EnergyParams, energy, energy_and_gradient
 from .oracle import minimize_rayleigh
 
@@ -118,9 +118,7 @@ def run_invariant_suite(dom: Domain, params: EnergyParams,
     # Dual Poincare inequality with the same-grid oracle constant.
     viol = 0.0
     for _ in range(30):
-        f = rng.standard_normal(dom.n_nodes)
-        if regime.kind == "neumann":
-            f = f - float(np.mean(f))
+        f = project_cperp(rng.standard_normal(dom.n_nodes), regime)
         lhs = eig.mu * dual_norm_q(dom, f, params, regime, cfg)
         rhs = integrate_power(dom, f, params.q)
         viol = max(viol, lhs / rhs - 1.0)
@@ -142,13 +140,11 @@ def run_invariant_suite(dom: Domain, params: EnergyParams,
             # Conditional on the one-ray hypothesis: two seeds must land on
             # the same extremal ray (sign flips allowed).
             other = minimize_rayleigh(dom, params, regime, cfg, seed=seed + 1)
-            hyp = min(lp_norm(dom, eig.extremal - other.extremal, p),
-                      lp_norm(dom, eig.extremal + other.extremal, p))
+            hyp = profile_gap(dom, eig.extremal, other.extremal, p)
             run_profile_check = hyp <= 1e-4
         if run_profile_check:
-            gap_p = min(lp_norm(dom, prof - eig.extremal, p),
-                        lp_norm(dom, prof + eig.extremal, p))
-            rows.append(_row("profile gap to oracle extremal", gap_p, 1e-3))
+            rows.append(_row("profile gap to oracle extremal",
+                             profile_gap(dom, prof, eig.extremal, p), 1e-3))
     mu_hat = dual_quotient(dom, settled.states[k_last],
                            params.with_epsilon(settled.eps_used[k_last]),
                            regime, cfg)

@@ -213,6 +213,23 @@ def test_exit_code_nonconvergence(tmp_path, monkeypatch):
     assert code == 2
 
 
+def test_exit_code_bad_input_data(tmp_path, capsys):
+    # Typed input errors outside the config parser exit 1 with one line.
+    neumann = tmp_path / "neumann.cfg"
+    neumann.write_text("domain.kind=interval\ndomain.n=32\np=3\n"
+                       "regime.kind=neumann\n")  # constant_one projects to 0
+    snap = tmp_path / "short.txt"
+    snap.write_text("kind=interval n=3\n1.0\n2.0\n3.0\n")
+    wrong_size = tmp_path / "wrong_size.cfg"
+    wrong_size.write_text(BASE.replace("domain.n = 39", "domain.n = 32")
+                          + f"init.kind = file\ninit.path = {snap}\n")
+    for cfg_path in (neumann, wrong_size):
+        assert main(["eigen", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dnflow: ")
+        assert err.count("\n") == 1
+
+
 def test_module_entrypoint_runs(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(BASE)

@@ -31,10 +31,6 @@ def mode_eigenvalue(dom, m=1):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(shrink=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(sufficient_decrease=0.5)
 
 
 def test_implicit_step_linear_mode():

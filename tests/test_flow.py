@@ -137,6 +137,34 @@ def test_comparison_nondegeneracy():
             assert np.all(traj.states[k] >= bound - 10 * CFG.grad_tol)
 
 
+def test_settle_rejects_bad_input_like_evolve():
+    d = build_interval(9)
+    params = EnergyParams(2.0, 0.0)
+    bad = [(np.full(9, np.nan), 5), (np.ones(9), 0)]
+    for g, steps in bad:
+        with pytest.raises(ValueError):
+            evolve(d, g, 0.1, steps, params, DIRICHLET, CFG)
+        with pytest.raises(ValueError):
+            evolve_until_settled(d, g, params, DIRICHLET, CFG, tau=0.1,
+                                 max_steps=steps)
+
+
+@pytest.mark.parametrize("p, regime", [(1.5, DIRICHLET), (3.0, NEUMANN)])
+def test_settle_states_equal_evolve_states(p, regime):
+    # Both entry points run one loop: at a fixed tau the settled trajectory is
+    # bitwise the prefix evolve computes for the same number of steps.
+    d = build_interval(32)
+    params = EnergyParams(p, 1e-6)
+    g = np.random.default_rng(0).standard_normal(32)
+    settled = evolve_until_settled(d, g, params, regime, CFG, tau=0.05,
+                                   max_steps=40)
+    assert settled.steps < 40  # the settle test, not the budget, stopped it
+    fixed = evolve(d, g, 0.05, settled.steps, params, regime, CFG)
+    for a, b in zip(settled.states, fixed.states):
+        np.testing.assert_array_equal(a, b)
+    assert settled.eps_used == fixed.eps_used
+
+
 def test_limit_profile_positive():
     d = build_interval(29)
     traj = evolve_until_settled(d, np.ones(29), EnergyParams(2.0, 0.0),
