@@ -230,6 +230,22 @@ def test_exit_code_bad_input_data(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_exit_code_sign_violation(tmp_path, capsys, monkeypatch):
+    import dnflow.cli as cli_mod
+    from dnflow.errors import SignViolationError
+
+    def fail(*args, **kwargs):
+        raise SignViolationError("profile changes sign")
+
+    monkeypatch.setattr(cli_mod, "minimize_rayleigh", fail)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE)
+    assert main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("dnflow: ")
+    assert err.count("\n") == 1
+
+
 def test_module_entrypoint_runs(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(BASE)

@@ -145,14 +145,15 @@ def test_volume_weights_cover_domain():
                 allow_nan=False, allow_infinity=False),
     r=st.floats(min_value=0.5, max_value=4.0),
 )
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None)
 def test_integrate_power_homogeneous(c, r):
-    # Below ~1e-200, c * u itself underflows into subnormals and loses
-    # digits before integrate_power sees it; homogeneity cannot hold there.
-    assume(c == 0.0 or abs(c) >= 1e-200)
     d = build_interval(7)
     rng = np.random.default_rng(42)
     u = rng.standard_normal(7)
+    # A nonzero c * u_i below the smallest normal float is rounded to a
+    # subnormal before integrate_power sees it, so the identity cannot hold
+    # to rel = 1e-12 there. Every other c is kept.
+    assume(c == 0.0 or abs(c) * np.min(np.abs(u)) >= np.finfo(float).tiny)
     left = integrate_power(d, c * u, r)
     right = abs(c) ** r * integrate_power(d, u, r)
     assert left == pytest.approx(right, rel=1e-12, abs=1e-300)
