@@ -216,8 +216,7 @@ def _eigen_numbers(cfg: RunConfig):
                                 max_steps=cfg.steps)
     k = traj.steps
     lam = traj.diagnostics[k].lambda_decay
-    mu = diag.dual_quotient(dom, traj.states[k],
-                            params.with_epsilon(traj.eps_used[k]), regime, solver)
+    mu = diag.dual_quotient(dom, traj.states[k], traj.params_at(k), regime, solver)
     prof = rescaled_profile(traj, k)
     ref = minimize_rayleigh(dom, params, regime, solver, seed=cfg.seed)
     if prof is None:

@@ -141,9 +141,8 @@ def fill_dual_columns(dom: Domain, traj, cfg: SolverConfig) -> None:
         u = traj.states[k]
         if row.Np <= 0.0:
             continue
-        params_k = traj.params.with_epsilon(traj.eps_used[k])
         f = project_cperp(jp(u, traj.params.p), traj.regime)
-        val, sol = dual_norm_q_with_solution(dom, f, params_k, traj.regime,
+        val, sol = dual_norm_q_with_solution(dom, f, traj.params_at(k), traj.regime,
                                              cfg, warm_start=warm)
         warm = sol
         row.dual_q = row.Np / val

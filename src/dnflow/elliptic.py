@@ -36,6 +36,7 @@ __all__ = [
     "implicit_step",
     "inverse_operator",
     "project_cperp",
+    "project_pmean",
     "zero_pmean_shift",
 ]
 
@@ -258,9 +259,7 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
 
     x0 = dom.check_field(warm_start) if warm_start is not None else np.zeros_like(f)
     u, _, _ = _ncg(fg, x0, bnorm, cfg)
-    if regime.kind == "neumann":
-        u = zero_pmean_shift(dom, u, params.p)
-    return u
+    return project_pmean(dom, u, params.p, regime)
 
 
 def project_cperp(f, regime: BoundaryRegime) -> np.ndarray:
@@ -268,6 +267,13 @@ def project_cperp(f, regime: BoundaryRegime) -> np.ndarray:
     if regime.kind == "neumann":
         return f - float(np.mean(f))
     return f
+
+
+def project_pmean(dom: Domain, u, p: float, regime: BoundaryRegime) -> np.ndarray:
+    """Neumann fields shifted onto the zero-p-mean constraint set; else u itself."""
+    if regime.kind == "neumann":
+        return zero_pmean_shift(dom, u, p)
+    return u
 
 
 def zero_pmean_shift(dom: Domain, u, p: float) -> np.ndarray:

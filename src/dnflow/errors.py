@@ -17,6 +17,10 @@ class InvalidMaskError(DnflowError):
     """A masked domain whose bitmap violates connectivity preconditions."""
 
 
+class InvalidSnapshotError(DnflowError):
+    """A snapshot file without its header line."""
+
+
 class UnsupportedRegimeError(DnflowError):
     """Boundary regime not offered on the given domain kind."""
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import diagnostics as diag
 from .domain import Domain, lp_norm
-from .elliptic import SolverConfig, implicit_step, zero_pmean_shift
-from .errors import NonConvergenceError
+from .elliptic import SolverConfig, implicit_step, project_pmean
+from .errors import InvalidSnapshotError, NonConvergenceError
 from .operators import BoundaryRegime, EnergyParams, energy, jp
 
 __all__ = [
@@ -55,20 +55,21 @@ class FlowTrajectory:
     states: list
     eps_used: list
     diagnostics: list = field(default_factory=list)
-    projected_initial: np.ndarray | None = None
+    _energy_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def steps(self) -> int:
         return len(self.states) - 1
 
+    def params_at(self, k: int) -> EnergyParams:
+        """The energy parameters with the eps frozen for step k."""
+        return self.params.with_epsilon(self.eps_used[k])
+
     def regime_energy(self, k: int) -> float:
         """Energy of u^k under the eps frozen for that step (cached)."""
-        if not hasattr(self, "_energy_cache"):
-            self._energy_cache = {}
         val = self._energy_cache.get(k)
         if val is None:
-            params_k = self.params.with_epsilon(self.eps_used[k])
-            val = energy(self.dom, self.states[k], params_k, self.regime)
+            val = energy(self.dom, self.states[k], self.params_at(k), self.regime)
             self._energy_cache[k] = val
         return val
 
@@ -94,16 +95,12 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     g = dom.check_field(g)
-    if np.isnan(g).all():
-        raise ValueError("initial data is identically NaN")
-
-    projected = None
-    if regime.kind == "neumann":
-        g = zero_pmean_shift(dom, g, params.p)
-        projected = g
+    if not np.isfinite(g).all():
+        raise ValueError("initial data has a NaN or infinite value")
+    g = project_pmean(dom, g, params.p, regime)
 
     traj = FlowTrajectory(dom=dom, tau=tau, params=params, regime=regime,
-                          states=[g], eps_used=[], projected_initial=projected)
+                          states=[g], eps_used=[])
     traj.eps_used.append(_step_epsilon(params, g))
     traj.diagnostics.append(diag.build_row(dom, traj, 0))
 
@@ -115,8 +112,7 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
         except NonConvergenceError as err:
             err.step = k
             raise
-        if regime.kind == "neumann":
-            u = zero_pmean_shift(dom, u, params.p)  # stay on the constraint set
+        u = project_pmean(dom, u, params.p, regime)  # stay on the constraint set
         traj.states.append(u)
         traj.eps_used.append(eps_k)
         traj.diagnostics.append(diag.build_row(dom, traj, k))
@@ -253,6 +249,8 @@ def read_snapshot(path):
     """Parse a snapshot file back into (metadata dict, value array)."""
     with open(path) as fh:
         lines = fh.read().splitlines()
+    if not lines:
+        raise InvalidSnapshotError(f"{path}: empty snapshot file")
     meta = {}
     for tok in lines[0].split():
         key, _, val = tok.partition("=")

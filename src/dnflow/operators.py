@@ -5,6 +5,19 @@ per-cell forward-difference gradient vector; the nonlocal regime uses the
 pairwise kernel from :mod:`dnflow.fractional`.  The constant eps**p is
 subtracted cell-wise so E(0) = 0; gradients are unaffected.
 
+Cell layout.  A cell holds the forward differences from one node to its
+next neighbour along each axis.  In 1-D, Dirichlet pads the field with its
+two exterior zeros (n + 1 cells) and Neumann/Robin use the n - 1 links
+between nodes.  In 2-D the grid sits in an extended grid P, with one cell at
+every node of P except its last row and column.  Dirichlet rings the grid
+with exterior zeros, giving (ny+1)(nx+1) cells anchored one node before the
+grid on each axis.  Neumann and Robin repeat the last row and column, giving
+one cell per node; differences that leave the grid vanish, so the last
+column has no x-difference and the last row no y-difference.  On a mask, off-mask nodes hold zero: Dirichlet
+differences reach those zeros, Neumann differences to them are zeroed.
+
+``_parts`` is the one regime dispatch; ``energy``, ``energy_gradient`` and
+``energy_and_gradient`` all read its (energy, raw partials) pair.
 ``energy_gradient`` returns the gradient as a *density*: the raw partial
 derivatives divided by the cell volume, which approximates -Delta_p u
 pointwise for the local regimes.
@@ -120,54 +133,48 @@ def validate_regime(dom: Domain, regime: BoundaryRegime) -> None:
         raise UnsupportedRegimeError("fractional regime is only offered on intervals")
 
 
-def _cell_terms(r2, p, eps, want_grad):
+def _cell_terms(r2, p, eps):
     # Shared smooth kernel: returns (energy density per cell, multiplier m)
     # where d/dg of the cell energy is m * g for gradient component g.
     # The eps offset uses the identical expression as the cell power so the
     # zero field gives exactly zero energy.
     e2 = eps * eps
     if p == 2.0:
-        m = np.ones_like(r2)
-        cell = r2
-    else:
-        base = r2 + e2
-        if eps == 0.0:
-            # p > 2 here; 0**((p-2)/2) = 0 is the correct limit.
-            m = np.where(base > 0.0, base, 1.0) ** ((p - 2.0) / 2.0)
-            m = np.where(base > 0.0, m, 0.0)
-            cell = m * base
-        else:
-            m = base ** ((p - 2.0) / 2.0)
-            cell = m * base - e2 ** ((p - 2.0) / 2.0) * e2
-    return cell, (m if want_grad else None)
+        return r2, np.ones_like(r2)
+    base = r2 + e2
+    if eps == 0.0:
+        # p > 2 here; 0**((p-2)/2) = 0 is the correct limit.
+        m = np.where(base > 0.0, base, 1.0) ** ((p - 2.0) / 2.0)
+        m = np.where(base > 0.0, m, 0.0)
+        return m * base, m
+    m = base ** ((p - 2.0) / 2.0)
+    return m * base - e2 ** ((p - 2.0) / 2.0) * e2, m
 
 
-def _robin_terms(dom, u, p, eps, beta, want_grad):
+def _robin_terms(dom, u, p, eps, beta):
     ub = u[dom.trace_index]
-    cell, m = _cell_terms(ub * ub, p, eps, want_grad)
+    cell, m = _cell_terms(ub * ub, p, eps)
     e_val = (beta / p) * float(np.sum(dom.trace_weight * cell))
-    if not want_grad:
-        return e_val, None
     raw = np.zeros_like(u)
     np.add.at(raw, dom.trace_index, beta * dom.trace_weight * m * ub)
     return e_val, raw
 
 
-def _local_1d(dom, u, p, eps, regime_kind, want_grad):
+def _local_1d(dom, u, p, eps, dirichlet):
     h = dom.hx
-    if regime_kind == "dirichlet":
+    if dirichlet:
         padded = np.empty(u.size + 2)
         padded[0] = padded[-1] = 0.0
         padded[1:-1] = u
         g = np.diff(padded) / h
     else:
+        # The n - 1 links only: a repeated end node as in 2-D would add a
+        # zero cell, and that changes the rounding of np.sum.
         g = np.diff(u) / h
-    cell, m = _cell_terms(g * g, p, eps, want_grad)
+    cell, m = _cell_terms(g * g, p, eps)
     e_val = (h / p) * float(np.sum(cell))
-    if not want_grad:
-        return e_val, None
     s = m * g  # d(cell)/d(g)
-    if regime_kind == "dirichlet":
+    if dirichlet:
         raw = s[:-1] - s[1:]
     else:
         raw = np.zeros_like(u)
@@ -176,27 +183,31 @@ def _local_1d(dom, u, p, eps, regime_kind, want_grad):
     return e_val, raw
 
 
-def _grid_arrays(dom, u):
-    # Dense (rows, cols) array of field values; zeros off the mask.
-    if dom.kind == "rectangle":
-        return u.reshape(dom.shape), None
-    grid = np.zeros(dom.shape)
-    grid[dom.mask] = u
-    return grid, dom.mask
-
-
-def _local_2d_dirichlet(dom, u, p, eps, want_grad):
+def _local_2d(dom, u, p, eps, dirichlet):
     hx, hy, vol = dom.hx, dom.hy, dom.cell_volume
-    grid, mask = _grid_arrays(dom, u)
-    ny, nx = grid.shape
-    P = np.zeros((ny + 2, nx + 2))
-    P[1:-1, 1:-1] = grid
-    gx = np.diff(P, axis=1)[:-1, :] / hx  # (ny+1, nx+1) anchored cells
+    ny, nx = dom.shape
+    mask = dom.mask
+    # The grid inside the extended grid P: behind a ring of exterior zeros
+    # (Dirichlet), or at its origin with the last row and column repeated
+    # (Neumann).  Off-mask nodes hold zeros.
+    o = 1 if dirichlet else 0
+    P = np.zeros((ny + 1 + o, nx + 1 + o))
+    grid = P[o:o + ny, o:o + nx]
+    if mask is None:
+        grid[...] = u.reshape(ny, nx)
+    else:
+        grid[mask] = u
+    if not dirichlet:
+        P[ny, :] = P[ny - 1, :]
+        P[:, nx] = P[:, nx - 1]
+    # One cell per node of P but its last row and column.
+    gx = np.diff(P, axis=1)[:-1, :] / hx
     gy = np.diff(P, axis=0)[:, :-1] / hy
-    cell, m = _cell_terms(gx * gx + gy * gy, p, eps, want_grad)
+    if mask is not None and not dirichlet:
+        gx[:, :-1] = np.where(mask[:, 1:] & mask[:, :-1], gx[:, :-1], 0.0)
+        gy[:-1, :] = np.where(mask[1:, :] & mask[:-1, :], gy[:-1, :], 0.0)
+    cell, m = _cell_terms(gx * gx + gy * gy, p, eps)
     e_val = (vol / p) * float(np.sum(cell))
-    if not want_grad:
-        return e_val, None
     sx = (vol / hx) * m * gx
     sy = (vol / hy) * m * gy
     G = np.zeros_like(P)
@@ -204,90 +215,54 @@ def _local_2d_dirichlet(dom, u, p, eps, want_grad):
     G[:-1, :-1] -= sx
     G[1:, :-1] += sy
     G[:-1, :-1] -= sy
-    inner = G[1:-1, 1:-1]
-    raw = inner[mask] if mask is not None else inner.ravel()
-    return e_val, raw
+    inner = G[o:o + ny, o:o + nx]
+    return e_val, (inner.ravel() if mask is None else inner[mask])
 
 
-def _local_2d_neumann(dom, u, p, eps, want_grad):
-    hx, hy, vol = dom.hx, dom.hy, dom.cell_volume
-    grid, mask = _grid_arrays(dom, u)
-    ny, nx = grid.shape
-    gx = np.zeros_like(grid)
-    gy = np.zeros_like(grid)
-    dx = np.diff(grid, axis=1) / hx
-    dy = np.diff(grid, axis=0) / hy
-    if mask is not None:
-        dx = np.where(mask[:, 1:] & mask[:, :-1], dx, 0.0)
-        dy = np.where(mask[1:, :] & mask[:-1, :], dy, 0.0)
-    gx[:, :-1] = dx
-    gy[:-1, :] = dy
-    cell, m = _cell_terms(gx * gx + gy * gy, p, eps, want_grad)
-    e_val = (vol / p) * float(np.sum(cell))
-    if not want_grad:
-        return e_val, None
-    sx = (vol / hx) * (m * gx)[:, :-1]
-    sy = (vol / hy) * (m * gy)[:-1, :]
-    G = np.zeros_like(grid)
-    G[:, 1:] += sx
-    G[:, :-1] -= sx
-    G[1:, :] += sy
-    G[:-1, :] -= sy
-    raw = G[mask] if mask is not None else G.ravel()
-    return e_val, raw
-
-
-def _fractional_parts(dom, u, p, eps, s, want_grad):
+def _fractional_parts(dom, u, p, eps, s):
     from .fractional import kernel_for
 
     ker = kernel_for(dom, s, p)
     h = dom.hx
     diff = u[:, None] - u[None, :]
-    pair_cell, pair_m = _cell_terms(diff * diff, p, eps, True)
-    ext_cell, ext_m = _cell_terms(u * u, p, eps, True)
+    pair_cell, pair_m = _cell_terms(diff * diff, p, eps)
+    ext_cell, ext_m = _cell_terms(u * u, p, eps)
     e_val = (float((ker.weights * pair_cell).sum())
              + 2.0 * h * float(np.sum(ker.exterior * ext_cell))) / p
-    if not want_grad:
-        return e_val, None
     raw = (2.0 * (ker.weights * (pair_m * diff)).sum(axis=1)
            + 2.0 * h * ker.exterior * (ext_m * u))
     return e_val, raw
 
 
-def _parts(dom, u, params, regime, want_grad):
+def _parts(dom, u, params, regime):
+    # The one regime dispatch: (energy, raw partial derivatives) at u.
     u = dom.check_field(u)
     validate_regime(dom, regime)
     p, eps = params.p, params.epsilon
     if regime.kind == "fractional":
-        return _fractional_parts(dom, u, p, eps, regime.s, want_grad)
-    if dom.dimension == 1:
-        e_val, raw = _local_1d(dom, u, p, eps, regime.kind, want_grad)
-    elif regime.kind == "dirichlet":
-        e_val, raw = _local_2d_dirichlet(dom, u, p, eps, want_grad)
-    else:
-        e_val, raw = _local_2d_neumann(dom, u, p, eps, want_grad)
+        return _fractional_parts(dom, u, p, eps, regime.s)
+    local = _local_1d if dom.dimension == 1 else _local_2d
+    e_val, raw = local(dom, u, p, eps, regime.kind == "dirichlet")
     if regime.kind == "robin":
-        e_b, raw_b = _robin_terms(dom, u, p, eps, regime.beta, want_grad)
+        e_b, raw_b = _robin_terms(dom, u, p, eps, regime.beta)
         e_val += e_b
-        if want_grad:
-            raw = raw + raw_b
+        raw = raw + raw_b
     return e_val, raw
 
 
 def energy(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime) -> float:
     """The regime's convex energy at u; zero at the zero field."""
-    return _parts(dom, u, params, regime, want_grad=False)[0]
+    return _parts(dom, u, params, regime)[0]
 
 
 def energy_gradient(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime) -> np.ndarray:
     """Exact gradient of the implemented energy, as a pointwise density."""
-    _, raw = _parts(dom, u, params, regime, want_grad=True)
-    return raw / dom.cell_volume
+    return _parts(dom, u, params, regime)[1] / dom.cell_volume
 
 
 def energy_and_gradient(dom, u, params, regime):
     """(energy, raw partial derivatives) in one pass; solver hot path."""
-    return _parts(dom, u, params, regime, want_grad=True)
+    return _parts(dom, u, params, regime)
 
 
 def trace_lp(dom: Domain, u, p: float) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .domain import Domain, integrate_power
-from .elliptic import SolverConfig, inverse_operator, project_cperp, zero_pmean_shift
+from .elliptic import SolverConfig, inverse_operator, project_cperp, project_pmean
 from .errors import BudgetError, DegenerateInputError, NonConvergenceError, SignViolationError
 from .fractional import kernel_for
 from .operators import (
@@ -144,9 +144,7 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
     p = params.p
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.5, 1.5, dom.n_nodes)  # positive start
-    if regime.kind == "neumann":
-        u = zero_pmean_shift(dom, u, p)
-    u = _unit_lp(dom, u, p)
+    u = _unit_lp(dom, project_pmean(dom, u, p, regime), p)
     lam = p * energy(dom, u, params, regime)
 
     target = 3.0 * cfg.grad_tol
@@ -170,9 +168,7 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
             if err.last_iterate is None:
                 raise
             u = err.last_iterate
-        if regime.kind == "neumann":
-            u = zero_pmean_shift(dom, u, p)
-        u = _unit_lp(dom, u, p)
+        u = _unit_lp(dom, project_pmean(dom, u, p, regime), p)
 
         # Aitken extrapolation of the dominant error mode: when consecutive
         # sweep steps align (slow geometric contraction, small spectral
@@ -183,9 +179,7 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
             rho = float(step @ prev_step) / den if den > 0 else 0.0
             if 0.2 < rho < 0.995:
                 u_try = u + (rho / (1.0 - rho)) * step
-                if regime.kind == "neumann":
-                    u_try = zero_pmean_shift(dom, u_try, p)
-                u_try = _unit_lp(dom, u_try, p)
+                u_try = _unit_lp(dom, project_pmean(dom, u_try, p, regime), p)
                 lam_try = p * energy(dom, u_try, params, regime)
                 res_try = eigen_residual(dom, u_try, lam_try, params, regime)
                 if res_try < eigen_residual(

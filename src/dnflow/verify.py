@@ -19,7 +19,7 @@ from .diagnostics import (
     mu_lambda_consistency,
 )
 from .domain import Domain, integrate_power
-from .elliptic import SolverConfig, pmean_defect, project_cperp, zero_pmean_shift
+from .elliptic import SolverConfig, pmean_defect, project_cperp, project_pmean
 from .flow import evolve, evolve_until_settled, profile_gap, rescaled_profile
 from .operators import BoundaryRegime, EnergyParams, energy, energy_and_gradient
 from .oracle import minimize_rayleigh
@@ -78,9 +78,10 @@ def run_invariant_suite(dom: Domain, params: EnergyParams,
 
     # Flow from nondegenerate data; the scheme's own monotone quantities.
     if regime.kind == "neumann":
-        g = zero_pmean_shift(dom, rng.uniform(0.5, 1.5, dom.n_nodes), p)
+        g = rng.uniform(0.5, 1.5, dom.n_nodes)  # ones would project to zero
     else:
         g = np.ones(dom.n_nodes)
+    g = project_pmean(dom, g, p, regime)
     tau = 1.0 / (2.0 * eig.lam)
     traj = evolve(dom, g, tau, steps, params, regime, cfg)
     nps = np.array([r.Np for r in traj.diagnostics])
@@ -145,8 +146,7 @@ def run_invariant_suite(dom: Domain, params: EnergyParams,
         if run_profile_check:
             rows.append(_row("profile gap to oracle extremal",
                              profile_gap(dom, prof, eig.extremal, p), 1e-3))
-    mu_hat = dual_quotient(dom, settled.states[k_last],
-                           params.with_epsilon(settled.eps_used[k_last]),
+    mu_hat = dual_quotient(dom, settled.states[k_last], settled.params_at(k_last),
                            regime, cfg)
     rows.append(_row("mu-lambda consistency gap",
                      mu_lambda_consistency(lam_hat, mu_hat, p), 0.02))

@@ -223,7 +223,11 @@ def test_exit_code_bad_input_data(tmp_path, capsys):
     wrong_size = tmp_path / "wrong_size.cfg"
     wrong_size.write_text(BASE.replace("domain.n = 39", "domain.n = 32")
                           + f"init.kind = file\ninit.path = {snap}\n")
-    for cfg_path in (neumann, wrong_size):
+    empty_snap = tmp_path / "empty.txt"
+    empty_snap.write_text("")
+    empty = tmp_path / "empty.cfg"
+    empty.write_text(BASE + f"init.kind = file\ninit.path = {empty_snap}\n")
+    for cfg_path in (neumann, wrong_size, empty):
         assert main(["eigen", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("dnflow: ")

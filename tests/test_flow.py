@@ -72,7 +72,6 @@ def test_evolve_neumann_projects_initial():
     d = build_interval(19)
     g = np.ones(19) + 0.3 * np.cos(np.pi * d.nodes)
     traj = evolve(d, g, 0.05, 4, EnergyParams(2.0, 0.0), NEUMANN, CFG)
-    assert traj.projected_initial is not None
     assert pmean_defect(d, traj.states[0], 2.0) <= 1e-12
     for k in range(5):
         assert pmean_defect(d, traj.states[k], 2.0) <= 10 * CFG.grad_tol
@@ -140,7 +139,9 @@ def test_comparison_nondegeneracy():
 def test_settle_rejects_bad_input_like_evolve():
     d = build_interval(9)
     params = EnergyParams(2.0, 0.0)
-    bad = [(np.full(9, np.nan), 5), (np.ones(9), 0)]
+    one_nan, one_inf = np.ones(9), np.ones(9)
+    one_nan[4], one_inf[2] = np.nan, np.inf
+    bad = [(np.full(9, np.nan), 5), (one_nan, 5), (one_inf, 5), (np.ones(9), 0)]
     for g, steps in bad:
         with pytest.raises(ValueError):
             evolve(d, g, 0.1, steps, params, DIRICHLET, CFG)

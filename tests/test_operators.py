@@ -265,6 +265,52 @@ def test_energy_matches_serial_loop():
     assert val == pytest.approx(total, rel=1e-13)
 
 
+def _serial_energy_2d(dom, u, p, eps, dirichlet):
+    # Independent per-cell loop over the 2-D layout: Dirichlet cells run
+    # from one node before the grid to its last node on each axis (exterior
+    # zeros); Neumann cells sit at the nodes, and a difference to a node
+    # off the grid or off the mask counts as zero.
+    ny, nx = dom.shape
+    on = dom.mask if dom.mask is not None else np.ones((ny, nx), dtype=bool)
+    vals = np.zeros((ny, nx))
+    vals[on] = u
+
+    def value(i, j):
+        inside = 0 <= i < ny and 0 <= j < nx
+        return vals[i, j] if inside else 0.0
+
+    def diff(i, j, di, dj):
+        a, b = (i, j), (i + di, j + dj)
+        if not dirichlet:
+            for r, c in (a, b):
+                if not (0 <= r < ny and 0 <= c < nx and on[r, c]):
+                    return 0.0
+        return value(*b) - value(*a)
+
+    lo = -1 if dirichlet else 0
+    total = 0.0
+    for i in range(lo, ny):
+        for j in range(lo, nx):
+            gsq = (diff(i, j, 0, 1) / dom.hx) ** 2 + (diff(i, j, 1, 0) / dom.hy) ** 2
+            total += dom.cell_volume / p * ((gsq + eps * eps) ** (p / 2) - eps**p)
+    return total
+
+
+def test_energy_matches_serial_loop_2d():
+    # Pins the 2-D cell layout: the anchored Dirichlet cells and the
+    # Neumann cells of the last row, last column and corner.
+    rng = np.random.default_rng(12)
+    p, eps = 2.5, 1e-6
+    bitmap = np.array([[0, 1, 1, 1, 0], [1, 1, 1, 1, 1], [1, 1, 0, 1, 1],
+                       [0, 1, 1, 1, 1]], dtype=bool)
+    for dom in (build_rectangle(6, 4, 1.0, 0.7), build_masked(bitmap, 0.15)):
+        u = rng.standard_normal(dom.n_nodes)
+        for regime in (DIRICHLET, NEUMANN):
+            total = _serial_energy_2d(dom, u, p, eps, regime is DIRICHLET)
+            val = energy(dom, u, EnergyParams(p, eps), regime)
+            assert val == pytest.approx(total, rel=1e-13), (dom.kind, regime.kind)
+
+
 # --- trace ------------------------------------------------------------------
 
 def test_trace_constant_unit_square():
