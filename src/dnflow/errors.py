@@ -45,14 +45,28 @@ class NonConvergenceError(DnflowError):
     """Iteration budget exhausted before the stopping criterion was met.
 
     Carries the last iterate and the residual it achieved so callers can
-    inspect or resume.
+    inspect or resume, and where it happened: the flow step, the regime
+    kind and p, each set by the layer that knows it.  The message ends
+    with those that are set.
     """
 
-    def __init__(self, message, last_iterate=None, residual=None, step=None):
+    def __init__(self, message, last_iterate=None, residual=None, step=None,
+                 regime=None, p=None):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
         self.step = step
+        self.regime = regime
+        self.p = p
+
+    def __str__(self):
+        where = [f"{name} {value}" for name, value in
+                 (("step", self.step), ("regime", self.regime), ("p", self.p))
+                 if value is not None]
+        if self.residual is not None:
+            where.append(f"residual {self.residual:.3e}")
+        text = super().__str__()
+        return f"{text} ({', '.join(where)})" if where else text
 
 
 class ConfigError(DnflowError):

@@ -18,6 +18,9 @@ differences reach those zeros, Neumann differences to them are zeroed.
 
 ``_parts`` is the one regime dispatch; ``energy``, ``energy_gradient`` and
 ``energy_and_gradient`` all read its (energy, raw partials) pair.
+``energy_hessian`` follows the same dispatch and returns the Hessian of the
+raw energy in lower-banded storage, the layout ``scipy.linalg.cholesky_banded``
+factors.
 ``energy_gradient`` returns the gradient as a *density*: the raw partial
 derivatives divided by the cell volume, which approximates -Delta_p u
 pointwise for the local regimes.
@@ -42,6 +45,7 @@ __all__ = [
     "energy",
     "energy_gradient",
     "energy_and_gradient",
+    "energy_hessian",
     "trace_lp",
     "validate_regime",
 ]
@@ -151,6 +155,33 @@ def _cell_terms(r2, p, eps):
     return m * base - e2 ** ((p - 2.0) / 2.0) * e2, m
 
 
+def _cell_curvature(r2, a2, p, eps):
+    # Second derivative of cell / p along one gradient component a, where
+    # r2 = |g|^2 and a2 = a^2: m * (1 + (p-2) a^2 / (|g|^2 + eps^2)).  It is
+    # positive for every p > 1 because a2 <= r2; zero where m is (eps = 0).
+    if p == 2.0:
+        return np.ones_like(r2)
+    base = r2 + eps * eps
+    safe = np.where(base > 0.0, base, 1.0)
+    return np.where(base > 0.0,
+                    safe ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * a2 / safe), 0.0)
+
+
+def _link_band(n, a, b, k, dirichlet):
+    # Lower band of sum_links k (e_a - e_b)(e_a - e_b)^T, with b > a.  Node
+    # index -1 is not a variable: an exterior zero under Dirichlet, which
+    # leaves k on the other end's diagonal, or a repeated or off-mask node
+    # under Neumann, whose difference vanishes identically.
+    a, b, k = a.ravel(), b.ravel(), k.ravel()
+    both = (a >= 0) & (b >= 0)
+    ia, ib = (a >= 0, b >= 0) if dirichlet else (both, both)
+    off = b[both] - a[both]
+    ab = np.zeros((int(off.max(initial=0)) + 1, n), order="F")
+    ab[0] = np.bincount(a[ia], k[ia], n) + np.bincount(b[ib], k[ib], n)
+    ab[off, a[both]] = -k[both]
+    return ab
+
+
 def _robin_terms(dom, u, p, eps, beta):
     ub = u[dom.trace_index]
     cell, m = _cell_terms(ub * ub, p, eps)
@@ -183,13 +214,14 @@ def _local_1d(dom, u, p, eps, dirichlet):
     return e_val, raw
 
 
-def _local_2d(dom, u, p, eps, dirichlet):
-    hx, hy, vol = dom.hx, dom.hy, dom.cell_volume
-    ny, nx = dom.shape
-    mask = dom.mask
+def _grid_cells(dom, u, dirichlet):
     # The grid inside the extended grid P: behind a ring of exterior zeros
     # (Dirichlet), or at its origin with the last row and column repeated
-    # (Neumann).  Off-mask nodes hold zeros.
+    # (Neumann).  Off-mask nodes hold zeros.  Returns P, the grid's offset
+    # in P, and the differences of the cells at every node of P but its
+    # last row and column.
+    ny, nx = dom.shape
+    mask = dom.mask
     o = 1 if dirichlet else 0
     P = np.zeros((ny + 1 + o, nx + 1 + o))
     grid = P[o:o + ny, o:o + nx]
@@ -200,12 +232,18 @@ def _local_2d(dom, u, p, eps, dirichlet):
     if not dirichlet:
         P[ny, :] = P[ny - 1, :]
         P[:, nx] = P[:, nx - 1]
-    # One cell per node of P but its last row and column.
-    gx = np.diff(P, axis=1)[:-1, :] / hx
-    gy = np.diff(P, axis=0)[:, :-1] / hy
+    gx = np.diff(P, axis=1)[:-1, :] / dom.hx
+    gy = np.diff(P, axis=0)[:, :-1] / dom.hy
     if mask is not None and not dirichlet:
         gx[:, :-1] = np.where(mask[:, 1:] & mask[:, :-1], gx[:, :-1], 0.0)
         gy[:-1, :] = np.where(mask[1:, :] & mask[:-1, :], gy[:-1, :], 0.0)
+    return P, o, gx, gy
+
+
+def _local_2d(dom, u, p, eps, dirichlet):
+    hx, hy, vol = dom.hx, dom.hy, dom.cell_volume
+    ny, nx = dom.shape
+    P, o, gx, gy = _grid_cells(dom, u, dirichlet)
     cell, m = _cell_terms(gx * gx + gy * gy, p, eps)
     e_val = (vol / p) * float(np.sum(cell))
     sx = (vol / hx) * m * gx
@@ -216,7 +254,7 @@ def _local_2d(dom, u, p, eps, dirichlet):
     G[1:, :-1] += sy
     G[:-1, :-1] -= sy
     inner = G[o:o + ny, o:o + nx]
-    return e_val, (inner.ravel() if mask is None else inner[mask])
+    return e_val, (inner.ravel() if dom.mask is None else inner[dom.mask])
 
 
 def _fractional_parts(dom, u, p, eps, s):
@@ -234,6 +272,54 @@ def _fractional_parts(dom, u, p, eps, s):
     return e_val, raw
 
 
+def _hessian_1d(dom, u, p, eps, dirichlet):
+    n, h = u.size, dom.hx
+    if dirichlet:
+        node = np.arange(-1, n + 1)
+        node[-1] = -1  # the two exterior zeros
+        g = np.diff(np.concatenate(([0.0], u, [0.0]))) / h
+    else:
+        node = np.arange(n)
+        g = np.diff(u) / h
+    r2 = g * g
+    return _link_band(n, node[:-1], node[1:], _cell_curvature(r2, r2, p, eps) / h,
+                      dirichlet)
+
+
+def _hessian_2d(dom, u, p, eps, dirichlet):
+    ny, nx = dom.shape
+    vol = dom.cell_volume
+    P, o, gx, gy = _grid_cells(dom, u, dirichlet)
+    node = np.full(P.shape, -1)
+    inner = node[o:o + ny, o:o + nx]
+    if dom.mask is None:
+        inner[...] = np.arange(u.size).reshape(ny, nx)
+    else:
+        inner[dom.mask] = np.arange(u.size)  # row-major masked ordering
+    r2 = gx * gx + gy * gy
+    kx = (vol / (dom.hx * dom.hx)) * _cell_curvature(r2, gx * gx, p, eps)
+    ky = (vol / (dom.hy * dom.hy)) * _cell_curvature(r2, gy * gy, p, eps)
+    cell = node[:-1, :-1].ravel()
+    return _link_band(u.size, np.concatenate((cell, cell)),
+                      np.concatenate((node[:-1, 1:].ravel(), node[1:, :-1].ravel())),
+                      np.concatenate((kx.ravel(), ky.ravel())), dirichlet)
+
+
+def _fractional_hessian(dom, u, p, eps, s):
+    from .fractional import kernel_for
+
+    ker = kernel_for(dom, s, p)
+    n = u.size
+    diff = u[:, None] - u[None, :]
+    d2 = diff * diff
+    H = -2.0 * ker.weights * _cell_curvature(d2, d2, p, eps)
+    H[np.diag_indices(n)] = (-H.sum(axis=1)
+                             + 2.0 * dom.hx * ker.exterior * _cell_curvature(u * u, u * u, p, eps))
+    # A full band: ab[d, j] = H[j + d, j].
+    row = np.arange(n)[:, None] + np.arange(n)[None, :]
+    return np.asfortranarray(np.where(row < n, H[np.minimum(row, n - 1), np.arange(n)], 0.0))
+
+
 def _parts(dom, u, params, regime):
     # The one regime dispatch: (energy, raw partial derivatives) at u.
     u = dom.check_field(u)
@@ -248,6 +334,29 @@ def _parts(dom, u, params, regime):
         e_val += e_b
         raw = raw + raw_b
     return e_val, raw
+
+
+def energy_hessian(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime) -> np.ndarray:
+    """Hessian of the raw energy at u, as a lower band ab with ab[d, j] = H[j + d, j].
+
+    Exact in 1-D: tridiagonal for the local regimes, a band of width n - 1
+    for the fractional kernel.  In 2-D it is the 5-point matrix of each
+    cell Hessian's diagonal, the g_x g_y cross term dropped, with bandwidth
+    at most nx in row-major (masked) node order.  Symmetric positive
+    semidefinite; positively homogeneous of degree p - 2 in (u, eps).
+    """
+    u = dom.check_field(u)
+    validate_regime(dom, regime)
+    p, eps = params.p, params.epsilon
+    if regime.kind == "fractional":
+        return _fractional_hessian(dom, u, p, eps, regime.s)
+    local = _hessian_1d if dom.dimension == 1 else _hessian_2d
+    ab = local(dom, u, p, eps, regime.kind == "dirichlet")
+    if regime.kind == "robin":
+        ub2 = u[dom.trace_index] ** 2
+        ab[0] += np.bincount(dom.trace_index, regime.beta * dom.trace_weight
+                             * _cell_curvature(ub2, ub2, p, eps), u.size)
+    return ab
 
 
 def energy(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime) -> float:

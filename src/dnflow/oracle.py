@@ -201,8 +201,8 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
         res, u, lam = _newton_polish(dom, u, lam, params, regime, target)
     if res > 10.0 * cfg.grad_tol:
         raise NonConvergenceError(
-            f"eigen-residual {res:.3e} above 10*grad_tol after {sweeps} sweeps",
-            last_iterate=u, residual=res)
+            f"eigen-residual above 10*grad_tol after {sweeps} sweeps",
+            last_iterate=u, residual=res, regime=regime.kind, p=p)
     u = extremal_sign_normalize(u, regime, tol=10.0 * cfg.grad_tol)
     return EigenResult(lam=lam, mu=lam ** (1.0 / (p - 1.0)), extremal=u,
                        iterations=sweeps, residual=res)

@@ -213,6 +213,34 @@ def test_exit_code_nonconvergence(tmp_path, monkeypatch):
     assert code == 2
 
 
+def test_nonconvergence_line_names_step_regime_p_residual(tmp_path, monkeypatch, capsys):
+    import dnflow.cli as cli_mod
+    from dnflow.elliptic import SolverConfig
+
+    monkeypatch.setattr(cli_mod, "SolverConfig",
+                        lambda grad_tol: SolverConfig(grad_tol=grad_tol, max_iters=1))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE.replace("p = 2", "p = 1.5").replace("epsilon = 0", "epsilon = 1e-6"))
+    code = main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("dnflow: solver did not converge: iteration budget 1 exhausted")
+    assert "(step 1, regime dirichlet, p 1.5, residual " in lines[0]
+
+
+def test_eigen_robin_p15_n199_settles(tmp_path, capsys):
+    # The auto-tau bootstrap of this config stalled with "no residual
+    # progress over 3000 iterations" under unpreconditioned NCG.
+    cfg_path = tmp_path / "robin.cfg"
+    cfg_path.write_text("domain.kind = interval\ndomain.n = 199\np = 1.5\n"
+                        "regime.kind = robin\nregime.beta = 1\nepsilon = 1e-6\n"
+                        "grad_tol = 1e-9\n")
+    assert main(["eigen", "--config", str(cfg_path)]) == 0
+    lam, mu, gap = (float(x) for x in capsys.readouterr().out.split())
+    assert lam > 0 and mu > 0 and gap <= 1e-3
+
+
 def test_exit_code_bad_input_data(tmp_path, capsys):
     # Typed input errors outside the config parser exit 1 with one line.
     neumann = tmp_path / "neumann.cfg"

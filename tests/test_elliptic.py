@@ -191,6 +191,24 @@ def test_nonconvergence_carries_iterate():
     cfg = SolverConfig(grad_tol=1e-12, max_iters=3)
     f = np.random.default_rng(9).standard_normal(49)
     with pytest.raises(NonConvergenceError) as err:
-        inverse_operator(d, f, EnergyParams(2.0, 0.0), DIRICHLET, cfg)
+        inverse_operator(d, f, EnergyParams(1.5, 1e-6), DIRICHLET, cfg)
     assert err.value.last_iterate is not None
     assert err.value.residual is not None
+
+
+def test_unfactorable_preconditioner_raises_nonconvergence(monkeypatch):
+    # A preconditioner that does not factor ends the solve with the typed
+    # error, carrying the regime, p and the best iterate.
+    import dnflow.elliptic as elliptic
+
+    def indefinite(dom, u, params, regime):
+        ab = np.zeros((2, dom.n_nodes), order="F")
+        ab[0] = -1.0
+        return ab
+
+    monkeypatch.setattr(elliptic, "energy_hessian", indefinite)
+    d = build_interval(9)
+    with pytest.raises(NonConvergenceError) as err:
+        inverse_operator(d, np.ones(9), EnergyParams(3.0, 1e-6), DIRICHLET, CFG)
+    assert (err.value.regime, err.value.p) == ("dirichlet", 3.0)
+    assert err.value.last_iterate is not None

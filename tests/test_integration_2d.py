@@ -97,3 +97,26 @@ def test_anisotropic_rectangle_dense_vs_sweeps():
     lx = 2.0 / dom.hx**2 * (1 - np.cos(np.pi * dom.hx / 2.0))
     ly = 2.0 / dom.hy**2 * (1 - np.cos(np.pi * dom.hy / 1.0))
     assert dense.lam == pytest.approx(lx + ly, rel=1e-12)
+
+
+def test_preconditioned_step_work_mesh_independent(monkeypatch):
+    # Counted energy_and_gradient calls per implicit step, p = 3 Dirichlet:
+    # doubling the grid may not raise them by more than half.
+    import dnflow.elliptic as elliptic
+
+    calls = [0]
+    counted = elliptic.energy_and_gradient
+
+    def counting(*args):
+        calls[0] += 1
+        return counted(*args)
+
+    monkeypatch.setattr(elliptic, "energy_and_gradient", counting)
+    per_step = {}
+    for n in (31, 63):
+        dom = build_rectangle(n, n, 1.0, 1.0)
+        calls[0] = 0
+        traj = evolve(dom, np.ones(dom.n_nodes), 0.05, 5, EnergyParams(3.0, 1e-6),
+                      BoundaryRegime.dirichlet(), CFG)
+        per_step[n] = calls[0] / traj.steps
+    assert per_step[63] <= 1.5 * per_step[31], per_step

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,9 @@ from dnflow.operators import (
     BoundaryRegime,
     EnergyParams,
     energy,
+    energy_and_gradient,
     energy_gradient,
+    energy_hessian,
     jp,
     trace_lp,
 )
@@ -309,6 +312,65 @@ def test_energy_matches_serial_loop_2d():
             total = _serial_energy_2d(dom, u, p, eps, regime is DIRICHLET)
             val = energy(dom, u, EnergyParams(p, eps), regime)
             assert val == pytest.approx(total, rel=1e-13), (dom.kind, regime.kind)
+
+
+# --- hessian ----------------------------------------------------------------
+
+def band_to_dense(ab):
+    n = ab.shape[1]
+    H = np.zeros((n, n))
+    for d in range(ab.shape[0]):
+        j = np.arange(n - d)
+        H[j + d, j] = H[j, j + d] = ab[d, :n - d]
+    return H
+
+
+def gradient_differences(dom, u, params, regime, delta=1e-6):
+    """Independent oracle: central differences of the raw gradient."""
+    cols = []
+    for i in range(u.size):
+        e = np.zeros_like(u)
+        e[i] = delta
+        cols.append((energy_and_gradient(dom, u + e, params, regime)[1]
+                     - energy_and_gradient(dom, u - e, params, regime)[1]) / (2 * delta))
+    return np.column_stack(cols)
+
+
+def test_energy_hessian_matches_gradient_differences():
+    rng = np.random.default_rng(13)
+    dom = build_interval(13)
+    for regime in (DIRICHLET, NEUMANN, BoundaryRegime.robin(0.7),
+                   BoundaryRegime.fractional(0.6)):
+        for p in (1.5, 2.0, 3.0):
+            params = EnergyParams(p, 1e-6)
+            u = rng.standard_normal(dom.n_nodes)
+            H = band_to_dense(energy_hessian(dom, u, params, regime))
+            fd = gradient_differences(dom, u, params, regime)
+            err = np.linalg.norm(H - fd) / np.linalg.norm(fd)
+            assert err <= 1e-6, (regime.kind, p, err)
+    # 2-D keeps each cell Hessian's diagonal: exact at p = 2, where there is
+    # no g_x g_y term, and otherwise SPD and spectrally within [2/3, 4/3] of
+    # the true Hessian, the bound a 2x2 cell with correlation 1/3 allows.
+    bitmap = np.array([[0, 1, 1, 1, 0], [1, 1, 1, 1, 1], [1, 1, 0, 1, 1],
+                       [0, 1, 1, 1, 1]], dtype=bool)
+    for dom in (build_rectangle(6, 4, 1.0, 0.7), build_masked(bitmap, 0.15)):
+        for regime in (DIRICHLET, NEUMANN):
+            for p in (1.5, 2.0, 3.0):
+                params = EnergyParams(p, 1e-6)
+                u = rng.standard_normal(dom.n_nodes)
+                H = band_to_dense(energy_hessian(dom, u, params, regime))
+                fd = gradient_differences(dom, u, params, regime)
+                if p == 2.0:
+                    err = np.linalg.norm(H - fd) / np.linalg.norm(fd)
+                    assert err <= 1e-8, (dom.kind, regime.kind, err)
+                    continue
+                if regime is NEUMANN:  # singular on the constants only
+                    H += np.ones_like(H)
+                    fd += np.ones_like(fd)
+                assert np.linalg.eigvalsh(H).min() > 0, (dom.kind, regime.kind, p)
+                ratio = scipy.linalg.eigh(0.5 * (fd + fd.T), H, eigvals_only=True)
+                assert 2 / 3 - 1e-6 <= ratio.min() and ratio.max() <= 4 / 3 + 1e-6, \
+                    (dom.kind, regime.kind, p, ratio.min(), ratio.max())
 
 
 # --- trace ------------------------------------------------------------------
