@@ -287,3 +287,15 @@ def test_module_entrypoint_runs(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert len(proc.stdout.split()) == 4
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # The oracle's polish imports scipy.sparse inside the function, so that
+    # its import time and memory stay out of every command's start-up.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dnflow.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

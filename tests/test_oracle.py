@@ -7,6 +7,7 @@ from dnflow.errors import BudgetError, SignViolationError
 from dnflow.operators import BoundaryRegime, EnergyParams, energy, energy_gradient, jp
 from dnflow.oracle import (
     dense_linear_reference,
+    eigen_residual,
     extremal_sign_normalize,
     minimize_rayleigh,
     operator_matrix,
@@ -189,6 +190,16 @@ def test_sign_normalize_neumann_exempt():
     np.testing.assert_allclose(out, mode)  # peak already positive; no assert
 
 
+def test_neumann_extremal_sign_is_deterministic():
+    # The odd Neumann extremal peaks at both ends, equal in |u| up to
+    # rounding; the sign must not depend on which end rounding favours.
+    d = build_interval(32)
+    signs = {(p, seed): np.sign(minimize_rayleigh(d, EnergyParams(p, 1e-6), NEUMANN,
+                                                   CFG, seed=seed).extremal[0])
+             for p in (1.5, 4.0) for seed in range(4)}
+    assert set(signs.values()) == {1.0}, signs
+
+
 def test_sign_normalize_violation():
     d = build_interval(19)
     with pytest.raises(SignViolationError):
@@ -204,3 +215,28 @@ def test_fractional_dense_reference_smallest_eig():
     assert dref.lam == pytest.approx(vals[0], rel=1e-12)
     eig = minimize_rayleigh(d, EnergyParams(2.0, 0.0), reg, CFG, seed=0)
     assert abs(eig.lam / dref.lam - 1.0) <= 1e-8
+
+
+MATRIX_REGIMES = {
+    "dirichlet": DIRICHLET,
+    "robin": BoundaryRegime.robin(1.0),
+    "neumann": NEUMANN,
+    "fractional": BoundaryRegime.fractional(0.5),
+}
+
+
+@pytest.mark.parametrize("n", [32, 199])
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 4.0])
+@pytest.mark.parametrize("kind", list(MATRIX_REGIMES))
+def test_oracle_convergence_matrix(kind, p, n):
+    # The regime x p x n matrix the CLI accepts, at the CLI's defaults.
+    d = build_interval(n)
+    regime = MATRIX_REGIMES[kind]
+    params = EnergyParams(p, 1e-6)
+    for seed in (0, 1):
+        eig = minimize_rayleigh(d, params, regime, CFG, seed=seed)
+        assert eig.residual <= 10 * CFG.grad_tol, (seed, eig.residual)
+        assert eigen_residual(d, eig.extremal, eig.lam, params, regime) <= 10 * CFG.grad_tol
+        if p == 2.0:
+            dref = dense_linear_reference(d, regime)
+            assert abs(eig.lam / dref.lam - 1.0) <= 1e-8, seed
