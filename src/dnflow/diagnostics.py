@@ -89,8 +89,15 @@ def dual_quotient(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime,
     if num == 0.0:
         raise DegenerateInputError("dual quotient of the zero field")
     f = project_cperp(jp(u, params.p), regime)  # project off solver drift
-    denom = dual_norm_q(dom, f, params, regime, cfg, warm_start)
-    return num / denom
+    return num / _dual_divisor(dual_norm_q(dom, f, params, regime, cfg, warm_start))
+
+
+def _dual_divisor(val: float) -> float:
+    """val itself, or DegenerateInputError when a quotient cannot divide by it."""
+    if not 0.0 < val < math.inf:
+        raise DegenerateInputError(
+            f"dual norm of jp(u) is {val!r}: rounded to zero or not finite")
+    return val
 
 
 def lambda_decay_estimate(traj, k: int) -> float:
@@ -145,7 +152,7 @@ def fill_dual_columns(dom: Domain, traj, cfg: SolverConfig) -> None:
         val, sol = dual_norm_q_with_solution(dom, f, traj.params_at(k), traj.regime,
                                              cfg, warm_start=warm)
         warm = sol
-        row.dual_q = row.Np / val
+        row.dual_q = row.Np / _dual_divisor(val)
 
 
 def rows_to_csv(rows) -> str:

@@ -13,15 +13,26 @@ with an Armijo backtracking line search plus a single secant refinement of
 the accepted step (exact line search on quadratics, so the p = 2 case
 behaves like preconditioned CG).  The preconditioner M is the functional's
 banded Hessian (``energy_hessian`` plus the mass term of the step), factored
-by banded Cholesky at the start of each solve and at each restart; it only
-shapes the search directions, so the method stays first order and its
-stopping test is the plain gradient norm.  Stagnation falls back to
-preconditioned steepest descent with M refactored at the current iterate
-before giving up.
+by banded Cholesky (LAPACK pbtrf/pbtrs) at the start of each solve and at
+each restart; it only shapes the search directions, so the method stays
+first order and its stopping test is the plain gradient norm.  Stagnation
+falls back to preconditioned steepest descent with M refactored at the
+current iterate before giving up.
+
+Every solve first moves its start along the ray {s x0 : s > 0} to the
+minimizer there, which the degree-p homogeneity gives in closed form.  A
+warm start then keeps its shape and gains the right size: for an implicit
+step from u_prev the factor is that of the separated solution,
+s^(p-1) = 1 / (1 + tau lambda-hat) with lambda-hat the Rayleigh quotient of
+u_prev.  The stopping reference is still taken at the unscaled start.
+
+The Neumann zero-p-mean shift is a safeguarded Newton iteration on the
+p-mean, started at c = 0, with bisection as its fallback.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,34 +157,77 @@ def _line_search(value_grad, x, f, g, d, gd, alpha0):
     return None
 
 
-def _factor(ab):
-    """Banded Cholesky of the lower band ab (overwritten); returns z -> M^-1 g."""
+@functools.cache
+def _lapack_banded():
+    """LAPACK's banded Cholesky pair (pbtrf, pbtrs) for float64, fetched once."""
     # Imported here, not at the top: dnflow.oracle loads scipy.linalg
     # anyway, and loading it from this module, earlier in the package
     # import, made `import dnflow.cli` about 10 ms slower (2-vCPU x86_64 VM).
     import scipy.linalg
 
+    return scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+
+
+def _factor(ab):
+    """Banded Cholesky of the lower band ab (overwritten); returns z -> M^-1 g.
+
+    The same LAPACK calls as ``scipy.linalg.cholesky_banded`` and
+    ``cho_solve_banded``, without their per-call lookup and checks.
+    """
+    pbtrf, pbtrs = _lapack_banded()
     ab[0] += FACTOR_SHIFT * float(np.max(ab[0]))
-    c = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True,
-                                     check_finite=False)
-    return lambda g: scipy.linalg.cho_solve_banded((c, True), g, check_finite=False)
+    c, info = pbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    return lambda g: pbtrs(c, g, lower=1)[0]
 
 
-def _ncg(value_grad, x0, ref_norm, cfg: SolverConfig, precondition):
+def _ray_start(value_grad, b, p, x, f, g):
+    """Move x to the minimizer of the objective along its ray {s x : s > 0}.
+
+    For a degree-p energy the objective along the ray is s^p A - s <b, x>,
+    and Euler's identity gives <g(x) + b, x> = p A, so the minimizer is
+    s^(p-1) = <b, x> / <g(x) + b, x>.  For an implicit step started at
+    u_prev this is the separated-solution factor 1 / (1 + tau lambda-hat).
+    Returns (x, f, g), moved only when s is finite and positive and the
+    objective does not rise there (eps > 0 breaks exact homogeneity).
+    """
+    num = float(b @ x)
+    den = float((g + b) @ x)
+    # A zero x, or dot products that overflowed or underflowed, give no ray.
+    if not (0.0 < num < np.inf and 0.0 < den < np.inf):
+        return x, f, g
+    s = (num / den) ** (1.0 / (p - 1.0))
+    if not (0.0 < s < np.inf) or s == 1.0:
+        return x, f, g
+    xs = s * x
+    fs, gs = value_grad(xs)
+    if fs <= f:
+        return xs, fs, gs
+    return x, f, g
+
+
+def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition):
     """Minimize a smooth convex function; returns (x, gnorm, iterations).
 
+    The objective is a degree-p energy minus the linear term <b, x>.
     Preconditioned Polak-Ribiere+ directions with periodic restarts;
     preconditioned steepest-descent fallback when a conjugate direction
     stalls.  value_grad(x) -> (f, g); precondition(x) -> the lower band of
     an SPD approximation M of the Hessian at x, refactored at the start and
     at every restart.  Stops when ||g||_2 <= grad_tol * R0 with
-    R0 = max(||g(x0)||, ref_norm).
+    R0 = max(||g(x0)||, ref_norm); the iteration starts from x0 moved along
+    its ray (see _ray_start).
     """
     x = x0.copy()
     f, g = value_grad(x)
     gnorm = float(np.linalg.norm(g))
     ref = max(gnorm, ref_norm, _TINY)
     target = cfg.grad_tol * ref
+    if gnorm <= target:
+        return x, gnorm, 0
+    x, f, g = _ray_start(value_grad, b, p, x, f, g)
+    gnorm = float(np.linalg.norm(g))
     if gnorm <= target:
         return x, gnorm, 0
 
@@ -247,10 +301,10 @@ def _ncg(value_grad, x0, ref_norm, cfg: SolverConfig, precondition):
         last_iterate=best_x, residual=best_g / ref)
 
 
-def _solve(fg, x0, ref_norm, cfg, precondition, params, regime):
+def _solve(fg, b, x0, ref_norm, cfg, precondition, params, regime):
     # _ncg with the regime and p attached to its NonConvergenceError.
     try:
-        return _ncg(fg, x0, ref_norm, cfg, precondition)[0]
+        return _ncg(fg, b, params.p, x0, ref_norm, cfg, precondition)[0]
     except NonConvergenceError as err:
         err.regime, err.p = regime.kind, params.p
         raise
@@ -286,7 +340,7 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
         ab[0] += vol * (p - 1.0) * (x * x + delta2) ** ((p - 2.0) / 2.0)
         return ab
 
-    return _solve(fg, u_prev, 0.0, cfg, precondition, params, regime)
+    return _solve(fg, b, u_prev, 0.0, cfg, precondition, params, regime)
 
 
 def inverse_operator(dom: Domain, f, params: EnergyParams,
@@ -322,7 +376,7 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
         return energy_hessian(dom, x, params if x.any() else EnergyParams(2.0), regime)
 
     x0 = dom.check_field(warm_start) if warm_start is not None else np.zeros_like(f)
-    u = _solve(fg, x0, bnorm, cfg, precondition, params, regime)
+    u = _solve(fg, b, x0, bnorm, cfg, precondition, params, regime)
     return project_pmean(dom, u, params.p, regime)
 
 
@@ -340,38 +394,57 @@ def project_pmean(dom: Domain, u, p: float, regime: BoundaryRegime) -> np.ndarra
     return u
 
 
+def _pmean_slope(r, p: float):
+    """sum jp(r) and its derivative in a shift, (p-1) sum |r|^(p-2)."""
+    a = np.abs(r)
+    # At p < 2 a zero entry makes the slope inf; the caller bisects then.
+    with np.errstate(divide="ignore"):
+        slope = (p - 1.0) * float(np.sum(a ** (p - 2.0)))
+    return float(np.sum(jp(r, p))), slope
+
+
 def zero_pmean_shift(dom: Domain, u, p: float) -> np.ndarray:
     """Shift u by the unique constant making int jp(u + c) vanish.
 
     The map c -> sum_i w jp(u_i + c) is strictly increasing and surjective,
-    so bisection always lands; for p = 2 the shift is minus the mean.  The
-    bracket is padded proportionally to the field amplitude and bisected to
-    float exhaustion, so the shift stays resolvable however far a
-    trajectory has decayed.
+    with slope (p-1) sum_i w |u_i + c|^(p-2).  Constant data shifts exactly
+    to the zero field, and for p = 2 the shift is minus the mean.  Otherwise
+    a safeguarded Newton iteration runs from c = 0, which is nearly the root
+    after the flow's first step (the scheme conserves the p-mean), inside a
+    bracket padded proportionally to the field amplitude.  A step that
+    leaves the bracket, or a slope of 0 or inf, is replaced by bisection.
+    The iteration stops once the step or the bracket is a few ulps of
+    max|u|, so the shift stays resolvable however far a trajectory has
+    decayed.
     """
     u = dom.check_field(u)
+    top, bottom = float(np.max(u)), float(np.min(u))
+    if top == bottom:
+        # A multiple root for p > 2, where Newton is only linear; and a
+        # rounded mean would leave a nonzero field at p = 2.
+        return u - top
     if p == 2.0:
         return u - float(np.mean(u))
-    scale = float(np.max(np.abs(u)))
-    if scale == 0.0:
-        return u.copy()
-
-    def pmean(c):
-        return float(np.sum(jp(u + c, p)))
-
-    lo = -float(np.max(u)) - 0.125 * scale
-    hi = -float(np.min(u)) + 0.125 * scale
-    flo = pmean(lo)
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    scale = max(top, -bottom)
+    lo = -top - 0.125 * scale
+    hi = -bottom + 0.125 * scale
+    tol = 4.0 * float(np.spacing(scale))
+    c = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
+    for _ in range(100):
+        val, slope = _pmean_slope(u + c, p)
+        if val == 0.0:
             break
-        fm = pmean(mid)
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
+        if val > 0.0:
+            hi = c
         else:
-            hi = mid
-    c = 0.5 * (lo + hi)
+            lo = c
+        c_new = c - val / slope if 0.0 < slope < np.inf else c
+        if not lo < c_new < hi:
+            c_new = 0.5 * (lo + hi)
+        done = abs(c_new - c) <= tol or hi - lo <= tol
+        c = c_new
+        if done:
+            break
     return u + c
 
 

@@ -210,3 +210,28 @@ def test_neumann_conservation_column():
         ju = jp(traj.states[row.k], 2.5)
         assert abs(row.conservation) <= 10 * CFG.grad_tol * (
             d.cell_volume * np.abs(ju).sum() + 1e-30)
+
+
+@pytest.mark.parametrize("p, amp", [(4.0, 1e-60), (4.0, 1e-75), (4.0, 1e-80),
+                                    (3.0, 1e-85), (3.0, 1e-100)])
+def test_dual_norm_rounded_to_zero_raises_typed_error(p, amp):
+    # At these amplitudes the dual norm of jp(u) rounds to 0; the quotient
+    # must then be a typed error (or, once solves are scale-free, the
+    # amplitude-free value), never a bare ZeroDivisionError.
+    d = build_interval(32)
+    params = EnergyParams(p, 1e-6)
+    phi = sine_mode(d)
+    ref = dual_quotient(d, phi, params, DIRICHLET, CFG)
+    try:
+        val = dual_quotient(d, amp * phi, params, DIRICHLET, CFG)
+    except DegenerateInputError:
+        pass
+    else:
+        assert val == pytest.approx(ref, rel=1e-6)
+    traj = evolve(d, amp * phi, 0.01, 2, params, DIRICHLET, CFG)
+    try:
+        fill_dual_columns(d, traj, CFG)
+    except DegenerateInputError:
+        return
+    for row in traj.diagnostics:
+        assert row.dual_q == pytest.approx(ref, rel=1e-3)

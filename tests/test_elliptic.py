@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from dnflow.diagnostics import fill_dual_columns
 from dnflow.domain import build_interval, integrate_power
 from dnflow.elliptic import (
     SolverConfig,
@@ -12,6 +15,7 @@ from dnflow.elliptic import (
     zero_pmean_shift,
 )
 from dnflow.errors import CompatibilityError, NonConvergenceError
+from dnflow.flow import evolve
 from dnflow.operators import BoundaryRegime, EnergyParams, energy, energy_gradient, jp
 
 DIRICHLET = BoundaryRegime.dirichlet()
@@ -184,6 +188,112 @@ def test_zero_pmean_shift_defect_random():
         u = rng.standard_normal(33) * rng.uniform(0.1, 10)
         v = zero_pmean_shift(d, u, p)
         assert pmean_defect(d, v, p) <= 1e-12
+
+
+def _bisection_shift(u, p):
+    # The shift as bisection to float exhaustion finds it: the reference
+    # for the Newton shift's accuracy.
+    scale = float(np.max(np.abs(u)))
+    lo = -float(np.max(u)) - 0.125 * scale
+    hi = -float(np.min(u)) + 0.125 * scale
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if np.sum(jp(u + mid, p)) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return u + 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("amp", [1.0, 1e-100, 1e50])
+def test_zero_pmean_shift_as_accurate_as_bisection(amp):
+    # The inputs of the random-defect test, at three amplitudes.  pmean_defect
+    # is a rounded sum at this level, so "no worse" allows two units of
+    # roundoff above the bisection's own defect.
+    d = build_interval(33)
+    rng = np.random.default_rng(4)
+    eps = np.finfo(float).eps
+    for p in (1.5, 2.0, 2.7, 4.0):
+        u = rng.standard_normal(33) * rng.uniform(0.1, 10) * amp
+        ref = pmean_defect(d, _bisection_shift(u, p), p)
+        assert pmean_defect(d, zero_pmean_shift(d, u, p), p) <= max(ref, 2 * eps)
+
+
+def test_zero_pmean_shift_constant_data_is_exactly_zero():
+    # A multiple root for p > 2, and a rounded mean at p = 2: the shift must
+    # still land on the zero field.
+    d = build_interval(33)
+    for p in (1.5, 2.0, 3.0, 4.0):
+        for value in (0.1, -2.5e-200, 3e150):
+            assert not zero_pmean_shift(d, np.full(33, value), p).any()
+
+
+def test_zero_pmean_shift_zero_entries_warn_nothing():
+    # At p < 2 a zero entry of u + c makes the slope inf: bisect, silently.
+    d = build_interval(5)
+    u = np.array([-1.0, 0.0, 0.0, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = zero_pmean_shift(d, u, 1.5)
+        w = zero_pmean_shift(d, u + np.array([0.0, 0.0, 0.0, 0.0, 1e-3]), 1.5)
+    np.testing.assert_array_equal(v, u)
+    assert pmean_defect(d, w, 1.5) <= 1e-12
+
+
+def test_zero_pmean_shift_work_per_call(monkeypatch):
+    # After the first step the flow conserves the p-mean, so the root sits at
+    # c ~ 0 and Newton from c = 0 needs a step or two; bisection to float
+    # exhaustion used about 90 evaluations per call on this run.
+    import dnflow.elliptic as elliptic
+
+    counts, inner = [], elliptic._pmean_slope
+    shift = elliptic.zero_pmean_shift
+
+    def counting_slope(r, p):
+        counts[-1] += 1
+        return inner(r, p)
+
+    def counting_shift(dom, u, p):
+        counts.append(0)
+        return shift(dom, u, p)
+
+    monkeypatch.setattr(elliptic, "_pmean_slope", counting_slope)
+    monkeypatch.setattr(elliptic, "zero_pmean_shift", counting_shift)
+    d = build_interval(32)
+    g = np.random.default_rng(0).standard_normal(32)
+    traj = evolve(d, g, 0.01, 200, EnergyParams(3.0, 1e-6), NEUMANN, CFG)
+    fill_dual_columns(d, traj, CFG)
+    assert len(counts) == 402
+    assert max(counts) <= 10
+
+
+def test_implicit_step_work_dirichlet_p15(monkeypatch):
+    # The ray-scaled start puts each step at the separated-solution size of
+    # u_prev before NCG runs; from the unscaled start this run took 2,039
+    # energy evaluations.
+    import dnflow.elliptic as elliptic
+
+    calls, inner = [0], elliptic.energy_and_gradient
+
+    def counting(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(elliptic, "energy_and_gradient", counting)
+    d = build_interval(32)
+    evolve(d, np.ones(32), 0.05, 200, EnergyParams(1.5, 1e-6), DIRICHLET, CFG)
+    assert calls[0] <= 1400
+
+
+def test_implicit_step_amplitude_equivariant_p15():
+    # The step commutes with u -> a u when eps scales with a, as in the flow;
+    # the ray step must keep that to rounding.
+    d = build_interval(32)
+    u0 = np.random.default_rng(5).standard_normal(32)
+    ref = implicit_step(d, u0, 0.05, EnergyParams(1.5, 1e-6), DIRICHLET, CFG)
+    for amp in (1e-100, 1e100):
+        u = implicit_step(d, amp * u0, 0.05, EnergyParams(1.5, 1e-6 * amp), DIRICHLET, CFG)
+        assert np.max(np.abs(u / amp - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_nonconvergence_carries_iterate():
