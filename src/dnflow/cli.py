@@ -194,6 +194,9 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_evolve(cfg: RunConfig, snapshot_steps=()) -> int:
+    for k in snapshot_steps:
+        if not 0 <= k <= cfg.steps:
+            raise ConfigError(f"snapshot step {k} outside [0, {cfg.steps}]")
     dom, params, regime, solver = _build(cfg)
     g = _initial_field(cfg, dom, params, regime, solver)
     tau = cfg.tau if cfg.tau is not None else auto_tau(dom, g, params, regime, solver)
@@ -202,8 +205,6 @@ def cmd_evolve(cfg: RunConfig, snapshot_steps=()) -> int:
     out = _out_dir(cfg)
     (out / "diagnostics.csv").write_text(diag.rows_to_csv(traj.diagnostics))
     for k in snapshot_steps:
-        if not 0 <= k <= traj.steps:
-            raise ConfigError(f"snapshot step {k} outside [0, {traj.steps}]")
         write_snapshot(out / f"snapshot_{k:06d}.txt", dom, params, regime,
                        traj.states[k], k, tau)
     return 0
@@ -267,7 +268,8 @@ def cmd_sweep(cfg: RunConfig, param: str, values, jobs: int | None) -> int:
         jobs = os.cpu_count() or 1  # default: available parallelism
     work = [(cfg.__dict__.copy(), param, v) for v in values]
     if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The fork start method forks every worker at the first submit.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             results = list(pool.map(_sweep_one, work))
     else:
         results = [_sweep_one(w) for w in work]

@@ -55,6 +55,10 @@ class Domain:
         Grid shape: ``(n,)``, ``(ny, nx)``, or the masked bounding box.
     mask : ndarray of bool or None
         The bitmap for masked domains.
+    _cache : dict
+        Tables derived from the grid alone (fractional kernels and the cell
+        tables of :mod:`dnflow.operators`), each written once per key on
+        first use and never changed after.
     """
 
     kind: str

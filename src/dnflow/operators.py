@@ -6,15 +6,17 @@ pairwise kernel from :mod:`dnflow.fractional`.  The constant eps**p is
 subtracted cell-wise so E(0) = 0; gradients are unaffected.
 
 Cell layout.  A cell holds the forward differences from one node to its
-next neighbour along each axis.  In 1-D, Dirichlet pads the field with its
-two exterior zeros (n + 1 cells) and Neumann/Robin use the n - 1 links
-between nodes.  In 2-D the grid sits in an extended grid P, with one cell at
-every node of P except its last row and column.  Dirichlet rings the grid
-with exterior zeros, giving (ny+1)(nx+1) cells anchored one node before the
-grid on each axis.  Neumann and Robin repeat the last row and column, giving
-one cell per node; differences that leave the grid vanish, so the last
-column has no x-difference and the last row no y-difference.  On a mask, off-mask nodes hold zero: Dirichlet
-differences reach those zeros, Neumann differences to them are zeroed.
+next neighbour along each axis.  One cell table per domain and regime
+family (Dirichlet, or Neumann and Robin), built on first use and cached in
+``Domain._cache``, lists the tail and head node of every difference, x
+first.  Node n stands for the exterior zero, and so does every off-mask
+node.  Dirichlet cells start one node before the grid on each axis, so
+differences reach the exterior zeros: n + 1 cells in 1-D, (ny+1)(nx+1) in
+2-D.  Neumann and Robin cells sit at the nodes: one per node in 2-D, the
+n - 1 links in 1-D.  A Neumann difference that leaves the grid or the mask
+has head = tail, so it is exactly zero.  ``_local`` (energy and raw
+partials) and ``_local_hessian`` read the table for every dimension, grid
+and mask; only ``_build_cells`` knows the padding.
 
 ``_parts`` is the one regime dispatch; ``energy``, ``energy_gradient`` and
 ``energy_and_gradient`` all read its (energy, raw partials) pair.
@@ -51,6 +53,7 @@ __all__ = [
 ]
 
 _LOCAL_KINDS = {"dirichlet", "robin", "neumann"}
+_EXTERIOR = np.zeros(1)  # the value of node n in every cell table
 
 
 @dataclass(frozen=True)
@@ -160,25 +163,103 @@ def _cell_curvature(r2, a2, p, eps):
     # r2 = |g|^2 and a2 = a^2: m * (1 + (p-2) a^2 / (|g|^2 + eps^2)).  It is
     # positive for every p > 1 because a2 <= r2; zero where m is (eps = 0).
     if p == 2.0:
-        return np.ones_like(r2)
+        return np.ones_like(a2)
     base = r2 + eps * eps
     safe = np.where(base > 0.0, base, 1.0)
     return np.where(base > 0.0,
                     safe ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * a2 / safe), 0.0)
 
 
-def _link_band(n, a, b, k, dirichlet):
-    # Lower band of sum_links k (e_a - e_b)(e_a - e_b)^T, with b > a.  Node
-    # index -1 is not a variable: an exterior zero under Dirichlet, which
-    # leaves k on the other end's diagonal, or a repeated or off-mask node
-    # under Neumann, whose difference vanishes identically.
-    a, b, k = a.ravel(), b.ravel(), k.ravel()
-    both = (a >= 0) & (b >= 0)
-    ia, ib = (a >= 0, b >= 0) if dirichlet else (both, both)
-    off = b[both] - a[both]
-    ab = np.zeros((int(off.max(initial=0)) + 1, n), order="F")
-    ab[0] = np.bincount(a[ia], k[ia], n) + np.bincount(b[ib], k[ib], n)
-    ab[off, a[both]] = -k[both]
+@dataclass(frozen=True)
+class _CellTable:
+    # The forward differences of every cell, axis by axis with x first:
+    # ends[a, 0] and ends[a, 1] hold the head and tail node of each cell's
+    # difference along axis a.  In that order the gradient scatter adds, per
+    # node, +s_x, -s_x, +s_y, -s_y.
+    ends: np.ndarray     # (dim, 2, cells)
+    h: np.ndarray        # (dim, 1) spacing of each axis
+    flux: np.ndarray     # (dim, 2, 1) +vol/h and -vol/h, the head and tail signs
+    diag: np.ndarray     # (2, dim * cells) head and tail of each live difference, n if dead
+    links: np.ndarray    # flat (axis, cell) index of each difference of two nodes
+    band: tuple          # (row, column) of each such link in the lower band
+    width: int
+
+
+def _cells(dom, dirichlet):
+    # The cell table of the Dirichlet family or of the Neumann/Robin one,
+    # built on first use; it depends on neither p nor eps.
+    key = ("cells", dirichlet)
+    table = dom._cache.get(key)
+    if table is None:
+        table = dom._cache[key] = _build_cells(dom, dirichlet)
+    return table
+
+
+def _build_cells(dom, dirichlet):
+    n, dim = dom.n_nodes, dom.dimension
+    node = np.full(dom.shape, n)  # node n is the exterior zero
+    node[np.ones(dom.shape, dtype=bool) if dom.mask is None else dom.mask] = np.arange(n)
+    # Exterior points after the grid on each axis, and for Dirichlet one
+    # before it too; a cell sits at every point but the last on each axis.
+    ext = np.pad(node, [(1 if dirichlet else 0, 1)] * dim, constant_values=n)
+    at = (slice(None, -1),) * dim
+    head = np.stack([ext[at[:a] + (slice(1, None),) + at[a + 1:]].ravel()
+                     for a in reversed(range(dim))])
+    tail = np.broadcast_to(ext[at].ravel(), head.shape).copy()
+    if not dirichlet:
+        # Differences that leave the grid or the mask vanish: head = tail.
+        dead = (head == n) | (tail == n)
+        head[dead] = tail[dead]
+        if dim == 1:
+            # The n - 1 links only: the last cell is dead, and its zero
+            # would change the rounding of the energy sum.
+            head, tail = head[:, :-1], tail[:, :-1]
+    ends = np.stack((head, tail), axis=1)
+    h = np.array([dom.hx, dom.hy][:dim])[:, None]
+    flux = dom.cell_volume / h
+    head, tail = head.ravel(), tail.ravel()
+    live = head != tail
+    links = np.flatnonzero(live & (head < n) & (tail < n))
+    row = head[links] - tail[links]
+    return _CellTable(ends=ends, h=h, flux=np.stack((flux, -flux), axis=1),
+                      diag=np.where(live, np.stack((head, tail)), n), links=links,
+                      band=(row, tail[links]), width=int(row.max(initial=0)) + 1)
+
+
+def _differences(u, table):
+    # One gather of every cell's forward differences, shape (dim, cells).
+    x = np.concatenate((u, _EXTERIOR))[table.ends]
+    return (x[:, 0] - x[:, 1]) / table.h
+
+
+def _local(dom, u, p, eps, table):
+    # (energy, raw partials) of the local energy: the flux s = (vol/h) m g
+    # of each difference enters its head with + and its tail with -.
+    g = _differences(u, table)
+    cell, m = _cell_terms((g * g).sum(axis=0), p, eps)
+    terms = table.flux * m * g[:, None]
+    raw = np.bincount(table.ends.ravel(), terms.ravel(), u.size + 1)[:u.size]
+    return (dom.cell_volume / p) * float(cell.sum()), raw
+
+
+def _local_hessian(dom, u, p, eps, table):
+    # Sum over differences of k (e_head - e_tail)(e_head - e_tail)^T, with
+    # k = vol c / h^2 for the curvature c of the cell along that axis.  1-D
+    # divides by h: vol / h^2 there would round differently.
+    g = _differences(u, table)
+    a2 = g * g
+    c = _cell_curvature(a2.sum(axis=0), a2, p, eps)
+    k = c / table.h if dom.dimension == 1 else (dom.cell_volume / (table.h * table.h)) * c
+    return _link_band(table, k.ravel(), u.size)
+
+
+def _link_band(table, k, n):
+    # Lower band of the link matrix: every live difference adds k to the
+    # diagonal of its nodes, and a link of two nodes adds -k off it.
+    ab = np.zeros((table.width, n), order="F")
+    ab[0] = (np.bincount(table.diag[1], k, n + 1)[:n]
+             + np.bincount(table.diag[0], k, n + 1)[:n])
+    ab[table.band] = -k[table.links]
     return ab
 
 
@@ -189,72 +270,6 @@ def _robin_terms(dom, u, p, eps, beta):
     raw = np.zeros_like(u)
     np.add.at(raw, dom.trace_index, beta * dom.trace_weight * m * ub)
     return e_val, raw
-
-
-def _local_1d(dom, u, p, eps, dirichlet):
-    h = dom.hx
-    if dirichlet:
-        padded = np.empty(u.size + 2)
-        padded[0] = padded[-1] = 0.0
-        padded[1:-1] = u
-        g = np.diff(padded) / h
-    else:
-        # The n - 1 links only: a repeated end node as in 2-D would add a
-        # zero cell, and that changes the rounding of np.sum.
-        g = np.diff(u) / h
-    cell, m = _cell_terms(g * g, p, eps)
-    e_val = (h / p) * float(np.sum(cell))
-    s = m * g  # d(cell)/d(g)
-    if dirichlet:
-        raw = s[:-1] - s[1:]
-    else:
-        raw = np.zeros_like(u)
-        raw[:-1] -= s
-        raw[1:] += s
-    return e_val, raw
-
-
-def _grid_cells(dom, u, dirichlet):
-    # The grid inside the extended grid P: behind a ring of exterior zeros
-    # (Dirichlet), or at its origin with the last row and column repeated
-    # (Neumann).  Off-mask nodes hold zeros.  Returns P, the grid's offset
-    # in P, and the differences of the cells at every node of P but its
-    # last row and column.
-    ny, nx = dom.shape
-    mask = dom.mask
-    o = 1 if dirichlet else 0
-    P = np.zeros((ny + 1 + o, nx + 1 + o))
-    grid = P[o:o + ny, o:o + nx]
-    if mask is None:
-        grid[...] = u.reshape(ny, nx)
-    else:
-        grid[mask] = u
-    if not dirichlet:
-        P[ny, :] = P[ny - 1, :]
-        P[:, nx] = P[:, nx - 1]
-    gx = np.diff(P, axis=1)[:-1, :] / dom.hx
-    gy = np.diff(P, axis=0)[:, :-1] / dom.hy
-    if mask is not None and not dirichlet:
-        gx[:, :-1] = np.where(mask[:, 1:] & mask[:, :-1], gx[:, :-1], 0.0)
-        gy[:-1, :] = np.where(mask[1:, :] & mask[:-1, :], gy[:-1, :], 0.0)
-    return P, o, gx, gy
-
-
-def _local_2d(dom, u, p, eps, dirichlet):
-    hx, hy, vol = dom.hx, dom.hy, dom.cell_volume
-    ny, nx = dom.shape
-    P, o, gx, gy = _grid_cells(dom, u, dirichlet)
-    cell, m = _cell_terms(gx * gx + gy * gy, p, eps)
-    e_val = (vol / p) * float(np.sum(cell))
-    sx = (vol / hx) * m * gx
-    sy = (vol / hy) * m * gy
-    G = np.zeros_like(P)
-    G[:-1, 1:] += sx
-    G[:-1, :-1] -= sx
-    G[1:, :-1] += sy
-    G[:-1, :-1] -= sy
-    inner = G[o:o + ny, o:o + nx]
-    return e_val, (inner.ravel() if dom.mask is None else inner[dom.mask])
 
 
 def _fractional_parts(dom, u, p, eps, s):
@@ -270,39 +285,6 @@ def _fractional_parts(dom, u, p, eps, s):
     raw = (2.0 * (ker.weights * (pair_m * diff)).sum(axis=1)
            + 2.0 * h * ker.exterior * (ext_m * u))
     return e_val, raw
-
-
-def _hessian_1d(dom, u, p, eps, dirichlet):
-    n, h = u.size, dom.hx
-    if dirichlet:
-        node = np.arange(-1, n + 1)
-        node[-1] = -1  # the two exterior zeros
-        g = np.diff(np.concatenate(([0.0], u, [0.0]))) / h
-    else:
-        node = np.arange(n)
-        g = np.diff(u) / h
-    r2 = g * g
-    return _link_band(n, node[:-1], node[1:], _cell_curvature(r2, r2, p, eps) / h,
-                      dirichlet)
-
-
-def _hessian_2d(dom, u, p, eps, dirichlet):
-    ny, nx = dom.shape
-    vol = dom.cell_volume
-    P, o, gx, gy = _grid_cells(dom, u, dirichlet)
-    node = np.full(P.shape, -1)
-    inner = node[o:o + ny, o:o + nx]
-    if dom.mask is None:
-        inner[...] = np.arange(u.size).reshape(ny, nx)
-    else:
-        inner[dom.mask] = np.arange(u.size)  # row-major masked ordering
-    r2 = gx * gx + gy * gy
-    kx = (vol / (dom.hx * dom.hx)) * _cell_curvature(r2, gx * gx, p, eps)
-    ky = (vol / (dom.hy * dom.hy)) * _cell_curvature(r2, gy * gy, p, eps)
-    cell = node[:-1, :-1].ravel()
-    return _link_band(u.size, np.concatenate((cell, cell)),
-                      np.concatenate((node[:-1, 1:].ravel(), node[1:, :-1].ravel())),
-                      np.concatenate((kx.ravel(), ky.ravel())), dirichlet)
 
 
 def _fractional_hessian(dom, u, p, eps, s):
@@ -327,8 +309,7 @@ def _parts(dom, u, params, regime):
     p, eps = params.p, params.epsilon
     if regime.kind == "fractional":
         return _fractional_parts(dom, u, p, eps, regime.s)
-    local = _local_1d if dom.dimension == 1 else _local_2d
-    e_val, raw = local(dom, u, p, eps, regime.kind == "dirichlet")
+    e_val, raw = _local(dom, u, p, eps, _cells(dom, regime.kind == "dirichlet"))
     if regime.kind == "robin":
         e_b, raw_b = _robin_terms(dom, u, p, eps, regime.beta)
         e_val += e_b
@@ -350,8 +331,7 @@ def energy_hessian(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime)
     p, eps = params.p, params.epsilon
     if regime.kind == "fractional":
         return _fractional_hessian(dom, u, p, eps, regime.s)
-    local = _hessian_1d if dom.dimension == 1 else _hessian_2d
-    ab = local(dom, u, p, eps, regime.kind == "dirichlet")
+    ab = _local_hessian(dom, u, p, eps, _cells(dom, regime.kind == "dirichlet"))
     if regime.kind == "robin":
         ub2 = u[dom.trace_index] ** 2
         ab[0] += np.bincount(dom.trace_index, regime.beta * dom.trace_weight

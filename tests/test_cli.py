@@ -103,6 +103,17 @@ def test_evolve_snapshots(tmp_path):
     assert max(lams) - min(lams) <= 1e-8 * max(lams)
 
 
+def test_evolve_bad_snapshot_step_fails_before_the_run(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE.replace("steps = 30", "steps = 3"))
+    out = tmp_path / "snaps"
+    code = run_cli(["evolve", "--config", str(cfg_path), "--out", str(out),
+                    "--snapshots", "0,99"])
+    assert code == 1
+    assert "snapshot step 99 outside [0, 3]" in capsys.readouterr().err
+    assert not (out / "diagnostics.csv").exists()
+
+
 def test_eigen_prints_triple(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(BASE)
@@ -168,6 +179,36 @@ def test_sweep_rows_in_order(tmp_path):
     assert lines[0] == "param,value,lambda,mu,profile_gap,steps"
     assert [ln.split(",")[1] for ln in lines[1:]] == ["'1.5'", "'2'", "'3'"] or \
            [ln.split(",")[1] for ln in lines[1:]] == ["1.5", "2", "3"]
+
+
+def test_sweep_forks_at_most_one_worker_per_value(tmp_path, monkeypatch):
+    import dnflow.cli as cli_mod
+
+    workers = []
+
+    class SerialPool:  # records max_workers and maps in turn, forking nothing
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 64)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE.replace("domain.n = 39", "domain.n = 9"))
+    for jobs in (["--jobs", "64"], []):
+        assert run_cli(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+                        "--param", "p", "--values", "2,3", *jobs]) == 0
+    assert workers == [2, 2]
+    lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+    assert [ln.split(",")[1] for ln in lines[1:]] == ["'2'", "'3'"]
 
 
 def test_evolve_masked_domain(tmp_path):

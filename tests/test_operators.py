@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnflow import operators
 from dnflow.domain import build_interval, build_masked, build_rectangle
 from dnflow.errors import UnsupportedRegimeError
 from dnflow.operators import (
@@ -254,18 +255,30 @@ def test_fractional_reflection_invariance():
 
 
 def test_energy_matches_serial_loop():
-    # Deterministic reduction: vectorized 1-D energy equals an index-order loop.
+    # Deterministic reduction: vectorized 1-D energy equals an index-order
+    # loop over the Dirichlet cells (exterior zeros at both ends), the n - 1
+    # Neumann links, and those links plus the Robin trace term.
     d = build_interval(11)
     rng = np.random.default_rng(6)
     u = rng.standard_normal(11)
-    p, eps = 2.5, 1e-6
+    p, eps, beta = 2.5, 1e-6, 0.7
+
+    def power(gsq):
+        return (gsq + eps * eps) ** (p / 2) - eps**p
+
     padded = np.concatenate([[0.0], u, [0.0]])
-    total = 0.0
-    for c in range(12):
-        gsq = ((padded[c + 1] - padded[c]) / d.hx) ** 2
-        total += d.hx / p * ((gsq + eps * eps) ** (p / 2) - eps**p)
-    val = energy(d, u, EnergyParams(p, eps), DIRICHLET)
-    assert val == pytest.approx(total, rel=1e-13)
+    cells = {"dirichlet": [padded[c + 1] - padded[c] for c in range(12)],
+             "neumann": [u[c + 1] - u[c] for c in range(10)]}
+    cells["robin"] = cells["neumann"]
+    for regime in (DIRICHLET, NEUMANN, BoundaryRegime.robin(beta)):
+        total = 0.0
+        for diff in cells[regime.kind]:
+            total += d.hx / p * power((diff / d.hx) ** 2)
+        if regime.kind == "robin":
+            for ub in (u[0], u[-1]):
+                total += beta / p * power(ub * ub)
+        val = energy(d, u, EnergyParams(p, eps), regime)
+        assert val == pytest.approx(total, rel=1e-13), regime.kind
 
 
 def _serial_energy_2d(dom, u, p, eps, dirichlet):
@@ -353,24 +366,53 @@ def test_energy_hessian_matches_gradient_differences():
     # the true Hessian, the bound a 2x2 cell with correlation 1/3 allows.
     bitmap = np.array([[0, 1, 1, 1, 0], [1, 1, 1, 1, 1], [1, 1, 0, 1, 1],
                        [0, 1, 1, 1, 1]], dtype=bool)
-    for dom in (build_rectangle(6, 4, 1.0, 0.7), build_masked(bitmap, 0.15)):
-        for regime in (DIRICHLET, NEUMANN):
-            for p in (1.5, 2.0, 3.0):
-                params = EnergyParams(p, 1e-6)
-                u = rng.standard_normal(dom.n_nodes)
-                H = band_to_dense(energy_hessian(dom, u, params, regime))
-                fd = gradient_differences(dom, u, params, regime)
-                if p == 2.0:
-                    err = np.linalg.norm(H - fd) / np.linalg.norm(fd)
-                    assert err <= 1e-8, (dom.kind, regime.kind, err)
-                    continue
-                if regime is NEUMANN:  # singular on the constants only
-                    H += np.ones_like(H)
-                    fd += np.ones_like(fd)
-                assert np.linalg.eigvalsh(H).min() > 0, (dom.kind, regime.kind, p)
-                ratio = scipy.linalg.eigh(0.5 * (fd + fd.T), H, eigvals_only=True)
-                assert 2 / 3 - 1e-6 <= ratio.min() and ratio.max() <= 4 / 3 + 1e-6, \
-                    (dom.kind, regime.kind, p, ratio.min(), ratio.max())
+    rect, mask = build_rectangle(6, 4, 1.0, 0.7), build_masked(bitmap, 0.15)
+    for dom, regime in ((rect, DIRICHLET), (rect, NEUMANN), (mask, DIRICHLET),
+                        (mask, NEUMANN), (rect, BoundaryRegime.robin(0.7))):
+        for p in (1.5, 2.0, 3.0):
+            params = EnergyParams(p, 1e-6)
+            u = rng.standard_normal(dom.n_nodes)
+            H = band_to_dense(energy_hessian(dom, u, params, regime))
+            fd = gradient_differences(dom, u, params, regime)
+            if p == 2.0:
+                err = np.linalg.norm(H - fd) / np.linalg.norm(fd)
+                assert err <= 1e-8, (dom.kind, regime.kind, err)
+                continue
+            if regime is NEUMANN:  # singular on the constants only
+                H += np.ones_like(H)
+                fd += np.ones_like(fd)
+            assert np.linalg.eigvalsh(H).min() > 0, (dom.kind, regime.kind, p)
+            ratio = scipy.linalg.eigh(0.5 * (fd + fd.T), H, eigvals_only=True)
+            assert 2 / 3 - 1e-6 <= ratio.min() and ratio.max() <= 4 / 3 + 1e-6, \
+                (dom.kind, regime.kind, p, ratio.min(), ratio.max())
+
+
+def test_cell_table_built_once_per_family(monkeypatch):
+    # Repeated energy, gradient and Hessian calls on one domain, over every
+    # local regime and several p and eps, build one cell table for the
+    # Dirichlet family and one for Neumann and Robin, and no more.
+    builds = []
+    build = operators._build_cells
+
+    def counting_build(dom, dirichlet):
+        builds.append(dirichlet)
+        return build(dom, dirichlet)
+
+    monkeypatch.setattr(operators, "_build_cells", counting_build)
+    rng = np.random.default_rng(14)
+    bitmap = np.array([[0, 1, 1, 1], [1, 1, 0, 1], [1, 1, 1, 1]], dtype=bool)
+    for dom in (build_interval(9), build_rectangle(5, 4, 1.0, 0.8), build_masked(bitmap, 0.2)):
+        regimes = [DIRICHLET, NEUMANN]
+        if dom.kind != "masked":
+            regimes.append(BoundaryRegime.robin(0.7))
+        for _ in range(2):
+            for regime in regimes:
+                for params in (EnergyParams(1.5, 1e-6), EnergyParams(3.0, 0.0)):
+                    u = rng.standard_normal(dom.n_nodes)
+                    energy_and_gradient(dom, u, params, regime)
+                    energy_hessian(dom, u, params, regime)
+        assert builds == [True, False], dom.kind
+        builds.clear()
 
 
 # --- trace ------------------------------------------------------------------
