@@ -13,11 +13,15 @@ with an Armijo backtracking line search plus a single secant refinement of
 the accepted step (exact line search on quadratics, so the p = 2 case
 behaves like preconditioned CG).  The preconditioner M is the functional's
 banded Hessian (``energy_hessian`` plus the mass term of the step), factored
-by banded Cholesky (LAPACK pbtrf/pbtrs) at the start of each solve and at
-each restart; it only shapes the search directions, so the method stays
-first order and its stopping test is the plain gradient norm.  Stagnation
-falls back to preconditioned steepest descent with M refactored at the
-current iterate before giving up.
+by banded Cholesky (LAPACK pbtrf/pbtrs) at the start of each solve.  It is
+refactored at the current iterate, and the direction restarted, whenever
+the accepted step length falls outside REFRESH_STEPS (a step far from 1
+says M no longer matches the curvature along the direction), and at the
+latest every RESTART_PERIOD iterations.  The rule reads only the iterates.
+M only shapes the search directions and is not refactored at every
+iteration, so the method stays first order and its stopping test is the
+plain gradient norm.  Stagnation falls back to preconditioned
+steepest descent with M refactored at the current iterate before giving up.
 
 Every solve first moves its start along the ray {s x0 : s > 0} to the
 minimizer there, which the degree-p homogeneity gives in closed form.  A
@@ -63,7 +67,8 @@ _TINY = 1e-300
 # Line search and direction constants of the NCG minimizer.
 SUFFICIENT_DECREASE = 1e-4  # Armijo c1
 MAX_BACKTRACKS = 60
-RESTART_PERIOD = 250  # iterations between forced steepest-descent restarts
+RESTART_PERIOD = 250  # iterations between forced refactors and restarts
+REFRESH_STEPS = (0.5, 2.0)  # accepted steps outside this range refactor M
 # The preconditioner's mass term of an implicit step is (p-1)(x^2 + delta^2)^((p-2)/2)
 # with delta = MASS_DELTA * max|x|, finite at zeros of x for p < 2.
 MASS_DELTA = 1e-3
@@ -211,11 +216,14 @@ def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition):
     """Minimize a smooth convex function; returns (x, gnorm, iterations).
 
     The objective is a degree-p energy minus the linear term <b, x>.
-    Preconditioned Polak-Ribiere+ directions with periodic restarts;
-    preconditioned steepest-descent fallback when a conjugate direction
-    stalls.  value_grad(x) -> (f, g); precondition(x) -> the lower band of
-    an SPD approximation M of the Hessian at x, refactored at the start and
-    at every restart.  Stops when ||g||_2 <= grad_tol * R0 with
+    Preconditioned Polak-Ribiere+ directions; preconditioned
+    steepest-descent fallback when a conjugate direction stalls.
+    value_grad(x) -> (f, g); precondition(x) -> the lower band of an SPD
+    approximation M of the Hessian at x.  M is factored at the start and
+    refactored, with a restart (beta = 0), after an accepted step outside
+    REFRESH_STEPS and every RESTART_PERIOD iterations; the next line search
+    still starts from the last accepted step.  The fallback refactors too
+    and starts at step 1.  Stops when ||g||_2 <= grad_tol * R0 with
     R0 = max(||g(x0)||, ref_norm); the iteration starts from x0 moved along
     its ray (see _ray_start).
     """
@@ -285,7 +293,10 @@ def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition):
                 f"no residual progress over {window} iterations",
                 last_iterate=best_x, residual=best_g / ref)
 
-        fresh = (it + 1) % RESTART_PERIOD == 0
+        # Refresh M where it no longer matches the curvature along d (the
+        # step it scaled was far from 1), and every RESTART_PERIOD iterations.
+        lo, hi = REFRESH_STEPS
+        fresh = not lo <= alpha <= hi or (it + 1) % RESTART_PERIOD == 0
         if fresh:
             solve = None
             solve = refactor(x)

@@ -14,9 +14,11 @@ node.  Dirichlet cells start one node before the grid on each axis, so
 differences reach the exterior zeros: n + 1 cells in 1-D, (ny+1)(nx+1) in
 2-D.  Neumann and Robin cells sit at the nodes: one per node in 2-D, the
 n - 1 links in 1-D.  A Neumann difference that leaves the grid or the mask
-has head = tail, so it is exactly zero.  ``_local`` (energy and raw
-partials) and ``_local_hessian`` read the table for every dimension, grid
-and mask; only ``_build_cells`` knows the padding.
+has head = tail, so it is exactly zero.  For the Hessian the table also
+holds, in 2-D, each cell's E-N link: the g_x g_y term couples the heads of
+its two differences.  ``_local`` (energy and raw partials) and
+``_local_hessian`` read the table for every dimension, grid and mask; only
+``_build_cells`` knows the padding.
 
 ``_parts`` is the one regime dispatch; ``energy``, ``energy_gradient`` and
 ``energy_and_gradient`` all read its (energy, raw partials) pair.
@@ -54,6 +56,7 @@ __all__ = [
 
 _LOCAL_KINDS = {"dirichlet", "robin", "neumann"}
 _EXTERIOR = np.zeros(1)  # the value of node n in every cell table
+_UNIT_2D = np.array([[1.0], [1.0], [0.0]])  # xx, yy, xy: 1 on the diagonal of d2/dg2
 
 
 @dataclass(frozen=True)
@@ -158,16 +161,17 @@ def _cell_terms(r2, p, eps):
     return m * base - e2 ** ((p - 2.0) / 2.0) * e2, m
 
 
-def _cell_curvature(r2, a2, p, eps):
-    # Second derivative of cell / p along one gradient component a, where
-    # r2 = |g|^2 and a2 = a^2: m * (1 + (p-2) a^2 / (|g|^2 + eps^2)).  It is
-    # positive for every p > 1 because a2 <= r2; zero where m is (eps = 0).
+def _cell_curvature(r2, ab, p, eps, unit=1.0):
+    # Second derivative of cell / p in gradient components a and b, where
+    # r2 = |g|^2 and ab = a b: m * (unit + (p-2) a b / (|g|^2 + eps^2)), with
+    # unit 1 when a is b and 0 across.  Along one component it is positive
+    # for every p > 1 because a^2 <= r2; zero where m is (eps = 0).
     if p == 2.0:
-        return np.ones_like(a2)
+        return np.ones_like(ab) * unit
     base = r2 + eps * eps
     safe = np.where(base > 0.0, base, 1.0)
     return np.where(base > 0.0,
-                    safe ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * a2 / safe), 0.0)
+                    safe ** ((p - 2.0) / 2.0) * (unit + (p - 2.0) * ab / safe), 0.0)
 
 
 @dataclass(frozen=True)
@@ -176,12 +180,14 @@ class _CellTable:
     # ends[a, 0] and ends[a, 1] hold the head and tail node of each cell's
     # difference along axis a.  In that order the gradient scatter adds, per
     # node, +s_x, -s_x, +s_y, -s_y.
+    # The Hessian is a sum of links k (e_head - e_tail)(e_head - e_tail)^T:
+    # one per difference, and in 2-D a third block with the E-N link of each
+    # cell's cross term, from the head of its y difference to that of its x.
     ends: np.ndarray     # (dim, 2, cells)
     h: np.ndarray        # (dim, 1) spacing of each axis
     flux: np.ndarray     # (dim, 2, 1) +vol/h and -vol/h, the head and tail signs
-    diag: np.ndarray     # (2, dim * cells) head and tail of each live difference, n if dead
-    links: np.ndarray    # flat (axis, cell) index of each difference of two nodes
-    band: tuple          # (row, column) of each such link in the lower band
+    diag: np.ndarray     # (2, links) head and tail of each live link, n if dead
+    band: np.ndarray     # flat index of each link's -k in the (n + 1, width) transposed band
     width: int
 
 
@@ -217,13 +223,21 @@ def _build_cells(dom, dirichlet):
     ends = np.stack((head, tail), axis=1)
     h = np.array([dom.hx, dom.hy][:dim])[:, None]
     flux = dom.cell_volume / h
-    head, tail = head.ravel(), tail.ravel()
     live = head != tail
-    links = np.flatnonzero(live & (head < n) & (tail < n))
-    row = head[links] - tail[links]
+    if dim == 2:
+        # The E-N link, live where both differences are: N follows E in the
+        # node order, nx - 1 places on from it on a grid.
+        live = np.concatenate((live, live[:1] & live[1:]))
+        head, tail = np.concatenate((head, head[1:])), np.concatenate((tail, head[:1]))
+    head, tail, live = head.ravel(), tail.ravel(), live.ravel()
+    # A link of two nodes sits at (row head - tail, column tail) of the band;
+    # every other link at (0, n), a spare column cut off after assembly.
+    inner = live & (head < n) & (tail < n)
+    row = np.where(inner, head - tail, 0)
+    width = int(row.max(initial=0)) + 1
     return _CellTable(ends=ends, h=h, flux=np.stack((flux, -flux), axis=1),
-                      diag=np.where(live, np.stack((head, tail)), n), links=links,
-                      band=(row, tail[links]), width=int(row.max(initial=0)) + 1)
+                      diag=np.where(live, np.stack((head, tail)), n),
+                      band=np.where(inner, tail, n) * width + row, width=width)
 
 
 def _differences(u, table):
@@ -243,33 +257,43 @@ def _local(dom, u, p, eps, table):
 
 
 def _local_hessian(dom, u, p, eps, table):
-    # Sum over differences of k (e_head - e_tail)(e_head - e_tail)^T, with
-    # k = vol c / h^2 for the curvature c of the cell along that axis.  1-D
-    # divides by h: vol / h^2 there would round differently.
+    # The exact Hessian as a link matrix.  A difference's link has
+    # k = vol c / h^2 for the curvature c of the cell along that axis; 1-D
+    # divides by h, as vol / h^2 there would round differently.  In 2-D the
+    # cell's cross term c_xy (a b^T + b a^T) / (hx hy), with a = e_E - e_C
+    # and b = e_N - e_C, is c_xy (a a^T + b b^T - (e_E - e_N)(e_E - e_N)^T):
+    # it adds k_xy = vol c_xy / (hx hy) to both difference links and -k_xy
+    # to the E-N link.
     g = _differences(u, table)
-    a2 = g * g
-    c = _cell_curvature(a2.sum(axis=0), a2, p, eps)
-    k = c / table.h if dom.dimension == 1 else (dom.cell_volume / (table.h * table.h)) * c
+    if dom.dimension == 1:
+        a2 = g * g
+        k = _cell_curvature(a2[0], a2, p, eps) / table.h
+        return _link_band(table, k.ravel(), u.size)
+    gx, gy = g
+    ab = np.stack((gx * gx, gy * gy, gx * gy))
+    hh = np.array([[dom.hx * dom.hx], [dom.hy * dom.hy], [dom.hx * dom.hy]])
+    k = (dom.cell_volume / hh) * _cell_curvature(ab[0] + ab[1], ab, p, eps, _UNIT_2D)
+    k[:2] += k[2]
+    k[2] = -k[2]
     return _link_band(table, k.ravel(), u.size)
 
 
 def _link_band(table, k, n):
-    # Lower band of the link matrix: every live difference adds k to the
-    # diagonal of its nodes, and a link of two nodes adds -k off it.
-    ab = np.zeros((table.width, n), order="F")
-    ab[0] = (np.bincount(table.diag[1], k, n + 1)[:n]
-             + np.bincount(table.diag[0], k, n + 1)[:n])
-    ab[table.band] = -k[table.links]
-    return ab
+    # Lower band of the link matrix: every live link adds k to the diagonal
+    # of its nodes, and a link of two nodes adds -k off it.  Built
+    # transposed, one row per band column: the band is its first n rows,
+    # transposed back, which is Fortran-ordered.
+    abT = np.zeros((n + 1, table.width))
+    abT[:, 0] = np.bincount(table.diag[1], k, n + 1) + np.bincount(table.diag[0], k, n + 1)
+    np.put(abT, table.band, -k)
+    return abT[:n].T
 
 
 def _robin_terms(dom, u, p, eps, beta):
     ub = u[dom.trace_index]
     cell, m = _cell_terms(ub * ub, p, eps)
     e_val = (beta / p) * float(np.sum(dom.trace_weight * cell))
-    raw = np.zeros_like(u)
-    np.add.at(raw, dom.trace_index, beta * dom.trace_weight * m * ub)
-    return e_val, raw
+    return e_val, np.bincount(dom.trace_index, beta * dom.trace_weight * m * ub, u.size)
 
 
 def _fractional_parts(dom, u, p, eps, s):
@@ -297,9 +321,13 @@ def _fractional_hessian(dom, u, p, eps, s):
     H = -2.0 * ker.weights * _cell_curvature(d2, d2, p, eps)
     H[np.diag_indices(n)] = (-H.sum(axis=1)
                              + 2.0 * dom.hx * ker.exterior * _cell_curvature(u * u, u * u, p, eps))
-    # A full band: ab[d, j] = H[j + d, j].
-    row = np.arange(n)[:, None] + np.arange(n)[None, :]
-    return np.asfortranarray(np.where(row < n, H[np.minimum(row, n - 1), np.arange(n)], 0.0))
+    # A full band, ab[d, j] = H[j + d, j], copied one diagonal at a time: an
+    # index array of the gather would cost n^2 integers per call, or cached,
+    # for the domain's lifetime.
+    ab = np.zeros((n, n), order="F")
+    for d in range(n):
+        ab[d, :n - d] = H.diagonal(-d)
+    return ab
 
 
 def _parts(dom, u, params, regime):
@@ -320,11 +348,12 @@ def _parts(dom, u, params, regime):
 def energy_hessian(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime) -> np.ndarray:
     """Hessian of the raw energy at u, as a lower band ab with ab[d, j] = H[j + d, j].
 
-    Exact in 1-D: tridiagonal for the local regimes, a band of width n - 1
-    for the fractional kernel.  In 2-D it is the 5-point matrix of each
-    cell Hessian's diagonal, the g_x g_y cross term dropped, with bandwidth
-    at most nx in row-major (masked) node order.  Symmetric positive
-    semidefinite; positively homogeneous of degree p - 2 in (u, eps).
+    Exact: tridiagonal for the local regimes in 1-D, a band of width n - 1
+    for the fractional kernel.  In 2-D each cell adds its x and y links and
+    one E-N link for the g_x g_y term; the bandwidth is nx on a grid in
+    row-major node order, and on a mask the farthest linked pair in masked
+    order.  Symmetric positive semidefinite; positively homogeneous of
+    degree p - 2 in (u, eps).
     """
     u = dom.check_field(u)
     validate_regime(dom, regime)

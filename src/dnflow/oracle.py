@@ -103,8 +103,8 @@ def _newton_polish(dom, best, params, regime, target):
 
     Starts from best = (residual, u, lam) and returns the best such triple.
     The bordered Jacobian [[H_E/vol - lam (p-1) diag|u|^(p-2), -jp(u)],
-    [vol jp(u)^T, 0]] takes H_E from ``energy_hessian`` (exact in 1-D, the
-    cross term dropped in 2-D) and is solved by one sparse LU per step.
+    [vol jp(u)^T, 0]] takes the exact H_E from ``energy_hessian`` and is
+    solved by one sparse LU per step.
     """
     from scipy.sparse import bmat, dia_matrix
     from scipy.sparse.linalg import spsolve

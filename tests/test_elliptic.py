@@ -285,6 +285,23 @@ def test_implicit_step_work_dirichlet_p15(monkeypatch):
     assert calls[0] <= 1400
 
 
+def test_cold_inverse_solve_refreshes_preconditioner(monkeypatch):
+    # A cold solve takes its first direction from the p = 2 stiffness; the
+    # step that scales is far from 1 at p = 1.5, so M is refactored at the
+    # iterate.  Kept for RESTART_PERIOD iterations it cost 264 evaluations.
+    import dnflow.elliptic as elliptic
+
+    calls, inner = [0], elliptic.energy_and_gradient
+
+    def counting(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(elliptic, "energy_and_gradient", counting)
+    inverse_operator(build_interval(199), np.ones(199), EnergyParams(1.5, 1e-6), DIRICHLET, CFG)
+    assert calls[0] <= 120, calls[0]
+
+
 def test_implicit_step_amplitude_equivariant_p15():
     # The step commutes with u -> a u when eps scales with a, as in the flow;
     # the ray step must keep that to rounding.
