@@ -267,39 +267,43 @@ def test_zero_pmean_shift_work_per_call(monkeypatch):
     assert max(counts) <= 10
 
 
-def test_implicit_step_work_dirichlet_p15(monkeypatch):
+def test_implicit_step_work_dirichlet_p15(evals):
     # The ray-scaled start puts each step at the separated-solution size of
     # u_prev before NCG runs; from the unscaled start this run took 2,039
     # energy evaluations.
-    import dnflow.elliptic as elliptic
-
-    calls, inner = [0], elliptic.energy_and_gradient
-
-    def counting(*args):
-        calls[0] += 1
-        return inner(*args)
-
-    monkeypatch.setattr(elliptic, "energy_and_gradient", counting)
     d = build_interval(32)
     evolve(d, np.ones(32), 0.05, 200, EnergyParams(1.5, 1e-6), DIRICHLET, CFG)
-    assert calls[0] <= 1400
+    assert evals[0] <= 1400
 
 
-def test_cold_inverse_solve_refreshes_preconditioner(monkeypatch):
+def test_cold_inverse_solve_refreshes_preconditioner(evals):
     # A cold solve takes its first direction from the p = 2 stiffness; the
     # step that scales is far from 1 at p = 1.5, so M is refactored at the
     # iterate.  Kept for RESTART_PERIOD iterations it cost 264 evaluations.
+    inverse_operator(build_interval(199), np.ones(199), EnergyParams(1.5, 1e-6), DIRICHLET, CFG)
+    assert evals[0] <= 120, evals[0]
+
+
+def test_failed_search_after_refresh_retries_from_step_one(monkeypatch):
+    # A search that starts outside [0.5, 2] follows a refresh, which keeps
+    # the last accepted step; when it fails, the solve retries from step 1
+    # before giving up.
     import dnflow.elliptic as elliptic
 
-    calls, inner = [0], elliptic.energy_and_gradient
+    starts, failed, inner = [], [], elliptic._line_search
 
-    def counting(*args):
-        calls[0] += 1
-        return inner(*args)
+    def fail_first_after_refresh(value_grad, x, f, g, d, gd, alpha0):
+        starts.append(alpha0)
+        if not failed and not 0.5 <= alpha0 <= 2.0:
+            failed.append(len(starts))  # the index of the next search
+            return None
+        return inner(value_grad, x, f, g, d, gd, alpha0)
 
-    monkeypatch.setattr(elliptic, "energy_and_gradient", counting)
-    inverse_operator(build_interval(199), np.ones(199), EnergyParams(1.5, 1e-6), DIRICHLET, CFG)
-    assert calls[0] <= 120, calls[0]
+    monkeypatch.setattr(elliptic, "_line_search", fail_first_after_refresh)
+    u = inverse_operator(build_interval(199), np.ones(199), EnergyParams(1.5, 1e-6),
+                         DIRICHLET, CFG)
+    assert failed and starts[failed[0]] == 1.0, starts
+    assert np.all(u > 0)
 
 
 def test_implicit_step_amplitude_equivariant_p15():

@@ -99,22 +99,6 @@ def test_anisotropic_rectangle_dense_vs_sweeps():
     assert dense.lam == pytest.approx(lx + ly, rel=1e-12)
 
 
-@pytest.fixture
-def evals(monkeypatch):
-    """Counter of the energy_and_gradient calls the NCG solves make."""
-    import dnflow.elliptic as elliptic
-
-    calls = [0]
-    counted = elliptic.energy_and_gradient
-
-    def counting(*args):
-        calls[0] += 1
-        return counted(*args)
-
-    monkeypatch.setattr(elliptic, "energy_and_gradient", counting)
-    return calls
-
-
 def test_preconditioned_step_work_mesh_independent(evals):
     # Counted energy_and_gradient calls per implicit step, p = 3 Dirichlet:
     # doubling the grid may not raise them by more than half.

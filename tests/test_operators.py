@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from dnflow import operators
 from dnflow.domain import build_interval, build_masked, build_rectangle
@@ -353,7 +354,8 @@ def test_energy_hessian_matches_gradient_differences():
     # 2-D the difference links plus each cell's E-N link for the g_x g_y
     # term, on a rectangle and on masks.  In the last mask the Dirichlet cell
     # at the off-mask corner couples E and N, two nodes further apart than
-    # any difference link, so that link alone sets the band's width.
+    # any difference link, so that link alone sets the band's width; under
+    # Neumann that cell is dead and the mask falls in two pieces.
     rng = np.random.default_rng(13)
     robin = BoundaryRegime.robin(0.7)
     line = build_interval(13)
@@ -369,11 +371,21 @@ def test_energy_hessian_matches_gradient_differences():
         for p in (1.5, 2.0, 3.0):
             params = EnergyParams(p, 1e-6)
             u = rng.standard_normal(dom.n_nodes)
-            ab = energy_hessian(dom, u, params, regime)
-            H = band_to_dense(ab)
+            H = band_to_dense(energy_hessian(dom, u, params, regime))
             fd = gradient_differences(dom, u, params, regime)
             err = np.linalg.norm(H - fd) / np.linalg.norm(fd)
             assert err <= 1e-6, (dom.kind, regime.kind, p, err)
+            if dom is line:
+                continue
+            # 2-D: at p = 2 there is no g_x g_y term and the band is exact to
+            # rounding; at every p the cross-term links, some with negative
+            # weight, must leave the matrix SPD for Cholesky.
+            if p == 2.0:
+                assert err <= 1e-8, (dom.kind, regime.kind, err)
+            if regime is NEUMANN:  # singular on the constants of each piece only
+                piece = connected_components(fd != 0)[1]
+                H += piece[:, None] == piece
+            assert np.linalg.eigvalsh(H).min() > 0, (dom.kind, regime.kind, p)
     # Band widths: nx + 1 on the rectangle, where the E-N links sit at
     # offset nx - 1; 3 on the corner mask, whose difference links need 2.
     assert [len(energy_hessian(dom, np.ones(dom.n_nodes), params, DIRICHLET))
