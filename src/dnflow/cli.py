@@ -31,13 +31,12 @@ from .flow import (
     rescaled_profile,
     write_snapshot,
 )
-from .operators import BoundaryRegime, EnergyParams, validate_regime
+from .operators import REGIME_KINDS, BoundaryRegime, EnergyParams, validate_regime
 from .oracle import minimize_rayleigh
 from .verify import run_invariant_suite
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
-_REGIME_KINDS = ("dirichlet", "robin", "neumann", "fractional")
 _INIT_KINDS = ("constant_one", "extremal", "random", "file")
 
 
@@ -127,7 +126,7 @@ def parse_config(text: str) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     if cfg.domain_kind not in ("interval", "rectangle", "masked"):
         raise ConfigError(f"unknown domain.kind {cfg.domain_kind!r}")
-    if cfg.regime_kind not in _REGIME_KINDS:
+    if cfg.regime_kind not in REGIME_KINDS:
         raise ConfigError(f"unknown regime.kind {cfg.regime_kind!r}")
     if cfg.init_kind not in _INIT_KINDS:
         raise ConfigError(f"unknown init.kind {cfg.init_kind!r}")

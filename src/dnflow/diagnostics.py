@@ -30,8 +30,9 @@ __all__ = [
     "rows_to_csv",
 ]
 
-CSV_HEADER = ("k,t,Np,rayleigh,dual_q,lambda_decay,lambda_rayleigh,"
-              "mu_from_dual,conservation,energy_residual")
+_CSV_COLUMNS = ("k", "t", "Np", "rayleigh", "dual_q", "lambda_decay", "lambda_rayleigh",
+                "mu_from_dual", "conservation", "energy_residual")
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 @dataclass
@@ -57,28 +58,15 @@ class DiagnosticsRow:
         return self.dual_q
 
     def csv_line(self) -> str:
-        vals = [self.k, self.t, self.Np, self.rayleigh, self.dual_q,
-                self.lambda_decay, self.lambda_rayleigh, self.mu_from_dual,
-                self.conservation, self.energy_residual]
-        return ",".join(repr(v) for v in vals)
+        return ",".join(repr(getattr(self, c)) for c in _CSV_COLUMNS)
 
 
 def dual_norm_q(dom: Domain, f, params: EnergyParams, regime: BoundaryRegime,
                 cfg: SolverConfig, warm_start=None):
-    """q-th power of the dual norm: <f, (-Delta_p)^{-1} f> = p E(u).
-
-    Returns the scalar; :func:`dual_norm_q_with_solution` also returns the
-    inverse u.
-    """
-    val, _ = dual_norm_q_with_solution(dom, f, params, regime, cfg, warm_start)
-    return val
-
-
-def dual_norm_q_with_solution(dom, f, params, regime, cfg, warm_start=None):
+    """q-th power of the dual norm: <f, (-Delta_p)^{-1} f> = p E(u)."""
     f = dom.check_field(f)
     u = inverse_operator(dom, f, params, regime, cfg, warm_start=warm_start)
-    val = dom.cell_volume * float(f @ u)
-    return val, u
+    return dom.cell_volume * float(f @ u)
 
 
 def dual_quotient(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime,
@@ -88,16 +76,22 @@ def dual_quotient(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime,
     num = integrate_power(dom, u, params.p)
     if num == 0.0:
         raise DegenerateInputError("dual quotient of the zero field")
-    f = project_cperp(jp(u, params.p), regime)  # project off solver drift
-    return num / _dual_divisor(dual_norm_q(dom, f, params, regime, cfg, warm_start))
+    return num / _jp_dual_norm_q(dom, u, params, regime, cfg, warm_start)[0]
 
 
-def _dual_divisor(val: float) -> float:
-    """val itself, or DegenerateInputError when a quotient cannot divide by it."""
+def _jp_dual_norm_q(dom, u, params, regime, cfg, warm_start):
+    """(dual_norm_q of jp(u), the inverse solved for it).
+
+    jp(u) is first projected off solver drift out of C-perp.  A pairing
+    outside (0, inf) raises DegenerateInputError, since quotients divide by it.
+    """
+    f = project_cperp(jp(u, params.p), regime)
+    sol = inverse_operator(dom, f, params, regime, cfg, warm_start=warm_start)
+    val = dom.cell_volume * float(f @ sol)
     if not 0.0 < val < math.inf:
         raise DegenerateInputError(
             f"dual norm of jp(u) is {val!r}: rounded to zero or not finite")
-    return val
+    return val, sol
 
 
 def lambda_decay_estimate(traj, k: int) -> float:
@@ -143,16 +137,11 @@ def fill_dual_columns(dom: Domain, traj, cfg: SolverConfig) -> None:
     """Compute dual_q (and so mu_from_dual) for every row, warm-starting
     each inverse solve from the previous step's solution."""
     warm = None
-    for k in range(len(traj.diagnostics)):
-        row = traj.diagnostics[k]
-        u = traj.states[k]
-        if row.Np <= 0.0:
-            continue
-        f = project_cperp(jp(u, traj.params.p), traj.regime)
-        val, sol = dual_norm_q_with_solution(dom, f, traj.params_at(k), traj.regime,
-                                             cfg, warm_start=warm)
-        warm = sol
-        row.dual_q = row.Np / _dual_divisor(val)
+    for k, row in enumerate(traj.diagnostics):
+        if row.Np > 0.0:
+            val, warm = _jp_dual_norm_q(dom, traj.states[k], traj.params_at(k),
+                                        traj.regime, cfg, warm)
+            row.dual_q = row.Np / val
 
 
 def rows_to_csv(rows) -> str:

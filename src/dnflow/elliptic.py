@@ -69,6 +69,7 @@ _TINY = 1e-300
 # Line search and direction constants of the NCG minimizer.
 SUFFICIENT_DECREASE = 1e-4  # Armijo c1
 MAX_BACKTRACKS = 60
+MAX_ITERS = 100_000  # NCG iterations of one solve
 RESTART_PERIOD = 250  # iterations between forced refactors and restarts
 REFRESH_STEPS = (0.5, 2.0)  # accepted steps outside this range refactor M
 # The preconditioner's mass term of an implicit step is (p-1)(x^2 + delta^2)^((p-2)/2)
@@ -84,11 +85,9 @@ class SolverConfig:
 
     grad_tol is the relative weighted-l2 gradient-norm threshold; every
     monotonicity assertion downstream carries slack proportional to it.
-    max_iters caps the NCG iterations of one solve.
     """
 
     grad_tol: float = 1e-9
-    max_iters: int = 100_000
 
     def __post_init__(self):
         if not self.grad_tol > 0:
@@ -262,7 +261,7 @@ def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition):
     d = -z
     alpha = 1.0
     fresh = True  # d = -M^-1 g with M factored at the current x
-    for it in range(cfg.max_iters):
+    for it in range(MAX_ITERS):
         gd = float(g @ d)
         if gd >= 0.0:  # conjugacy lost to rounding
             d = -z
@@ -314,7 +313,7 @@ def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition):
         g, z, gz = g_new, z_new, float(g_new @ z_new)
 
     raise NonConvergenceError(
-        f"iteration budget {cfg.max_iters} exhausted",
+        f"iteration budget {MAX_ITERS} exhausted",
         last_iterate=best_x, residual=best_g / ref)
 
 

@@ -3,8 +3,8 @@
 Each step minimizes the backward functional at a frozen regularization
 length eps_k = epsilon * max|u^{k-1}| (relative, so the per-step operator
 stays consistent with the flow's degree-p homogeneity as the solution
-decays).  The per-step eps is recorded so diagnostics evaluate the
-same functional the solver minimized.
+decays).  The solver and the diagnostics both read a step's eps from
+FlowTrajectory.params_at, so they evaluate the same functional.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class FlowTrajectory:
     params: EnergyParams
     regime: BoundaryRegime
     states: list
-    eps_used: list
     diagnostics: list = field(default_factory=list)
     _energy_cache: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -62,8 +61,9 @@ class FlowTrajectory:
         return len(self.states) - 1
 
     def params_at(self, k: int) -> EnergyParams:
-        """The energy parameters with the eps frozen for step k."""
-        return self.params.with_epsilon(self.eps_used[k])
+        """The energy parameters with the eps frozen for step k, from u^(k-1)."""
+        u_prev = self.states[max(k - 1, 0)]
+        return self.params.with_epsilon(_step_epsilon(self.params, u_prev))
 
     def regime_energy(self, k: int) -> float:
         """Energy of u^k under the eps frozen for that step (cached)."""
@@ -75,8 +75,7 @@ class FlowTrajectory:
 
 
 def _step_epsilon(params: EnergyParams, u_prev: np.ndarray) -> float:
-    scale = float(np.max(np.abs(u_prev))) if u_prev.size else 0.0
-    eps = params.epsilon * scale
+    eps = params.epsilon * float(np.max(np.abs(u_prev)))
     # Zero or underflowed scale: fall back to the nominal value (the state is
     # at or below the degenerate floor, where eps no longer matters).
     return eps if eps > 0.0 else params.epsilon
@@ -99,22 +98,18 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
         raise ValueError("initial data has a NaN or infinite value")
     g = project_pmean(dom, g, params.p, regime)
 
-    traj = FlowTrajectory(dom=dom, tau=tau, params=params, regime=regime,
-                          states=[g], eps_used=[])
-    traj.eps_used.append(_step_epsilon(params, g))
+    traj = FlowTrajectory(dom=dom, tau=tau, params=params, regime=regime, states=[g])
     traj.diagnostics.append(diag.build_row(dom, traj, 0))
 
     u = g
     for k in range(1, max_steps + 1):
-        eps_k = _step_epsilon(params, u)
         try:
-            u = implicit_step(dom, u, tau, params.with_epsilon(eps_k), regime, cfg)
+            u = implicit_step(dom, u, tau, traj.params_at(k), regime, cfg)
         except NonConvergenceError as err:
             err.step = k
             raise
         u = project_pmean(dom, u, params.p, regime)  # stay on the constraint set
         traj.states.append(u)
-        traj.eps_used.append(eps_k)
         traj.diagnostics.append(diag.build_row(dom, traj, k))
         row = traj.diagnostics[k]
         row.lambda_decay = diag.lambda_decay_estimate(traj, k)

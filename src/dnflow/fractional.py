@@ -35,8 +35,6 @@ class FractionalKernel:
     symmetric under reflection of the interval.
     """
 
-    s: float
-    p: float
     weights: np.ndarray
     exterior: np.ndarray
 
@@ -55,7 +53,7 @@ def build_kernel(dom: Domain, s: float, p: float) -> FractionalKernel:
     weights = h * h / dist ** (1.0 + ps)
     np.fill_diagonal(weights, 0.0)
     exterior = (x ** (-ps) + (1.0 - x) ** (-ps)) / ps
-    return FractionalKernel(s=s, p=p, weights=weights, exterior=exterior)
+    return FractionalKernel(weights=weights, exterior=exterior)
 
 
 def kernel_for(dom: Domain, s: float, p: float) -> FractionalKernel:

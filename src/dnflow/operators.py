@@ -54,7 +54,7 @@ __all__ = [
     "validate_regime",
 ]
 
-_LOCAL_KINDS = {"dirichlet", "robin", "neumann"}
+REGIME_KINDS = ("dirichlet", "robin", "neumann", "fractional")
 _EXTERIOR = np.zeros(1)  # the value of node n in every cell table
 _UNIT_2D = np.array([[1.0], [1.0], [0.0]])  # xx, yy, xy: 1 on the diagonal of d2/dg2
 
@@ -73,7 +73,7 @@ class BoundaryRegime:
     s: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _LOCAL_KINDS | {"fractional"}:
+        if self.kind not in REGIME_KINDS:
             raise UnsupportedRegimeError(f"unknown regime kind {self.kind!r}")
         if self.kind == "robin" and not self.beta > 0:
             raise ValueError(f"robin regime needs beta > 0, got {self.beta}")
@@ -148,15 +148,11 @@ def _cell_terms(r2, p, eps):
     # where d/dg of the cell energy is m * g for gradient component g.
     # The eps offset uses the identical expression as the cell power so the
     # zero field gives exactly zero energy.
+    # At eps = 0 (p > 2 only), 0**((p-2)/2) = 0 is the correct limit.
     e2 = eps * eps
     if p == 2.0:
         return r2, np.ones_like(r2)
     base = r2 + e2
-    if eps == 0.0:
-        # p > 2 here; 0**((p-2)/2) = 0 is the correct limit.
-        m = np.where(base > 0.0, base, 1.0) ** ((p - 2.0) / 2.0)
-        m = np.where(base > 0.0, m, 0.0)
-        return m * base, m
     m = base ** ((p - 2.0) / 2.0)
     return m * base - e2 ** ((p - 2.0) / 2.0) * e2, m
 

@@ -19,7 +19,7 @@ calls a dense symmetric eigensolver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -48,6 +48,7 @@ __all__ = [
 
 MAX_SWEEPS = 400  # inverse-power sweep budget of minimize_rayleigh
 POLISH_STEPS = 10  # Newton step budget of _newton_polish
+DENSE_MAX_NODES = 2000  # node cap of dense_linear_reference's O(n^3) solve
 
 
 @dataclass
@@ -164,7 +165,7 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
         if res <= target or stall >= 3:
             break
         inner_tol = max(min(0.05 * res, 1e-3), 0.3 * cfg.grad_tol)
-        inner_cfg = replace(cfg, grad_tol=inner_tol)
+        inner_cfg = SolverConfig(inner_tol)
         f = project_cperp(lam * jp(u, p), regime)
         u_old, res_old = u, res
         try:
@@ -264,15 +265,14 @@ def operator_matrix(dom: Domain, regime: BoundaryRegime) -> np.ndarray:
     return _local_link_matrix(dom, regime)
 
 
-def dense_linear_reference(dom: Domain, regime: BoundaryRegime,
-                           max_nodes: int = 2000) -> EigenResult:
+def dense_linear_reference(dom: Domain, regime: BoundaryRegime) -> EigenResult:
     """Smallest eigenpair of the p = 2 operator via a dense symmetric solve.
 
     For the Neumann regime the constant nullspace is skipped and the
     smallest nonzero eigenvalue is returned.
     """
-    if dom.n_nodes > max_nodes:
-        raise BudgetError(f"dense reference capped at {max_nodes} nodes, "
+    if dom.n_nodes > DENSE_MAX_NODES:
+        raise BudgetError(f"dense reference capped at {DENSE_MAX_NODES} nodes, "
                           f"domain has {dom.n_nodes}")
     A = operator_matrix(dom, regime)
     vals, vecs = scipy.linalg.eigh(A)
@@ -284,13 +284,12 @@ def dense_linear_reference(dom: Domain, regime: BoundaryRegime,
     lam = float(vals[idx])
     u = vecs[:, idx]
     u = u / integrate_power(dom, u, 2.0) ** 0.5
-    u = extremal_sign_normalize(u, regime, tol=1e-8)
+    u = extremal_sign_normalize(u, regime)
     res = eigen_residual(dom, u, lam, EnergyParams(2.0), regime)
     return EigenResult(lam=lam, mu=lam, extremal=u, iterations=0, residual=res)
 
 
-def extremal_sign_normalize(u, regime: BoundaryRegime | None = None,
-                            tol: float = 1e-8) -> np.ndarray:
+def extremal_sign_normalize(u, regime: BoundaryRegime, tol: float = 1e-8) -> np.ndarray:
     """Flip sign so the first node within a relative 1e-6 of max |u| is positive.
 
     The window keeps the sign deterministic where |u| ties up to rounding,
@@ -305,8 +304,7 @@ def extremal_sign_normalize(u, regime: BoundaryRegime | None = None,
     peak = int(np.argmax(size >= (1.0 - 1e-6) * size.max()))
     if u[peak] < 0:
         u = -u
-    if regime is not None and regime.kind != "neumann":
-        if float(np.min(u)) < -tol * float(u[peak]):
-            raise SignViolationError(
-                f"profile changes sign: min {np.min(u):.3e} at tolerance {tol:.1e}")
+    if regime.kind != "neumann" and float(np.min(u)) < -tol * float(u[peak]):
+        raise SignViolationError(
+            f"profile changes sign: min {np.min(u):.3e} at tolerance {tol:.1e}")
     return u

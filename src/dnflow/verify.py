@@ -26,6 +26,9 @@ from .oracle import minimize_rayleigh
 
 __all__ = ["run_invariant_suite", "CheckRow"]
 
+FD_SAMPLES = 5  # random fields of the central-difference gradient check
+FLOW_STEPS = 30  # steps of the suite's monotonicity run
+
 
 class CheckRow(tuple):
     """(name, measured, bound, ok) with a fixed-width table line."""
@@ -40,10 +43,10 @@ def _row(name, measured, bound):
     return CheckRow((name, float(measured), float(bound), bool(measured <= bound)))
 
 
-def _fd_gradient_check(dom, params, regime, rng, samples=5):
+def _fd_gradient_check(dom, params, regime, rng):
     worst = 0.0
     vol = dom.cell_volume
-    for _ in range(samples):
+    for _ in range(FD_SAMPLES):
         u = rng.standard_normal(dom.n_nodes)
         _, raw = energy_and_gradient(dom, u, params, regime)
         delta = 3e-6 * max(1.0, float(np.max(np.abs(u))))
@@ -60,7 +63,7 @@ def _fd_gradient_check(dom, params, regime, rng, samples=5):
 
 def run_invariant_suite(dom: Domain, params: EnergyParams,
                         regime: BoundaryRegime, cfg: SolverConfig,
-                        seed: int = 0, steps: int = 30) -> list[CheckRow]:
+                        seed: int = 0) -> list[CheckRow]:
     rows: list[CheckRow] = []
     rng = np.random.default_rng(seed)
     p = params.p
@@ -83,9 +86,9 @@ def run_invariant_suite(dom: Domain, params: EnergyParams,
         g = np.ones(dom.n_nodes)
     g = project_pmean(dom, g, p, regime)
     tau = 1.0 / (2.0 * eig.lam)
-    traj = evolve(dom, g, tau, steps, params, regime, cfg)
+    traj = evolve(dom, g, tau, FLOW_STEPS, params, regime, cfg)
     nps = np.array([r.Np for r in traj.diagnostics])
-    es = np.array([traj.regime_energy(k) for k in range(steps + 1)])
+    es = np.array([traj.regime_energy(k) for k in range(traj.steps + 1)])
     scale = nps[0]
 
     rows.append(_row("L^p decay violation",
@@ -103,7 +106,7 @@ def run_invariant_suite(dom: Domain, params: EnergyParams,
     rows.append(_row("energy identity sign violation",
                      float(np.max(resids)), slack * scale))
     if regime.kind == "neumann":
-        cons = max(pmean_defect(dom, traj.states[k], p) for k in range(steps + 1))
+        cons = max(pmean_defect(dom, u, p) for u in traj.states)
         rows.append(_row("p-mean conservation defect", cons, slack))
 
     # Separated solution: the extremal decays by the exact per-step factor.

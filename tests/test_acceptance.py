@@ -268,9 +268,7 @@ def test_criterion_07_mu_lambda_consistency():
             traj = evolve_until_settled(dom, np.ones(n), params, regime, cfg)
             k = traj.steps
             lam_hat = lambda_decay_estimate(traj, k)
-            mu_hat = dual_quotient(dom, traj.states[k],
-                                   params.with_epsilon(traj.eps_used[k]),
-                                   regime, cfg)
+            mu_hat = dual_quotient(dom, traj.states[k], traj.params_at(k), regime, cfg)
             gap = mu_lambda_consistency(lam_hat, mu_hat, p)
             ok = ok and gap <= 0.02
             parts.append(f"{regime.kind} p={p}: {gap:.2e}")

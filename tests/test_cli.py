@@ -168,6 +168,65 @@ def test_verify_n199_reference_config(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("p", ["1.5", "3"])
+def test_verify_neumann(tmp_path, capsys, p):
+    # The Neumann rows: the oracle's and the flow's p-mean, and the profile
+    # gap, which runs only once two oracle seeds land on one extremal ray.
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"domain.kind = interval\ndomain.n = 32\np = {p}\n"
+                        "regime.kind = neumann\n")
+    code = run_cli(["verify", "--config", str(cfg_path), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    for name in ("oracle zero p-mean defect", "p-mean conservation defect",
+                 "profile gap to oracle extremal"):
+        assert out.count(f"pass  {name} ") == 1, out
+
+
+def _with(*lines):
+    # BASE with lines appended; a later line overrides BASE's value of its key.
+    return BASE + "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("config, extra_args, message", [
+    pytest.param(_with("domain.n 39"), [], "expected 'key = value'", id="no-equals"),
+    pytest.param("domain.kind = masked\np = 2\nregime.kind = dirichlet\n", [],
+                 "masked domain needs domain.mask", id="masked-no-mask"),
+    pytest.param("domain.kind = interval\np = 2\nregime.kind = dirichlet\n", [],
+                 "missing required keys: domain.n", id="interval-no-n"),
+    pytest.param(_with("domain.kind = sphere"), [], "unknown domain.kind", id="domain"),
+    pytest.param(_with("regime.kind = periodic"), [], "unknown regime.kind", id="regime"),
+    pytest.param(_with("init.kind = zeros"), [], "unknown init.kind", id="init"),
+    pytest.param(_with("p = 1.5"), [], "epsilon = 0 requires p >= 2", id="eps0-p15"),
+    pytest.param(_with("epsilon = -1e-6"), [], "epsilon must be >= 0", id="eps-negative"),
+    pytest.param(_with("grad_tol = 0"), [], "grad_tol > 0", id="grad-tol-zero"),
+    pytest.param(_with("steps = 0"), [], "steps must be >= 1", id="steps-zero"),
+    pytest.param(_with("tau = 0"), [], "tau must be positive", id="tau-zero"),
+    pytest.param(_with("regime.kind = robin", "regime.beta = 0"), [],
+                 "regime.beta must be positive", id="beta-zero"),
+    pytest.param(_with("domain.kind = rectangle", "regime.kind = fractional"), [],
+                 "fractional regime is only offered on intervals", id="fractional-rectangle"),
+    pytest.param(_with("regime.kind = fractional", "regime.s = 1"), [],
+                 "regime.s must lie in (0,1)", id="s-outside"),
+    pytest.param(_with("init.kind = file"), [], "needs init.path", id="file-no-path"),
+    pytest.param(BASE, ["--param", "bogus", "--values", "1"], "unknown sweep parameter",
+                 id="sweep-param"),
+    pytest.param(BASE, ["--param", "p", "--values", " , "], "needs at least one value",
+                 id="sweep-empty-values"),
+    pytest.param(BASE, ["--param", "p", "--values", "2,x"], "could not convert",
+                 id="sweep-non-numeric"),
+])
+def test_config_rejections_exit_1_with_one_line(tmp_path, capsys, config, extra_args, message):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(config)
+    command = "sweep" if extra_args else "oracle"
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path)] + extra_args)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("dnflow: config error: "), err
+    assert message in err[0]
+
+
 def test_sweep_rows_in_order(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(BASE.replace("epsilon = 0", "epsilon = 1e-8"))
@@ -242,12 +301,9 @@ def test_exit_code_config_error(tmp_path):
 
 
 def test_exit_code_nonconvergence(tmp_path, monkeypatch):
-    import dnflow.cli as cli_mod
-    from dnflow.elliptic import SolverConfig
+    import dnflow.elliptic as elliptic
 
-    monkeypatch.setattr(cli_mod, "SolverConfig",
-                        lambda grad_tol: SolverConfig(grad_tol=grad_tol,
-                                                      max_iters=20))
+    monkeypatch.setattr(elliptic, "MAX_ITERS", 20)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(BASE + "tau = 1e6\ngrad_tol = 1e-15\n")
     code = main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path)])
@@ -255,11 +311,9 @@ def test_exit_code_nonconvergence(tmp_path, monkeypatch):
 
 
 def test_nonconvergence_line_names_step_regime_p_residual(tmp_path, monkeypatch, capsys):
-    import dnflow.cli as cli_mod
-    from dnflow.elliptic import SolverConfig
+    import dnflow.elliptic as elliptic
 
-    monkeypatch.setattr(cli_mod, "SolverConfig",
-                        lambda grad_tol: SolverConfig(grad_tol=grad_tol, max_iters=1))
+    monkeypatch.setattr(elliptic, "MAX_ITERS", 1)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(BASE.replace("p = 2", "p = 1.5").replace("epsilon = 0", "epsilon = 1e-6"))
     code = main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path)])

@@ -306,6 +306,64 @@ def test_failed_search_after_refresh_retries_from_step_one(monkeypatch):
     assert np.all(u > 0)
 
 
+def _fail_searches_on_stale_factor(monkeypatch, failures):
+    # Fails `failures` line searches in a row, starting with the first one
+    # that follows an accepted step inside REFRESH_STEPS, so M was not
+    # refactored for it.  Logs every Hessian build and every search start.
+    import dnflow.elliptic as elliptic
+
+    inner, hessian = elliptic._line_search, elliptic.energy_hessian
+    lo, hi = elliptic.REFRESH_STEPS
+    log, prev, failed = [], [None], []
+
+    def search(value_grad, x, f, g, d, gd, alpha0):
+        log.append(("search", x.copy(), alpha0))
+        stale = prev[0] is not None and lo <= prev[0] <= hi
+        if len(failed) < failures and (failed or stale):
+            failed.append(alpha0)
+            log.append(("fail", None, None))
+            return None
+        hit = inner(value_grad, x, f, g, d, gd, alpha0)
+        prev[0] = None if hit is None else hit[0]
+        return hit
+
+    def counting_hessian(dom, u, params, regime):
+        log.append(("hessian", u.copy(), None))
+        return hessian(dom, u, params, regime)
+
+    monkeypatch.setattr(elliptic, "_line_search", search)
+    monkeypatch.setattr(elliptic, "energy_hessian", counting_hessian)
+    return log
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_failed_search_on_stale_factor_refactors_and_restarts(monkeypatch, p):
+    # A search that fails on a factor kept from an earlier iterate is retried
+    # from step 1 with M refactored at the current iterate, and the solve
+    # still reaches the unpatched solution.
+    d = build_interval(32)
+    args = (d, np.ones(32), EnergyParams(p, 1e-6), DIRICHLET, CFG)
+    ref = inverse_operator(*args)
+    log = _fail_searches_on_stale_factor(monkeypatch, 1)
+    u = inverse_operator(*args)
+    i = [e[0] for e in log].index("fail")
+    (_, x_failed, _), (kind, x_factored, _), (_, x_next, alpha0) = log[i - 1], log[i + 1], log[i + 2]
+    assert kind == "hessian" and np.array_equal(x_factored, x_failed)
+    assert np.array_equal(x_next, x_failed) and alpha0 == 1.0
+    assert np.max(np.abs(u - ref)) <= CFG.grad_tol * np.max(np.abs(ref))
+
+
+def test_failed_search_from_step_one_on_fresh_factor_raises(monkeypatch):
+    # After the stale-factor fallback, a second failure from step 1 on the
+    # fresh factor has nothing left to try.
+    log = _fail_searches_on_stale_factor(monkeypatch, 2)
+    with pytest.raises(NonConvergenceError, match="line search failed at iteration 2 "):
+        inverse_operator(build_interval(32), np.ones(32), EnergyParams(3.0, 1e-6),
+                         DIRICHLET, CFG)
+    assert [e[0] for e in log[-5:]] == ["search", "fail", "hessian", "search", "fail"]
+    assert log[-2][2] == 1.0
+
+
 def test_implicit_step_amplitude_equivariant_p15():
     # The step commutes with u -> a u when eps scales with a, as in the flow;
     # the ray step must keep that to rounding.
@@ -317,9 +375,12 @@ def test_implicit_step_amplitude_equivariant_p15():
         assert np.max(np.abs(u / amp - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_nonconvergence_carries_iterate():
+def test_nonconvergence_carries_iterate(monkeypatch):
+    import dnflow.elliptic as elliptic
+
+    monkeypatch.setattr(elliptic, "MAX_ITERS", 3)
     d = build_interval(49)
-    cfg = SolverConfig(grad_tol=1e-12, max_iters=3)
+    cfg = SolverConfig(grad_tol=1e-12)
     f = np.random.default_rng(9).standard_normal(49)
     with pytest.raises(NonConvergenceError) as err:
         inverse_operator(d, f, EnergyParams(1.5, 1e-6), DIRICHLET, cfg)

@@ -163,7 +163,8 @@ def test_settle_states_equal_evolve_states(p, regime):
     fixed = evolve(d, g, 0.05, settled.steps, params, regime, CFG)
     for a, b in zip(settled.states, fixed.states):
         np.testing.assert_array_equal(a, b)
-    assert settled.eps_used == fixed.eps_used
+    steps = range(settled.steps + 1)
+    assert [settled.params_at(k) for k in steps] == [fixed.params_at(k) for k in steps]
 
 
 def test_limit_profile_positive():

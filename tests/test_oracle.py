@@ -3,7 +3,7 @@ import pytest
 
 from dnflow.domain import build_interval, build_masked, build_rectangle, lp_norm
 from dnflow.elliptic import SolverConfig, pmean_defect
-from dnflow.errors import BudgetError, SignViolationError
+from dnflow.errors import BudgetError, NonConvergenceError, SignViolationError
 from dnflow.operators import BoundaryRegime, EnergyParams, energy, energy_gradient, jp
 from dnflow.oracle import (
     dense_linear_reference,
@@ -168,10 +168,68 @@ def test_dense_reference_robin_matrix_consistency():
             assert e_matrix == pytest.approx(e_direct, rel=1e-12)
 
 
-def test_dense_reference_budget():
+def test_dense_reference_budget(monkeypatch):
+    import dnflow.oracle as oracle
+
+    monkeypatch.setattr(oracle, "DENSE_MAX_NODES", 50)
     d = build_interval(99)
     with pytest.raises(BudgetError):
-        dense_linear_reference(d, DIRICHLET, max_nodes=50)
+        dense_linear_reference(d, DIRICHLET)
+
+
+def test_inner_nonconvergence_with_iterate_advances_the_sweep(monkeypatch):
+    # An inner solve stopped at its rounding floor hands back its best
+    # iterate, and the sweep goes on from it as from a returned solution.
+    import dnflow.oracle as oracle
+
+    d = build_interval(32)
+    params = EnergyParams(3.0, 1e-6)
+    ref = minimize_rayleigh(d, params, DIRICHLET, CFG, seed=0)
+    solve = oracle.inverse_operator
+
+    def floor_hit(*args, **kwargs):
+        raise NonConvergenceError("rounding floor", last_iterate=solve(*args, **kwargs))
+
+    monkeypatch.setattr(oracle, "inverse_operator", floor_hit)
+    eig = minimize_rayleigh(d, params, DIRICHLET, CFG, seed=0)
+    assert (eig.lam, eig.iterations, eig.residual) == (ref.lam, ref.iterations, ref.residual)
+    np.testing.assert_array_equal(eig.extremal, ref.extremal)
+
+
+def test_inner_nonconvergence_without_iterate_reraises(monkeypatch):
+    import dnflow.oracle as oracle
+
+    err = NonConvergenceError("no iterate to go on from")
+
+    def fail(*args, **kwargs):
+        raise err
+
+    monkeypatch.setattr(oracle, "inverse_operator", fail)
+    with pytest.raises(NonConvergenceError) as caught:
+        minimize_rayleigh(build_interval(32), EnergyParams(3.0, 1e-6), DIRICHLET, CFG)
+    assert caught.value is err
+
+
+def test_exhausted_sweeps_raise_with_best_iterate(monkeypatch, tmp_path, capsys):
+    # With one sweep and no polish the residual stays above 10*grad_tol:
+    # the error carries the best iterate, and `dnflow oracle` exits 2.
+    import dnflow.oracle as oracle
+    from dnflow.cli import main
+
+    monkeypatch.setattr(oracle, "MAX_SWEEPS", 1)
+    monkeypatch.setattr(oracle, "POLISH_STEPS", 0)
+    with pytest.raises(NonConvergenceError) as caught:
+        minimize_rayleigh(build_interval(32), EnergyParams(3.0, 1e-6), DIRICHLET, CFG)
+    err = caught.value
+    assert err.last_iterate.shape == (32,) and err.residual > 10 * CFG.grad_tol
+    assert (err.regime, err.p) == ("dirichlet", 3.0)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("domain.kind = interval\ndomain.n = 32\np = 3\nregime.kind = dirichlet\n")
+    assert main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("dnflow: solver did not converge: "
+                               "eigen-residual above 10*grad_tol after 1 sweeps")
 
 
 def test_sign_normalize_flip_and_identity():
