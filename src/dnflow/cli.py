@@ -326,7 +326,10 @@ def main(argv=None) -> int:
         if not values:
             raise ConfigError("sweep needs at least one value")
         for v in values:
-            float(v)  # all sweep values must parse as numbers
+            try:
+                float(v)
+            except ValueError:
+                raise ConfigError(f"--values: could not convert {v!r} to a number") from None
         return cmd_sweep(cfg, args.param, values, args.jobs)
     except ConfigError as exc:
         print(f"dnflow: config error: {exc}", file=sys.stderr)

@@ -56,8 +56,8 @@ class Domain:
     mask : ndarray of bool or None
         The bitmap for masked domains.
     _cache : dict
-        Tables derived from the grid alone (fractional kernels and the cell
-        tables of :mod:`dnflow.operators`), each written once per key on
+        Tables derived from the grid alone (fractional kernels and the link
+        blocks of :mod:`dnflow.operators`), each written once per key on
         first use and never changed after.
     """
 

@@ -126,16 +126,10 @@ def _line_search(value_grad, x, f, g, d, gd, alpha0):
         band = abs(gad) <= 0.9 * abs(gd)
         armijo = fa <= f + c1 * a * gd + noise
         if band if floor else (armijo or band):
-            # One secant refinement toward the 1-D stationary point; when the
-            # curvature along d is unresolvably flat (degenerate valleys for
-            # p > 2), extend hard instead so alpha can grow geometrically.
+            # One secant refinement toward the 1-D stationary point, capped
+            # at 50 a; skipped when the curvature along d is unresolvably flat.
             curv = gad - gd
-            if curv > 1e-15 * abs(gd):
-                a2 = min(a * (-gd) / curv, 50.0 * a)
-            elif gad < 0.5 * gd:
-                a2 = 50.0 * a
-            else:
-                a2 = a
+            a2 = min(a * (-gd) / curv, 50.0 * a) if curv > 1e-15 * abs(gd) else a
             if np.isfinite(a2) and a2 > 0 and abs(a2 - a) > 1e-12 * a:
                 xb = x + a2 * d
                 fb, gb = value_grad(xb)

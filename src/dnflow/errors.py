@@ -18,7 +18,8 @@ class InvalidMaskError(DnflowError):
 
 
 class InvalidSnapshotError(DnflowError):
-    """A snapshot file without its header line."""
+    """A snapshot file without its header line, or with a value that is not
+    a finite number."""
 
 
 class UnsupportedRegimeError(DnflowError):

@@ -241,7 +241,11 @@ def write_snapshot(path, dom: Domain, params: EnergyParams, regime: BoundaryRegi
 
 
 def read_snapshot(path):
-    """Parse a snapshot file back into (metadata dict, value array)."""
+    """Parse a snapshot file back into (metadata dict, value array).
+
+    A value that is not a finite number raises InvalidSnapshotError naming
+    the file and its line.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -250,5 +254,16 @@ def read_snapshot(path):
     for tok in lines[0].split():
         key, _, val = tok.partition("=")
         meta[key] = val
-    values = np.array([float(ln) for ln in lines[1:] if ln.strip()])
-    return meta, values
+    values = []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        if not ln.strip():
+            continue
+        try:
+            v = float(ln)
+        except ValueError:
+            v = math.nan
+        if not math.isfinite(v):
+            raise InvalidSnapshotError(f"{path}: line {lineno}: {ln.strip()!r} "
+                                       "is not a finite number")
+        values.append(v)
+    return meta, np.array(values)

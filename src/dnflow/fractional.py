@@ -1,4 +1,4 @@
-"""Pairwise kernel tables for the 1-D nonlocal (fractional) energy.
+"""Offset weights for the 1-D nonlocal (fractional) energy.
 
 The energy on the interval (0, 1) with exterior value zero is
 
@@ -9,9 +9,13 @@ where kappa_i = (x_i^(-ps) + (1-x_i)^(-ps)) / (ps) is the closed-form tail
 of the kernel over the exterior of the interval.  For p != 2 the powers are
 smoothed the same way as the local energies, |z|^p -> (z^2+eps^2)^(p/2) -
 eps^p; the symmetric extremal sits exactly on the p < 2 kinks of the bare
-pairwise energy, so descent methods need the smoothing there.  Tables cost
-O(n^2) memory and are cached on the domain, so repeated energy evaluations
-only pay the matrix products.
+pairwise energy, so descent methods need the smoothing there.
+
+On the uniform grid |x_i - x_j| = |i - j| h, so a pair's weight depends only
+on its offset d = |i - j|: w_d = h^2 / (d h)^(1+ps), and the discretized
+operator is Toeplitz.  A kernel holds the n - 1 offset weights and the n
+exterior tails, cached on the domain per (s, p); :mod:`dnflow.operators`
+turns them into one link per unordered pair and one per node.
 """
 
 from __future__ import annotations
@@ -28,19 +32,18 @@ __all__ = ["FractionalKernel", "build_kernel", "kernel_for"]
 
 @dataclass
 class FractionalKernel:
-    """Symmetric pair weights and exterior tail for one (s, p) pair.
+    """Offset weights and exterior tail for one (s, p) pair.
 
-    weights[i, j] = h^2 / |x_i - x_j|^(1+ps) for i != j, zero on the
-    diagonal (the integrand vanishes there); exterior[i] = kappa_i > 0,
-    symmetric under reflection of the interval.
+    offsets[d - 1] = w_d = h^2 / (d h)^(1+ps) > 0 for offsets d = 1..n-1;
+    exterior[i] = kappa_i > 0, symmetric under reflection of the interval.
     """
 
-    weights: np.ndarray
+    offsets: np.ndarray
     exterior: np.ndarray
 
 
 def build_kernel(dom: Domain, s: float, p: float) -> FractionalKernel:
-    """Assemble the pair-weight table and exterior tail on an interval domain."""
+    """Assemble the offset weights and exterior tail on an interval domain."""
     if dom.kind != "interval":
         raise UnsupportedRegimeError("fractional kernel needs an interval domain")
     if not 0.0 < s < 1.0:
@@ -48,12 +51,9 @@ def build_kernel(dom: Domain, s: float, p: float) -> FractionalKernel:
     x = dom.nodes
     h = dom.hx
     ps = p * s
-    dist = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(dist, 1.0)  # placeholder; diagonal weight is zeroed below
-    weights = h * h / dist ** (1.0 + ps)
-    np.fill_diagonal(weights, 0.0)
+    offsets = h * h / (h * np.arange(1, x.size)) ** (1.0 + ps)
     exterior = (x ** (-ps) + (1.0 - x) ** (-ps)) / ps
-    return FractionalKernel(weights=weights, exterior=exterior)
+    return FractionalKernel(offsets=offsets, exterior=exterior)
 
 
 def kernel_for(dom: Domain, s: float, p: float) -> FractionalKernel:

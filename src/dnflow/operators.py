@@ -1,36 +1,41 @@
 """Discrete gradient energies and their first variations.
 
 The local regimes discretize E(u) = (1/p) int (|Du|^2 + eps^2)^(p/2) with a
-per-cell forward-difference gradient vector; the nonlocal regime uses the
-pairwise kernel from :mod:`dnflow.fractional`.  The constant eps**p is
-subtracted cell-wise so E(0) = 0; gradients are unaffected.
+per-cell forward-difference gradient vector, plus for Robin the trace term
+(beta/p) int |Tu|^p; the nonlocal regime uses the pairwise kernel from
+:mod:`dnflow.fractional`.  Every power is smoothed the same way, and eps**p
+is subtracted cell-wise so E(0) = 0; gradients are unaffected.
 
-Cell layout.  A cell holds the forward differences from one node to its
-next neighbour along each axis.  One cell table per domain and regime
-family (Dirichlet, or Neumann and Robin), built on first use and cached in
-``Domain._cache``, lists the tail and head node of every difference, x
-first.  Node n stands for the exterior zero, and so does every off-mask
-node.  Dirichlet cells start one node before the grid on each axis, so
-differences reach the exterior zeros: n + 1 cells in 1-D, (ny+1)(nx+1) in
-2-D.  Neumann and Robin cells sit at the nodes: one per node in 2-D, the
-n - 1 links in 1-D.  A Neumann difference that leaves the grid or the mask
-has head = tail, so it is exactly zero.  For the Hessian the table also
-holds, in 2-D, each cell's E-N link: the g_x g_y term couples the heads of
-its two differences.  ``_local`` (energy and raw partials) and
-``_local_hessian`` read the table for every dimension, grid and mask; only
-``_build_cells`` knows the padding.
+Link blocks.  Every energy term is a block of cells, each holding one
+difference per axis from a tail node to a head node, with block energy
+(scale/p) sum weight * ((|g|^2 + eps^2)^(p/2) - eps^p) for the differences
+g over their length h.  Node n stands for the exterior zero, and so does
+every off-mask node.  ``_links`` maps (domain, regime, p) to the blocks,
+cached in ``Domain._cache``; it is the only code that knows the regime:
 
-``_parts`` is the one regime dispatch; ``energy``, ``energy_gradient`` and
-``energy_and_gradient`` all read its (energy, raw partials) pair.
-``energy_hessian`` follows the same dispatch and returns the Hessian of the
-raw energy in lower-banded storage, the layout ``scipy.linalg.cholesky_banded``
-factors.
-``energy_gradient`` returns the gradient as a *density*: the raw partial
-derivatives divided by the cell volume, which approximates -Delta_p u
-pointwise for the local regimes.
+- cells (every local regime): the forward differences from each node to its
+  next neighbour along each axis, x first; scale the cell volume.
+  Dirichlet cells start one node before the grid on each axis, so
+  differences reach the exterior zeros: n + 1 cells in 1-D, (ny+1)(nx+1)
+  in 2-D.  Neumann and Robin cells sit at the nodes: one per node in 2-D,
+  the n - 1 links in 1-D; a difference that leaves the grid or the mask has
+  head = tail, so it is exactly zero.
+- trace (Robin): a link from each boundary element's node to the exterior
+  zero; h = 1, weight the surface weight, scale beta.
+- pairs and exterior (fractional): a link per pair i < j with weight
+  2 w_|i-j|, and one per node to the exterior zero with weight 2 h kappa_i;
+  h = 1, scale 1.
 
-Reduction order: every sum is a serial numpy reduction in node/cell index
-order, so results are deterministic for fixed inputs.
+``_parts`` (energy and raw partials, read by ``energy``, ``energy_gradient``
+and ``energy_and_gradient``) and ``energy_hessian`` sum over the blocks.
+The Hessian is a sum of links k (e_head - e_tail)(e_head - e_tail)^T, one
+per difference and in 2-D one E-N link per cell for the g_x g_y term, in
+the lower-banded storage ``scipy.linalg.cholesky_banded`` factors.
+``energy_gradient`` returns a *density*: the raw partials over the cell
+volume, which approximates -Delta_p u pointwise for the local regimes.
+
+Reduction order: every sum is a serial numpy reduction in link order, block
+after block, so results are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import numpy as np
 
 from .domain import Domain
 from .errors import UnsupportedRegimeError
+from .fractional import kernel_for
 
 __all__ = [
     "BoundaryRegime",
@@ -55,7 +61,7 @@ __all__ = [
 ]
 
 REGIME_KINDS = ("dirichlet", "robin", "neumann", "fractional")
-_EXTERIOR = np.zeros(1)  # the value of node n in every cell table
+_EXTERIOR = np.zeros(1)  # the value of node n in every link block
 _UNIT_2D = np.array([[1.0], [1.0], [0.0]])  # xx, yy, xy: 1 on the diagonal of d2/dg2
 
 
@@ -171,30 +177,63 @@ def _cell_curvature(r2, ab, p, eps, unit=1.0):
 
 
 @dataclass(frozen=True)
-class _CellTable:
-    # The forward differences of every cell, axis by axis with x first:
-    # ends[a, 0] and ends[a, 1] hold the head and tail node of each cell's
-    # difference along axis a.  In that order the gradient scatter adds, per
-    # node, +s_x, -s_x, +s_y, -s_y.
+class _Links:
+    # One block of cells.  ends[a, 0] and ends[a, 1] hold the head and tail
+    # node of each cell's difference along axis a, x first; in that order
+    # the gradient scatter adds, per node, +s_x, -s_x, +s_y, -s_y.
     # The Hessian is a sum of links k (e_head - e_tail)(e_head - e_tail)^T:
-    # one per difference, and in 2-D a third block with the E-N link of each
+    # one per difference, and in 2-D a third set with the E-N link of each
     # cell's cross term, from the head of its y difference to that of its x.
     ends: np.ndarray     # (dim, 2, cells)
-    h: np.ndarray        # (dim, 1) spacing of each axis
-    flux: np.ndarray     # (dim, 2, 1) +vol/h and -vol/h, the head and tail signs
+    h: np.ndarray        # (dim, 1) length of the differences along each axis
+    scale: float         # the block's energy is (scale / p) sum(weight * cell)
+    weight: np.ndarray | None  # one per cell, or None for 1
+    flux: np.ndarray     # (dim, 2, 1 or cells) +-scale weight / h: a difference g
+                         # adds flux m g to its head and to its tail
     diag: np.ndarray     # (2, links) head and tail of each live link, n if dead
     band: np.ndarray     # flat index of each link's -k in the (n + 1, width) transposed band
-    width: int
+    width: int           # band width, shared by every block of a regime
 
 
-def _cells(dom, dirichlet):
-    # The cell table of the Dirichlet family or of the Neumann/Robin one,
-    # built on first use; it depends on neither p nor eps.
-    key = ("cells", dirichlet)
-    table = dom._cache.get(key)
-    if table is None:
-        table = dom._cache[key] = _build_cells(dom, dirichlet)
-    return table
+def _links(dom, regime, p):
+    # The one regime dispatch: the regime's link blocks, built on first use
+    # and cached on the domain.  Only the fractional blocks depend on p.
+    key = ("links", regime, p if regime.kind == "fractional" else None)
+    blocks = dom._cache.get(key)
+    if blocks is not None:
+        return blocks
+    validate_regime(dom, regime)
+    n = dom.n_nodes
+    if regime.kind == "fractional":
+        ker = kernel_for(dom, regime.s, p)
+        tail, head = np.triu_indices(n, 1)
+        weight = 2.0 * np.concatenate((ker.offsets[head - tail - 1], dom.hx * ker.exterior))
+        blocks = (_unit_links(n, np.concatenate((head, np.arange(n))),
+                              np.concatenate((tail, np.full(n, n))), 1.0, weight, n),)
+    else:
+        # One cell block serves Dirichlet, and one Neumann and Robin.
+        dirichlet = regime.kind == "dirichlet"
+        if ("cells", dirichlet) not in dom._cache:
+            dom._cache["cells", dirichlet] = _build_cells(dom, dirichlet)
+        cells = dom._cache["cells", dirichlet]
+        blocks = (cells,)
+        if regime.kind == "robin":
+            blocks += (_unit_links(n, dom.trace_index, np.full(dom.trace_index.size, n),
+                                   regime.beta, dom.trace_weight, cells.width),)
+    dom._cache[key] = blocks
+    return blocks
+
+
+def _unit_links(n, head, tail, scale, weight, width):
+    # Links of one difference of length 1 each, none dead; tail n is the
+    # exterior zero.  A link of two nodes sits at (row head - tail, column
+    # tail) of the band, every other one at (0, n).
+    ends = np.stack((head, tail))
+    inner = tail < n
+    coef = scale * weight
+    return _Links(ends=ends[None], h=np.ones((1, 1)), scale=scale, weight=weight,
+                  flux=np.stack((coef, -coef))[None], diag=ends,
+                  band=np.where(inner, tail * width + head - tail, n * width), width=width)
 
 
 def _build_cells(dom, dirichlet):
@@ -218,7 +257,6 @@ def _build_cells(dom, dirichlet):
             head, tail = head[:, :-1], tail[:, :-1]
     ends = np.stack((head, tail), axis=1)
     h = np.array([dom.hx, dom.hy][:dim])[:, None]
-    flux = dom.cell_volume / h
     live = head != tail
     if dim == 2:
         # The E-N link, live where both differences are: N follows E in the
@@ -231,113 +269,56 @@ def _build_cells(dom, dirichlet):
     inner = live & (head < n) & (tail < n)
     row = np.where(inner, head - tail, 0)
     width = int(row.max(initial=0)) + 1
-    return _CellTable(ends=ends, h=h, flux=np.stack((flux, -flux), axis=1),
-                      diag=np.where(live, np.stack((head, tail)), n),
-                      band=np.where(inner, tail, n) * width + row, width=width)
+    return _Links(ends=ends, h=h, scale=dom.cell_volume, weight=None,
+                  flux=np.stack((dom.cell_volume / h, -dom.cell_volume / h), axis=1),
+                  diag=np.where(live, np.stack((head, tail)), n),
+                  band=np.where(inner, tail, n) * width + row, width=width)
 
 
-def _differences(u, table):
-    # One gather of every cell's forward differences, shape (dim, cells).
-    x = np.concatenate((u, _EXTERIOR))[table.ends]
-    return (x[:, 0] - x[:, 1]) / table.h
+def _differences(u, links):
+    # One gather of every cell's differences, shape (dim, cells).
+    x = np.concatenate((u, _EXTERIOR))[links.ends]
+    return (x[:, 0] - x[:, 1]) / links.h
 
 
-def _local(dom, u, p, eps, table):
-    # (energy, raw partials) of the local energy: the flux s = (vol/h) m g
-    # of each difference enters its head with + and its tail with -.
-    g = _differences(u, table)
-    cell, m = _cell_terms((g * g).sum(axis=0), p, eps)
-    terms = table.flux * m * g[:, None]
-    raw = np.bincount(table.ends.ravel(), terms.ravel(), u.size + 1)[:u.size]
-    return (dom.cell_volume / p) * float(cell.sum()), raw
-
-
-def _local_hessian(dom, u, p, eps, table):
-    # The exact Hessian as a link matrix.  A difference's link has
-    # k = vol c / h^2 for the curvature c of the cell along that axis; 1-D
-    # divides by h, as vol / h^2 there would round differently.  In 2-D the
-    # cell's cross term c_xy (a b^T + b a^T) / (hx hy), with a = e_E - e_C
-    # and b = e_N - e_C, is c_xy (a a^T + b b^T - (e_E - e_N)(e_E - e_N)^T):
-    # it adds k_xy = vol c_xy / (hx hy) to both difference links and -k_xy
-    # to the E-N link.
-    g = _differences(u, table)
-    if dom.dimension == 1:
+def _link_weights(u, p, eps, links):
+    # The Hessian weight of every link of the block.  A difference's link
+    # has k = flux c / h for the curvature c of its cell along that axis; in
+    # 1-D cells the flux is vol / h = 1, so k = c / h, as vol / h^2 would
+    # round differently.  In 2-D the cell's cross term c_xy (a b^T + b a^T) /
+    # (hx hy), with a = e_E - e_C and b = e_N - e_C, is c_xy (a a^T + b b^T -
+    # (e_E - e_N)(e_E - e_N)^T): it adds k_xy = vol c_xy / (hx hy) to both
+    # difference links and -k_xy to the E-N link.
+    g = _differences(u, links)
+    if len(g) == 1:
         a2 = g * g
-        k = _cell_curvature(a2[0], a2, p, eps) / table.h
-        return _link_band(table, k.ravel(), u.size)
+        return links.flux[:, 0] * _cell_curvature(a2[0], a2, p, eps) / links.h
     gx, gy = g
     ab = np.stack((gx * gx, gy * gy, gx * gy))
-    hh = np.array([[dom.hx * dom.hx], [dom.hy * dom.hy], [dom.hx * dom.hy]])
-    k = (dom.cell_volume / hh) * _cell_curvature(ab[0] + ab[1], ab, p, eps, _UNIT_2D)
+    hh = np.concatenate((links.h * links.h, links.h[:1] * links.h[1:]))
+    k = (links.scale / hh) * _cell_curvature(ab[0] + ab[1], ab, p, eps, _UNIT_2D)
     k[:2] += k[2]
     k[2] = -k[2]
-    return _link_band(table, k.ravel(), u.size)
-
-
-def _link_band(table, k, n):
-    # Lower band of the link matrix: every live link adds k to the diagonal
-    # of its nodes, and a link of two nodes adds -k off it.  Built
-    # transposed, one row per band column: the band is its first n rows,
-    # transposed back, which is Fortran-ordered.
-    abT = np.zeros((n + 1, table.width))
-    abT[:, 0] = np.bincount(table.diag[1], k, n + 1) + np.bincount(table.diag[0], k, n + 1)
-    np.put(abT, table.band, -k)
-    return abT[:n].T
-
-
-def _robin_terms(dom, u, p, eps, beta):
-    ub = u[dom.trace_index]
-    cell, m = _cell_terms(ub * ub, p, eps)
-    e_val = (beta / p) * float(np.sum(dom.trace_weight * cell))
-    return e_val, np.bincount(dom.trace_index, beta * dom.trace_weight * m * ub, u.size)
-
-
-def _fractional_parts(dom, u, p, eps, s):
-    from .fractional import kernel_for
-
-    ker = kernel_for(dom, s, p)
-    h = dom.hx
-    diff = u[:, None] - u[None, :]
-    pair_cell, pair_m = _cell_terms(diff * diff, p, eps)
-    ext_cell, ext_m = _cell_terms(u * u, p, eps)
-    e_val = (float((ker.weights * pair_cell).sum())
-             + 2.0 * h * float(np.sum(ker.exterior * ext_cell))) / p
-    raw = (2.0 * (ker.weights * (pair_m * diff)).sum(axis=1)
-           + 2.0 * h * ker.exterior * (ext_m * u))
-    return e_val, raw
-
-
-def _fractional_hessian(dom, u, p, eps, s):
-    from .fractional import kernel_for
-
-    ker = kernel_for(dom, s, p)
-    n = u.size
-    diff = u[:, None] - u[None, :]
-    d2 = diff * diff
-    H = -2.0 * ker.weights * _cell_curvature(d2, d2, p, eps)
-    H[np.diag_indices(n)] = (-H.sum(axis=1)
-                             + 2.0 * dom.hx * ker.exterior * _cell_curvature(u * u, u * u, p, eps))
-    # A full band, ab[d, j] = H[j + d, j], copied one diagonal at a time: an
-    # index array of the gather would cost n^2 integers per call, or cached,
-    # for the domain's lifetime.
-    ab = np.zeros((n, n), order="F")
-    for d in range(n):
-        ab[d, :n - d] = H.diagonal(-d)
-    return ab
+    return k
 
 
 def _parts(dom, u, params, regime):
-    # The one regime dispatch: (energy, raw partial derivatives) at u.
+    # (energy, raw partial derivatives) at u, summed over the link blocks.
     u = dom.check_field(u)
-    validate_regime(dom, regime)
     p, eps = params.p, params.epsilon
-    if regime.kind == "fractional":
-        return _fractional_parts(dom, u, p, eps, regime.s)
-    e_val, raw = _local(dom, u, p, eps, _cells(dom, regime.kind == "dirichlet"))
-    if regime.kind == "robin":
-        e_b, raw_b = _robin_terms(dom, u, p, eps, regime.beta)
-        e_val += e_b
-        raw = raw + raw_b
+    e_val, raw = 0.0, np.zeros(u.size)
+    for links in _links(dom, regime, p):
+        g = _differences(u, links)
+        cell, m = _cell_terms((g * g).sum(axis=0), p, eps)
+        # In place, to hold one temporary of 2 x cells floats fewer: at
+        # fractional n = 199 the extra one made the allocator hand pages
+        # back and fault them in again on every call.
+        terms = links.flux * m
+        terms *= g[:, None]
+        if links.weight is not None:
+            cell *= links.weight
+        e_val += (links.scale / p) * float(cell.sum())
+        raw += np.bincount(links.ends.ravel(), terms.ravel(), u.size + 1)[:u.size]
     return e_val, raw
 
 
@@ -352,16 +333,18 @@ def energy_hessian(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime)
     degree p - 2 in (u, eps).
     """
     u = dom.check_field(u)
-    validate_regime(dom, regime)
-    p, eps = params.p, params.epsilon
-    if regime.kind == "fractional":
-        return _fractional_hessian(dom, u, p, eps, regime.s)
-    ab = _local_hessian(dom, u, p, eps, _cells(dom, regime.kind == "dirichlet"))
-    if regime.kind == "robin":
-        ub2 = u[dom.trace_index] ** 2
-        ab[0] += np.bincount(dom.trace_index, regime.beta * dom.trace_weight
-                             * _cell_curvature(ub2, ub2, p, eps), u.size)
-    return ab
+    blocks = _links(dom, regime, params.p)
+    # Built transposed, one row per band column: every live link adds k to
+    # the diagonal of its nodes, and a link of two nodes adds -k off it
+    # (no two blocks link the same pair).  The band is the first n rows,
+    # transposed back, which is Fortran-ordered.
+    n = u.size
+    abT = np.zeros((n + 1, blocks[0].width))
+    for links in blocks:
+        k = _link_weights(u, params.p, params.epsilon, links).ravel()
+        abT[:, 0] += np.bincount(links.diag[1], k, n + 1) + np.bincount(links.diag[0], k, n + 1)
+        np.put(abT, links.band, -k)
+    return abT[:n].T
 
 
 def energy(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime) -> float:

@@ -12,7 +12,7 @@ target, a damped Newton polish on the analytic Hessian finishes them, for
 every regime and p.
 
 ``dense_linear_reference`` is the independent p = 2 oracle: it assembles the
-operator matrix directly from the stencil (or the nonlocal kernel table) and
+operator matrix directly from the stencil (or the nonlocal offset weights) and
 calls a dense symmetric eigensolver.
 """
 
@@ -252,15 +252,17 @@ def operator_matrix(dom: Domain, regime: BoundaryRegime) -> np.ndarray:
     """The symmetric matrix A with energy(u) = (vol/2) u^T A u at p = 2.
 
     Local regimes come from the finite-difference link structure; the
-    nonlocal regime reuses the kernel table so the matrix is exactly the
-    operator the flow evolves under.
+    nonlocal regime reuses the kernel's offset weights, as the Toeplitz
+    matrix W[i, j] = w_|i-j|, so the matrix is exactly the operator the
+    flow evolves under.
     """
     validate_regime(dom, regime)
     if regime.kind == "fractional":
         ker = kernel_for(dom, regime.s, 2.0)
         h = dom.hx
-        A = -(2.0 / h) * ker.weights
-        np.fill_diagonal(A, (2.0 / h) * ker.weights.sum(axis=1) + 2.0 * ker.exterior)
+        W = scipy.linalg.toeplitz(np.concatenate(([0.0], ker.offsets)))
+        A = -(2.0 / h) * W
+        np.fill_diagonal(A, (2.0 / h) * W.sum(axis=1) + 2.0 * ker.exterior)
         return A
     return _local_link_matrix(dom, regime)
 

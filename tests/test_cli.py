@@ -357,6 +357,31 @@ def test_exit_code_bad_input_data(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf", "1.0x"])
+def test_snapshot_value_not_finite_is_bad_input(tmp_path, capsys, value):
+    # A snapshot value that is not a finite number is bad input data, not a
+    # config error: the one line names the file and the line.
+    snap = tmp_path / "snap.txt"
+    snap.write_text("kind=interval n=39\n" + "1.0\n" * 10 + value + "\n" + "1.0\n" * 28)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE + f"init.kind = file\ninit.path = {snap}\n")
+    code = main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("dnflow: bad input: "), err
+    assert f"{snap}: line 12: {value!r}" in err[0]
+
+
+def test_sweep_non_numeric_value_names_values(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE)
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+                 "--param", "p", "--values", "2, x"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "dnflow: config error: --values: could not convert 'x' to a number"]
+
+
 def test_exit_code_sign_violation(tmp_path, capsys, monkeypatch):
     import dnflow.cli as cli_mod
     from dnflow.errors import SignViolationError

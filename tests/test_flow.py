@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from dnflow.diagnostics import energy_identity_residual, lambda_decay_estimate
 from dnflow.domain import build_interval, lp_norm
-from dnflow.elliptic import SolverConfig, pmean_defect
+from dnflow.elliptic import SolverConfig, implicit_step, pmean_defect
+from dnflow.errors import UnsupportedRegimeError
+from dnflow.fractional import build_kernel
 from dnflow.flow import (
     auto_tau,
     evolve,
@@ -243,3 +246,37 @@ def test_snapshot_roundtrip(tmp_path):
     assert meta["k"] == "2"
     assert float(meta["p"]) == 2.0
     np.testing.assert_array_equal(values, traj.states[2])
+
+
+def _short_trajectory():
+    dom = build_interval(5)
+    return evolve(dom, np.ones(5), 0.01, 2, EnergyParams(2.0), DIRICHLET, CFG)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: EnergyParams(1.0), ValueError, "p must exceed 1", id="params-p1"),
+    pytest.param(lambda: EnergyParams(0.5, 1e-6), ValueError, "p must exceed 1", id="params-p05"),
+    pytest.param(lambda: EnergyParams(2.0, -1e-6), ValueError, "epsilon must be nonnegative",
+                 id="params-eps-negative"),
+    pytest.param(lambda: BoundaryRegime("periodic"), UnsupportedRegimeError,
+                 "unknown regime kind", id="regime-periodic"),
+    pytest.param(lambda: implicit_step(build_interval(5), np.ones(5), 0.0, EnergyParams(2.0),
+                                       DIRICHLET, CFG),
+                 ValueError, "tau must be positive", id="implicit-step-tau0"),
+    pytest.param(lambda: evolve(build_interval(5), np.ones(5), -0.1, 3, EnergyParams(2.0),
+                                DIRICHLET, CFG),
+                 ValueError, "tau must be positive", id="evolve-tau-negative"),
+    pytest.param(lambda: build_kernel(build_interval(5), 0.0, 2.0), ValueError,
+                 "s must lie in", id="kernel-s0"),
+    pytest.param(lambda: build_kernel(build_interval(5), 1.0, 2.0), ValueError,
+                 "s must lie in", id="kernel-s1"),
+    pytest.param(lambda: lambda_decay_estimate(_short_trajectory(), 0), ValueError,
+                 "k >= 1", id="lambda-decay-k0"),
+    pytest.param(lambda: energy_identity_residual(_short_trajectory(), 0), ValueError,
+                 "k >= 1", id="energy-residual-k0"),
+])
+def test_library_rejections(call, error, message):
+    # Each public entry point refuses input outside its domain with an
+    # error that says why, instead of returning a value.
+    with pytest.raises(error, match=message):
+        call()

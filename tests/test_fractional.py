@@ -4,31 +4,34 @@ import pytest
 from dnflow.domain import build_interval, build_rectangle
 from dnflow.errors import UnsupportedRegimeError
 from dnflow.fractional import build_kernel
-from dnflow.operators import BoundaryRegime, EnergyParams, energy, energy_gradient
+from dnflow.operators import (
+    BoundaryRegime,
+    EnergyParams,
+    energy,
+    energy_and_gradient,
+    energy_gradient,
+    energy_hessian,
+)
 from dnflow.oracle import operator_matrix
 
 
 def test_kernel_table_hand_check():
-    # n=3, h=1/4, s=1/2, p=2: 1+ps = 2, so w_ij = h^2/|x_i-x_j|^2.
+    # n=3, h=1/4, s=1/2, p=2: 1+ps = 2, so w_d = h^2/(d h)^2 = 1/d^2.
     d = build_interval(3)
     ker = build_kernel(d, 0.5, 2.0)
     h = 0.25
-    expect = np.array([
-        [0.0, h**2 / 0.25**2, h**2 / 0.5**2],
-        [h**2 / 0.25**2, 0.0, h**2 / 0.25**2],
-        [h**2 / 0.5**2, 0.0625 / 0.0625, 0.0],
-    ])
-    expect[2, 1] = h**2 / 0.25**2
-    np.testing.assert_allclose(ker.weights, expect, rtol=1e-14)
+    np.testing.assert_allclose(ker.offsets, [h**2 / 0.25**2, h**2 / 0.5**2], rtol=1e-14)
 
 
 def test_kernel_symmetry_and_positivity():
+    # One weight per offset makes the pair weights symmetric by
+    # construction; they fall with the distance, and the exterior tail is
+    # reflection symmetric.
     d = build_interval(20)
     ker = build_kernel(d, 0.37, 2.6)
-    np.testing.assert_allclose(ker.weights, ker.weights.T, rtol=0, atol=0)
-    assert np.all(np.diag(ker.weights) == 0.0)
-    off = ker.weights[~np.eye(20, dtype=bool)]
-    assert np.all(off > 0)
+    assert ker.offsets.shape == (19,)
+    assert np.all(ker.offsets > 0)
+    assert np.all(np.diff(ker.offsets) < 0)
     assert np.all(ker.exterior > 0)
     np.testing.assert_allclose(ker.exterior, ker.exterior[::-1], rtol=1e-12)
 
@@ -50,7 +53,7 @@ def test_kernel_rescaling_with_n():
         ker = build_kernel(d, s, p)
         x, h = d.nodes, d.hx
         i, j = 1, n - 2
-        assert ker.weights[i, j] == pytest.approx(
+        assert ker.offsets[j - i - 1] == pytest.approx(
             h * h / abs(x[i] - x[j]) ** (1 + p * s), rel=1e-14)
 
 
@@ -88,3 +91,49 @@ def test_fractional_gradient_fd():
         fd[i] = (energy(d, up, params, reg) - energy(d, dn, params, reg)) / (2 * delta)
     fd /= d.cell_volume
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) <= 1e-6
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_link_form_matches_double_loop(p):
+    # Energy, raw gradient and Hessian against a plain loop over ordered
+    # pairs i != j of the module docstring's formula, each pair weighted
+    # h^2 / |x_i - x_j|^(1+ps), plus the exterior term 2 h kappa_i.
+    n, s, eps = 7, 0.4, 1e-3
+    d = build_interval(n)
+    x, h = d.nodes, d.hx
+    u = np.random.default_rng(9).standard_normal(n)
+    params, reg = EnergyParams(p, eps), BoundaryRegime.fractional(s)
+
+    def terms(z, w):
+        # w f(z) / p, its first and its second derivative, for
+        # f(z) = (z^2 + eps^2)^(p/2) - eps^p.
+        base = z * z + eps * eps
+        m = base ** ((p - 2) / 2)
+        return w * (base ** (p / 2) - eps**p) / p, w * m * z, w * m * (1 + (p - 2) * z * z / base)
+
+    e_ref, g_ref, H_ref = 0.0, np.zeros(n), np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                e, g, c = terms(u[i] - u[j], h * h / abs(x[i] - x[j]) ** (1 + p * s))
+                e_ref += e
+                g_ref[i] += g
+                g_ref[j] -= g
+                H_ref[i, i] += c
+                H_ref[j, j] += c
+                H_ref[i, j] -= c
+                H_ref[j, i] -= c
+        kappa = (x[i] ** (-p * s) + (1 - x[i]) ** (-p * s)) / (p * s)
+        e, g, c = terms(u[i], 2 * h * kappa)
+        e_ref += e
+        g_ref[i] += g
+        H_ref[i, i] += c
+
+    e_val, raw = energy_and_gradient(d, u, params, reg)
+    assert e_val == pytest.approx(e_ref, rel=1e-13)
+    assert np.max(np.abs(raw - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
+    ab = energy_hessian(d, u, params, reg)
+    H = np.zeros((n, n))
+    for k in range(n):
+        H[np.arange(k, n), np.arange(n - k)] = H[np.arange(n - k), np.arange(k, n)] = ab[k, :n - k]
+    assert np.max(np.abs(H - H_ref)) <= 1e-13 * np.max(np.abs(H_ref))

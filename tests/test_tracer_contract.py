@@ -15,7 +15,8 @@ import numpy as np
 import dnflow.cli  # noqa: F401  (loads every dnflow module)
 from dnflow.domain import build_interval
 from dnflow.elliptic import project_pmean
-from dnflow.operators import BoundaryRegime
+from dnflow import operators
+from dnflow.operators import BoundaryRegime, EnergyParams
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -45,3 +46,19 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for (mod_name, fn_name), original in originals.items():
         assert getattr(sys.modules[mod_name], fn_name) is original, fn_name
+
+
+def test_fractional_energy_builds_one_kernel():
+    # perfbench's fractional.kernel_builds counts these spans, so the first
+    # fractional energy on a fresh interval must build its kernel once, and
+    # through the traced binding.
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        operators.energy(build_interval(9), np.linspace(-1.0, 1.0, 9), EnergyParams(2.5, 1e-6),
+                         BoundaryRegime.fractional(0.5))
+    finally:
+        tracer.uninstall()
+    names = [tracer.span_names[i] for i in tracer.names]
+    assert names.count("fractional.build_kernel") == 1, names
