@@ -10,6 +10,7 @@ CSV output.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +22,13 @@ import numpy as np
 from . import diagnostics as diag
 from .domain import Domain, build_interval, build_rectangle, load_mask
 from .elliptic import SolverConfig
-from .errors import ConfigError, DnflowError, NonConvergenceError, SignViolationError
+from .errors import (
+    ConfigError,
+    DnflowError,
+    NonConvergenceError,
+    SignViolationError,
+    UnsupportedRegimeError,
+)
 from .flow import (
     auto_tau,
     evolve,
@@ -31,7 +38,7 @@ from .flow import (
     rescaled_profile,
     write_snapshot,
 )
-from .operators import REGIME_KINDS, BoundaryRegime, EnergyParams, validate_regime
+from .operators import BoundaryRegime, EnergyParams, validate_regime
 from .oracle import minimize_rayleigh
 from .verify import run_invariant_suite
 
@@ -42,7 +49,11 @@ _INIT_KINDS = ("constant_one", "extremal", "random", "file")
 
 @dataclass
 class RunConfig:
-    """Validated run description; field names mirror the config keys."""
+    """Validated run description.
+
+    Config key ``a.b`` sets field ``a_b``, parsed by the type of the field's
+    default; ``tau`` takes a number or ``auto`` (None).
+    """
 
     domain_kind: str = "interval"
     domain_n: int = 0
@@ -64,26 +75,11 @@ class RunConfig:
     out_dir: str = "."
 
 
-_KEYS = {
-    "domain.kind": ("domain_kind", str),
-    "domain.n": ("domain_n", int),
-    "domain.ny": ("domain_ny", int),
-    "domain.lx": ("domain_lx", float),
-    "domain.ly": ("domain_ly", float),
-    "domain.mask": ("domain_mask", str),
-    "p": ("p", float),
-    "regime.kind": ("regime_kind", str),
-    "regime.beta": ("regime_beta", float),
-    "regime.s": ("regime_s", float),
-    "tau": ("tau", float),
-    "steps": ("steps", int),
-    "grad_tol": ("grad_tol", float),
-    "epsilon": ("epsilon", float),
-    "seed": ("seed", int),
-    "init.kind": ("init_kind", str),
-    "init.path": ("init_path", str),
-    "out.dir": ("out_dir", str),
-}
+_KEYS = (
+    "domain.kind", "domain.n", "domain.ny", "domain.lx", "domain.ly", "domain.mask",
+    "p", "regime.kind", "regime.beta", "regime.s", "tau", "steps", "grad_tol",
+    "epsilon", "seed", "init.kind", "init.path", "out.dir",
+)
 
 _REQUIRED = ("domain.kind", "p", "regime.kind")
 
@@ -101,13 +97,8 @@ def parse_config(text: str) -> RunConfig:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, typ = _KEYS[key]
-        if key == "tau" and val == "auto":
-            cfg.tau = None
-            seen.add(key)
-            continue
         try:
-            setattr(cfg, attr, typ(val))
+            _assign(cfg, key, val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
         seen.add(key)
@@ -123,46 +114,36 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _assign(cfg: RunConfig, key: str, text: str) -> None:
+    name = key.replace(".", "_")
+    if key == "tau":
+        value = None if text == "auto" else float(text)
+    else:
+        value = type(getattr(RunConfig, name))(text)
+    setattr(cfg, name, value)
+
+
 def _validate(cfg: RunConfig) -> None:
+    """Check the CLI's own keys; building the run makes the library types
+    check every other value before any work."""
     if cfg.domain_kind not in ("interval", "rectangle", "masked"):
         raise ConfigError(f"unknown domain.kind {cfg.domain_kind!r}")
-    if cfg.regime_kind not in REGIME_KINDS:
-        raise ConfigError(f"unknown regime.kind {cfg.regime_kind!r}")
     if cfg.init_kind not in _INIT_KINDS:
         raise ConfigError(f"unknown init.kind {cfg.init_kind!r}")
-    if not cfg.p > 1.0:
-        raise ConfigError(f"p must exceed 1, got {cfg.p}")
-    if cfg.epsilon == 0.0 and cfg.p < 2.0:
-        raise ConfigError("epsilon = 0 requires p >= 2")
-    if cfg.epsilon < 0 or cfg.grad_tol <= 0:
-        raise ConfigError("epsilon must be >= 0 and grad_tol > 0")
-    if cfg.steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
-    if cfg.tau is not None and cfg.tau <= 0:
-        raise ConfigError(f"tau must be positive, got {cfg.tau}")
-    if cfg.regime_kind == "robin":
-        if cfg.domain_kind == "masked":
-            raise ConfigError("robin regime is not offered on masked domains")
-        if not cfg.regime_beta > 0:
-            raise ConfigError(f"regime.beta must be positive, got {cfg.regime_beta}")
-    if cfg.regime_kind == "fractional":
-        if cfg.domain_kind != "interval":
-            raise ConfigError("fractional regime is only offered on intervals")
-        if not 0.0 < cfg.regime_s < 1.0:
-            raise ConfigError(f"regime.s must lie in (0,1), got {cfg.regime_s}")
     if cfg.init_kind == "file" and not cfg.init_path:
         raise ConfigError("init.kind = file needs init.path")
+    if cfg.steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
+    if cfg.tau is not None and not 0 < cfg.tau < math.inf:
+        raise ConfigError(f"tau must be positive and finite, got {cfg.tau}")
+    try:
+        _build(cfg)
+    except (ValueError, UnsupportedRegimeError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _build(cfg: RunConfig):
-    """(domain, params, regime, solver config) from a validated RunConfig."""
-    if cfg.domain_kind == "interval":
-        dom = build_interval(cfg.domain_n)
-    elif cfg.domain_kind == "rectangle":
-        ny = cfg.domain_ny if cfg.domain_ny > 0 else cfg.domain_n
-        dom = build_rectangle(cfg.domain_n, ny, cfg.domain_lx, cfg.domain_ly)
-    else:
-        dom = load_mask(cfg.domain_mask)
+    """(domain, params, regime, solver config) from a RunConfig."""
     params = EnergyParams(cfg.p, cfg.epsilon)
     if cfg.regime_kind == "robin":
         regime = BoundaryRegime.robin(cfg.regime_beta)
@@ -170,8 +151,15 @@ def _build(cfg: RunConfig):
         regime = BoundaryRegime.fractional(cfg.regime_s)
     else:
         regime = BoundaryRegime(cfg.regime_kind)
-    validate_regime(dom, regime)
     solver = SolverConfig(grad_tol=cfg.grad_tol)
+    if cfg.domain_kind == "interval":
+        dom = build_interval(cfg.domain_n)
+    elif cfg.domain_kind == "rectangle":
+        ny = cfg.domain_ny if cfg.domain_ny > 0 else cfg.domain_n
+        dom = build_rectangle(cfg.domain_n, ny, cfg.domain_lx, cfg.domain_ly)
+    else:
+        dom = load_mask(cfg.domain_mask)
+    validate_regime(dom, regime)
     return dom, params, regime, solver
 
 
@@ -253,8 +241,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def _sweep_one(args):
     cfg_dict, key, value = args
     cfg = RunConfig(**cfg_dict)
-    attr, typ = _KEYS[key]
-    setattr(cfg, attr, typ(value))
+    _assign(cfg, key, value)
     _validate(cfg)
     lam, mu, gap, steps = _eigen_numbers(cfg)
     return value, lam, mu, gap, steps

@@ -8,6 +8,7 @@ volume h**dim, so the discrete measure of the domain is ``n_nodes * cell_volume`
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,8 +131,9 @@ def build_rectangle(nx: int, ny: int, lx: float, ly: float) -> Domain:
     """
     if nx < 3 or ny < 3:
         raise InvalidResolutionError(f"rectangle needs nx,ny >= 3, got ({nx},{ny})")
-    if lx <= 0 or ly <= 0:
-        raise InvalidResolutionError(f"rectangle needs positive lengths, got ({lx},{ly})")
+    if not (0 < lx < math.inf and 0 < ly < math.inf):
+        raise InvalidResolutionError(
+            f"rectangle needs positive lengths, each finite, got ({lx},{ly})")
     hx = lx / (nx + 1)
     hy = ly / (ny + 1)
     xs = hx * np.arange(1, nx + 1, dtype=float)
@@ -181,8 +183,8 @@ def build_masked(bitmap, h: float) -> Domain:
     mask = np.asarray(bitmap, dtype=bool)
     if mask.ndim != 2:
         raise InvalidMaskError(f"bitmap must be 2-D, got ndim={mask.ndim}")
-    if h <= 0:
-        raise InvalidResolutionError(f"spacing must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise InvalidResolutionError(f"spacing must be positive and finite, got {h}")
     if not mask.any():
         raise EmptyDomainError("bitmap has no true cells")
     neigh = np.zeros_like(mask)

@@ -39,6 +39,7 @@ p-mean, started at c = 0, with bisection as its fallback.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,15 +84,16 @@ FACTOR_SHIFT = 1e-12
 class SolverConfig:
     """Stopping rule of the inner minimizer.
 
-    grad_tol is the relative weighted-l2 gradient-norm threshold; every
-    monotonicity assertion downstream carries slack proportional to it.
+    grad_tol, in (0, inf), is the relative weighted-l2 gradient-norm
+    threshold; every monotonicity assertion downstream carries slack
+    proportional to it.
     """
 
     grad_tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
 
 
 def _line_search(value_grad, x, f, g, d, gd, alpha0):
@@ -327,8 +329,8 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     Warm-starts from u_prev and stops once the gradient norm has dropped by
     grad_tol relative to its value at the warm start.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     u_prev = dom.check_field(u_prev)
     validate_regime(dom, regime)
     if not u_prev.any():

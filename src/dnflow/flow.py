@@ -91,8 +91,8 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
     """
     if max_steps < 1:
         raise ValueError(f"need at least one step, got {max_steps}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     g = dom.check_field(g)
     if not np.isfinite(g).all():
         raise ValueError("initial data has a NaN or infinite value")

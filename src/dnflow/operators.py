@@ -40,6 +40,7 @@ after block, so results are deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,7 @@ class BoundaryRegime:
     """Which energy form and constraint set the flow runs under.
 
     kind is one of ``dirichlet``, ``robin``, ``neumann``, ``fractional``;
-    ``beta`` is the Robin trace coefficient (> 0) and ``s`` the nonlocal
+    ``beta`` is the Robin trace coefficient in (0, inf) and ``s`` the nonlocal
     order in (0, 1).
     """
 
@@ -81,8 +82,8 @@ class BoundaryRegime:
     def __post_init__(self):
         if self.kind not in REGIME_KINDS:
             raise UnsupportedRegimeError(f"unknown regime kind {self.kind!r}")
-        if self.kind == "robin" and not self.beta > 0:
-            raise ValueError(f"robin regime needs beta > 0, got {self.beta}")
+        if self.kind == "robin" and not 0 < self.beta < math.inf:
+            raise ValueError(f"robin regime needs beta > 0 and finite, got {self.beta}")
         if self.kind == "fractional" and not 0.0 < self.s < 1.0:
             raise ValueError(f"fractional regime needs s in (0,1), got {self.s}")
 
@@ -105,7 +106,7 @@ class BoundaryRegime:
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Exponent p in (1, inf) and the gradient-regularization length eps >= 0.
+    """Exponent p in (1, inf) and the gradient-regularization length eps in [0, inf).
 
     eps = 0 keeps the bare |Du|^p energy and is only allowed for p >= 2,
     where it stays C^1.  The conjugate exponent q = p/(p-1) is derived.
@@ -115,10 +116,10 @@ class EnergyParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"p must exceed 1 and be finite, got {self.p}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
         if self.epsilon == 0.0 and self.p < 2.0:
             raise ValueError("epsilon = 0 requires p >= 2")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dnflow.cli import main, parse_config
-from dnflow.errors import ConfigError
+from dnflow.errors import ConfigError, InvalidResolutionError
 
 BASE = """
 domain.kind = interval
@@ -195,19 +195,30 @@ def _with(*lines):
     pytest.param("domain.kind = interval\np = 2\nregime.kind = dirichlet\n", [],
                  "missing required keys: domain.n", id="interval-no-n"),
     pytest.param(_with("domain.kind = sphere"), [], "unknown domain.kind", id="domain"),
-    pytest.param(_with("regime.kind = periodic"), [], "unknown regime.kind", id="regime"),
+    pytest.param(_with("regime.kind = periodic"), [], "unknown regime kind", id="regime"),
     pytest.param(_with("init.kind = zeros"), [], "unknown init.kind", id="init"),
     pytest.param(_with("p = 1.5"), [], "epsilon = 0 requires p >= 2", id="eps0-p15"),
-    pytest.param(_with("epsilon = -1e-6"), [], "epsilon must be >= 0", id="eps-negative"),
-    pytest.param(_with("grad_tol = 0"), [], "grad_tol > 0", id="grad-tol-zero"),
+    pytest.param(_with("epsilon = -1e-6"), [], "epsilon must be nonnegative", id="eps-negative"),
+    pytest.param(_with("epsilon = nan"), [], "epsilon must be nonnegative and finite, got nan",
+                 id="eps-nan"),
+    pytest.param(_with("p = inf"), [], "p must exceed 1 and be finite, got inf", id="p-inf"),
+    pytest.param(_with("grad_tol = 0"), [], "grad_tol must be positive", id="grad-tol-zero"),
+    pytest.param(_with("grad_tol = inf"), [], "grad_tol must be positive and finite, got inf",
+                 id="grad-tol-inf"),
     pytest.param(_with("steps = 0"), [], "steps must be >= 1", id="steps-zero"),
     pytest.param(_with("tau = 0"), [], "tau must be positive", id="tau-zero"),
+    pytest.param(_with("tau = nan"), [], "tau must be positive and finite, got nan",
+                 id="tau-nan"),
+    pytest.param(_with("tau = inf"), [], "tau must be positive and finite, got inf",
+                 id="tau-inf"),
     pytest.param(_with("regime.kind = robin", "regime.beta = 0"), [],
-                 "regime.beta must be positive", id="beta-zero"),
+                 "robin regime needs beta > 0", id="beta-zero"),
+    pytest.param(_with("regime.kind = robin", "regime.beta = inf"), [],
+                 "robin regime needs beta > 0 and finite, got inf", id="beta-inf"),
     pytest.param(_with("domain.kind = rectangle", "regime.kind = fractional"), [],
                  "fractional regime is only offered on intervals", id="fractional-rectangle"),
     pytest.param(_with("regime.kind = fractional", "regime.s = 1"), [],
-                 "regime.s must lie in (0,1)", id="s-outside"),
+                 "fractional regime needs s in (0,1)", id="s-outside"),
     pytest.param(_with("init.kind = file"), [], "needs init.path", id="file-no-path"),
     pytest.param(BASE, ["--param", "bogus", "--values", "1"], "unknown sweep parameter",
                  id="sweep-param"),
@@ -225,6 +236,69 @@ def test_config_rejections_exit_1_with_one_line(tmp_path, capsys, config, extra_
     assert code == 1
     assert len(err) == 1 and err[0].startswith("dnflow: config error: "), err
     assert message in err[0]
+
+
+@pytest.mark.parametrize("lines, code, label, message", [
+    pytest.param(["domain.n = 2"], 1, "bad input", "interval needs n >= 3", id="n-two"),
+    pytest.param(["domain.kind = rectangle", "domain.ly = inf"], 1, "bad input",
+                 "rectangle needs positive lengths, each finite, got (1.0,inf)", id="ly-inf"),
+    pytest.param(["domain.kind = masked", "domain.mask = /nonexistent/mask.txt"], 4,
+                 "i/o error", "/nonexistent/mask.txt", id="mask-missing"),
+])
+def test_unbuildable_domain_keeps_its_label(tmp_path, capsys, lines, code, label, message):
+    # The domain is built at parse time, before any work, and its errors
+    # keep their own label and exit code.
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_with(*lines))
+    assert main(["eigen", "--config", str(cfg_path), "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"dnflow: {label}: "), err
+    assert message in err[0]
+
+
+@pytest.mark.parametrize("lines, error, message", [
+    pytest.param(["grad_tol = inf"], ConfigError, "grad_tol must be positive", id="grad-tol"),
+    pytest.param(["regime.kind = neumann", "epsilon = -1"], ConfigError,
+                 "epsilon must be nonnegative", id="epsilon"),
+    pytest.param(["domain.kind = rectangle", "regime.kind = fractional"], ConfigError,
+                 "only offered on intervals", id="regime-on-domain"),
+    pytest.param(["domain.n = 2"], InvalidResolutionError, "n >= 3", id="domain"),
+])
+def test_parse_config_builds_the_run(lines, error, message):
+    # parse_config itself refuses what the library types refuse, before
+    # any command runs.
+    with pytest.raises(error, match=message):
+        parse_config(_with(*lines))
+
+
+def test_keys_name_every_field_once():
+    from dataclasses import fields
+
+    from dnflow.cli import _KEYS, RunConfig
+
+    assert len(set(_KEYS)) == len(_KEYS) == 18
+    assert {k.replace(".", "_") for k in _KEYS} == {f.name for f in fields(RunConfig)}
+
+
+def test_sweep_in_process_matches_pool(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE.replace("domain.n = 39", "domain.n = 15")
+                        .replace("epsilon = 0", "epsilon = 1e-8"))
+    for jobs in ("1", "2"):
+        assert run_cli(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / jobs),
+                        "--param", "p", "--values", "1.5,2", "--jobs", jobs]) == 0
+    serial = (tmp_path / "1" / "sweep.csv").read_bytes()
+    assert serial == (tmp_path / "2" / "sweep.csv").read_bytes()
+    assert len(serial.splitlines()) == 3
+
+
+def test_out_naming_a_file_is_io_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE)
+    code = main(["oracle", "--config", str(cfg_path), "--out", str(cfg_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 4
+    assert len(err) == 1 and err[0].startswith("dnflow: i/o error: "), err
 
 
 def test_sweep_rows_in_order(tmp_path):

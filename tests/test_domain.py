@@ -97,6 +97,52 @@ def test_mask_file_bad_row(tmp_path):
         load_mask(path)
 
 
+def _mask_file(text):
+    # load_mask on a file holding `text`, run inside a fresh tmp_path.
+    def load(tmp_path):
+        path = tmp_path / "mask.txt"
+        path.write_text(text)
+        return load_mask(path)
+    return load
+
+
+FULL = np.ones((3, 3), dtype=bool)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda tmp: build_rectangle(3, 3, 0.0, 1.0), InvalidResolutionError,
+                 "rectangle needs positive lengths", id="rect-lx-zero"),
+    pytest.param(lambda tmp: build_rectangle(3, 3, 1.0, -1.0), InvalidResolutionError,
+                 "rectangle needs positive lengths", id="rect-ly-negative"),
+    pytest.param(lambda tmp: build_rectangle(3, 3, 1.0, np.inf), InvalidResolutionError,
+                 "rectangle needs positive lengths, each finite", id="rect-ly-inf"),
+    pytest.param(lambda tmp: build_rectangle(3, 3, np.nan, 1.0), InvalidResolutionError,
+                 "rectangle needs positive lengths, each finite", id="rect-lx-nan"),
+    pytest.param(lambda tmp: build_masked(np.ones(9, dtype=bool), 0.25), InvalidMaskError,
+                 "bitmap must be 2-D, got ndim=1", id="mask-1d"),
+    pytest.param(lambda tmp: build_masked(FULL, 0.0), InvalidResolutionError,
+                 "spacing must be positive", id="mask-h-zero"),
+    pytest.param(lambda tmp: build_masked(FULL, np.inf), InvalidResolutionError,
+                 "spacing must be positive and finite, got inf", id="mask-h-inf"),
+    pytest.param(lambda tmp: build_masked(FULL, np.nan), InvalidResolutionError,
+                 "spacing must be positive and finite, got nan", id="mask-h-nan"),
+    pytest.param(_mask_file("\n  \n"), InvalidMaskError, "empty mask file",
+                 id="file-empty"),
+    pytest.param(_mask_file("3 3\n111\n111\n111\n"), InvalidMaskError,
+                 "header must be 'rows cols h'", id="file-bad-header"),
+    pytest.param(_mask_file("3 3 0.25\n111\n111\n"), InvalidMaskError,
+                 "expected 3 bitmap rows, got 2", id="file-row-count"),
+    pytest.param(_mask_file("3 3 inf\n111\n111\n111\n"), InvalidResolutionError,
+                 "spacing must be positive and finite, got inf", id="file-h-inf"),
+])
+def test_domain_rejections(tmp_path, build, error, message):
+    # Each builder refuses a geometry it cannot discretize with a typed
+    # error that says why.
+    with pytest.raises(error) as err:
+        build(tmp_path)
+    assert message in str(err.value)
+
+
 def test_integrate_constant_interval():
     d = build_interval(9)
     # u = 1: midpoint rule covers n/(n+1) of the unit interval

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dnflow.diagnostics import energy_identity_residual, lambda_decay_estimate
-from dnflow.domain import build_interval, lp_norm
+from dnflow.domain import build_interval, build_rectangle, lp_norm
 from dnflow.elliptic import SolverConfig, implicit_step, pmean_defect
 from dnflow.errors import UnsupportedRegimeError
 from dnflow.fractional import build_kernel
@@ -248,6 +248,18 @@ def test_snapshot_roundtrip(tmp_path):
     np.testing.assert_array_equal(values, traj.states[2])
 
 
+def test_snapshot_roundtrip_rectangle(tmp_path):
+    d = build_rectangle(5, 4, 1.0, 0.8)
+    u = np.random.default_rng(0).standard_normal(d.n_nodes)
+    path = tmp_path / "snap.txt"
+    write_snapshot(path, d, EnergyParams(2.0), DIRICHLET, u, 3, 0.05)
+    meta, values = read_snapshot(path)
+    assert meta["kind"] == "rectangle"
+    assert (meta["nx"], meta["ny"], meta["k"]) == ("5", "4", "3")
+    assert (float(meta["hx"]), float(meta["hy"])) == (d.hx, d.hy)
+    np.testing.assert_array_equal(values, u)
+
+
 def _short_trajectory():
     dom = build_interval(5)
     return evolve(dom, np.ones(5), 0.01, 2, EnergyParams(2.0), DIRICHLET, CFG)
@@ -258,14 +270,39 @@ def _short_trajectory():
     pytest.param(lambda: EnergyParams(0.5, 1e-6), ValueError, "p must exceed 1", id="params-p05"),
     pytest.param(lambda: EnergyParams(2.0, -1e-6), ValueError, "epsilon must be nonnegative",
                  id="params-eps-negative"),
+    pytest.param(lambda: EnergyParams(math.inf), ValueError,
+                 "p must exceed 1 and be finite, got inf", id="params-p-inf"),
+    pytest.param(lambda: EnergyParams(math.nan), ValueError,
+                 "p must exceed 1 and be finite, got nan", id="params-p-nan"),
+    pytest.param(lambda: EnergyParams(2.0, math.inf), ValueError,
+                 "epsilon must be nonnegative and finite, got inf", id="params-eps-inf"),
+    pytest.param(lambda: EnergyParams(2.0, math.nan), ValueError,
+                 "epsilon must be nonnegative and finite, got nan", id="params-eps-nan"),
+    pytest.param(lambda: SolverConfig(0.0), ValueError,
+                 "grad_tol must be positive and finite, got 0.0", id="solver-tol-zero"),
+    pytest.param(lambda: SolverConfig(math.inf), ValueError,
+                 "grad_tol must be positive and finite, got inf", id="solver-tol-inf"),
+    pytest.param(lambda: SolverConfig(math.nan), ValueError,
+                 "grad_tol must be positive and finite, got nan", id="solver-tol-nan"),
+    pytest.param(lambda: BoundaryRegime.robin(math.inf), ValueError,
+                 "robin regime needs beta > 0 and finite, got inf", id="robin-beta-inf"),
+    pytest.param(lambda: BoundaryRegime.robin(math.nan), ValueError,
+                 "robin regime needs beta > 0 and finite, got nan", id="robin-beta-nan"),
     pytest.param(lambda: BoundaryRegime("periodic"), UnsupportedRegimeError,
                  "unknown regime kind", id="regime-periodic"),
     pytest.param(lambda: implicit_step(build_interval(5), np.ones(5), 0.0, EnergyParams(2.0),
                                        DIRICHLET, CFG),
                  ValueError, "tau must be positive", id="implicit-step-tau0"),
+    pytest.param(lambda: implicit_step(build_interval(5), np.ones(5), math.inf,
+                                       EnergyParams(2.0), DIRICHLET, CFG),
+                 ValueError, "tau must be positive and finite, got inf",
+                 id="implicit-step-tau-inf"),
     pytest.param(lambda: evolve(build_interval(5), np.ones(5), -0.1, 3, EnergyParams(2.0),
                                 DIRICHLET, CFG),
                  ValueError, "tau must be positive", id="evolve-tau-negative"),
+    pytest.param(lambda: evolve(build_interval(5), np.ones(5), math.nan, 3, EnergyParams(2.0),
+                                DIRICHLET, CFG),
+                 ValueError, "tau must be positive and finite, got nan", id="evolve-tau-nan"),
     pytest.param(lambda: build_kernel(build_interval(5), 0.0, 2.0), ValueError,
                  "s must lie in", id="kernel-s0"),
     pytest.param(lambda: build_kernel(build_interval(5), 1.0, 2.0), ValueError,
