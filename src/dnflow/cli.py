@@ -14,13 +14,13 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics as diag
-from .domain import Domain, build_interval, build_rectangle, load_mask
+from .domain import build_interval, build_rectangle, load_mask
 from .elliptic import SolverConfig
 from .errors import (
     ConfigError,
@@ -49,10 +49,11 @@ _INIT_KINDS = ("constant_one", "extremal", "random", "file")
 
 @dataclass
 class RunConfig:
-    """Validated run description.
+    """One run's settings; ``parse_config`` returns them as the run's first item.
 
     Config key ``a.b`` sets field ``a_b``, parsed by the type of the field's
-    default; ``tau`` takes a number or ``auto`` (None).
+    default; ``tau`` takes a number or ``auto`` (None); ``domain_ny`` 0 means
+    ``domain_n``.
     """
 
     domain_kind: str = "interval"
@@ -84,8 +85,9 @@ _KEYS = (
 _REQUIRED = ("domain.kind", "p", "regime.kind")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate ``key = value`` lines into a RunConfig."""
+def parse_config(text: str):
+    """Parse ``key = value`` lines into the run every command takes (see
+    ``_build``), so every value is checked before any work."""
     cfg = RunConfig()
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -105,13 +107,9 @@ def parse_config(text: str) -> RunConfig:
     missing = [k for k in _REQUIRED if k not in seen]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    if cfg.domain_kind == "masked":
-        if not cfg.domain_mask:
-            raise ConfigError("masked domain needs domain.mask = <path>")
-    elif cfg.domain_n <= 0 and "domain.n" not in seen:
+    if cfg.domain_kind != "masked" and cfg.domain_n <= 0 and "domain.n" not in seen:
         raise ConfigError("missing required keys: domain.n")
-    _validate(cfg)
-    return cfg
+    return _build(cfg)
 
 
 def _assign(cfg: RunConfig, key: str, text: str) -> None:
@@ -123,11 +121,16 @@ def _assign(cfg: RunConfig, key: str, text: str) -> None:
     setattr(cfg, name, value)
 
 
-def _validate(cfg: RunConfig) -> None:
-    """Check the CLI's own keys; building the run makes the library types
-    check every other value before any work."""
+def _build(cfg: RunConfig):
+    """The run (cfg, domain, params, regime, solver config) of a RunConfig.
+
+    The CLI checks its own keys; the library types check every other value,
+    and a ValueError / UnsupportedRegimeError of theirs becomes a ConfigError.
+    """
     if cfg.domain_kind not in ("interval", "rectangle", "masked"):
         raise ConfigError(f"unknown domain.kind {cfg.domain_kind!r}")
+    if cfg.domain_kind == "masked" and not cfg.domain_mask:
+        raise ConfigError("masked domain needs domain.mask = <path>")
     if cfg.init_kind not in _INIT_KINDS:
         raise ConfigError(f"unknown init.kind {cfg.init_kind!r}")
     if cfg.init_kind == "file" and not cfg.init_path:
@@ -136,34 +139,32 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
     if cfg.tau is not None and not 0 < cfg.tau < math.inf:
         raise ConfigError(f"tau must be positive and finite, got {cfg.tau}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     try:
-        _build(cfg)
+        params = EnergyParams(cfg.p, cfg.epsilon)
+        if cfg.regime_kind == "robin":
+            regime = BoundaryRegime.robin(cfg.regime_beta)
+        elif cfg.regime_kind == "fractional":
+            regime = BoundaryRegime.fractional(cfg.regime_s)
+        else:
+            regime = BoundaryRegime(cfg.regime_kind)
+        solver = SolverConfig(grad_tol=cfg.grad_tol)
+        if cfg.domain_kind == "interval":
+            dom = build_interval(cfg.domain_n)
+        elif cfg.domain_kind == "rectangle":
+            dom = build_rectangle(cfg.domain_n, cfg.domain_ny or cfg.domain_n,
+                                  cfg.domain_lx, cfg.domain_ly)
+        else:
+            dom = load_mask(cfg.domain_mask)
+        validate_regime(dom, regime)
     except (ValueError, UnsupportedRegimeError) as exc:
         raise ConfigError(str(exc)) from exc
+    return cfg, dom, params, regime, solver
 
 
-def _build(cfg: RunConfig):
-    """(domain, params, regime, solver config) from a RunConfig."""
-    params = EnergyParams(cfg.p, cfg.epsilon)
-    if cfg.regime_kind == "robin":
-        regime = BoundaryRegime.robin(cfg.regime_beta)
-    elif cfg.regime_kind == "fractional":
-        regime = BoundaryRegime.fractional(cfg.regime_s)
-    else:
-        regime = BoundaryRegime(cfg.regime_kind)
-    solver = SolverConfig(grad_tol=cfg.grad_tol)
-    if cfg.domain_kind == "interval":
-        dom = build_interval(cfg.domain_n)
-    elif cfg.domain_kind == "rectangle":
-        ny = cfg.domain_ny if cfg.domain_ny > 0 else cfg.domain_n
-        dom = build_rectangle(cfg.domain_n, ny, cfg.domain_lx, cfg.domain_ly)
-    else:
-        dom = load_mask(cfg.domain_mask)
-    validate_regime(dom, regime)
-    return dom, params, regime, solver
-
-
-def _initial_field(cfg: RunConfig, dom: Domain, params, regime, solver) -> np.ndarray:
+def _initial_field(run) -> np.ndarray:
+    cfg, dom, params, regime, solver = run
     if cfg.init_kind == "constant_one":
         return np.ones(dom.n_nodes)
     if cfg.init_kind == "random":
@@ -180,12 +181,9 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_evolve(cfg: RunConfig, snapshot_steps=()) -> int:
-    for k in snapshot_steps:
-        if not 0 <= k <= cfg.steps:
-            raise ConfigError(f"snapshot step {k} outside [0, {cfg.steps}]")
-    dom, params, regime, solver = _build(cfg)
-    g = _initial_field(cfg, dom, params, regime, solver)
+def cmd_evolve(run, snapshot_steps=()) -> int:
+    cfg, dom, params, regime, solver = run
+    g = _initial_field(run)
     tau = cfg.tau if cfg.tau is not None else auto_tau(dom, g, params, regime, solver)
     traj = evolve(dom, g, tau, cfg.steps, params, regime, solver)
     diag.fill_dual_columns(dom, traj, solver)
@@ -197,9 +195,9 @@ def cmd_evolve(cfg: RunConfig, snapshot_steps=()) -> int:
     return 0
 
 
-def _eigen_numbers(cfg: RunConfig):
-    dom, params, regime, solver = _build(cfg)
-    g = _initial_field(cfg, dom, params, regime, solver)
+def _eigen_numbers(run):
+    cfg, dom, params, regime, solver = run
+    g = _initial_field(run)
     traj = evolve_until_settled(dom, g, params, regime, solver, tau=cfg.tau,
                                 max_steps=cfg.steps)
     k = traj.steps
@@ -214,14 +212,14 @@ def _eigen_numbers(cfg: RunConfig):
     return lam, mu, gap, k
 
 
-def cmd_eigen(cfg: RunConfig) -> int:
-    lam, mu, gap, _ = _eigen_numbers(cfg)
+def cmd_eigen(run) -> int:
+    lam, mu, gap, _ = _eigen_numbers(run)
     print(f"{lam!r} {mu!r} {gap!r}")
     return 0
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    dom, params, regime, solver = _build(cfg)
+def cmd_oracle(run) -> int:
+    cfg, dom, params, regime, solver = run
     result = minimize_rayleigh(dom, params, regime, solver, seed=cfg.seed)
     out = _out_dir(cfg)
     write_snapshot(out / "extremal.txt", dom, params, regime,
@@ -230,41 +228,59 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    dom, params, regime, solver = _build(cfg)
+def cmd_verify(run) -> int:
+    cfg, dom, params, regime, solver = run
     rows = run_invariant_suite(dom, params, regime, solver, seed=cfg.seed)
     for row in rows:
         print(row.line())
     return 0 if all(ok for *_x, ok in rows) else 3
 
 
-def _sweep_one(args):
-    cfg_dict, key, value = args
-    cfg = RunConfig(**cfg_dict)
-    _assign(cfg, key, value)
-    _validate(cfg)
-    lam, mu, gap, steps = _eigen_numbers(cfg)
-    return value, lam, mu, gap, steps
-
-
-def cmd_sweep(cfg: RunConfig, param: str, values, jobs: int | None) -> int:
+def cmd_sweep(run, param: str, values, jobs: int | None) -> int:
+    """One eigen pipeline per value; every value's run is built first."""
+    cfg = run[0]
     if param not in _KEYS:
         raise ConfigError(f"unknown sweep parameter {param!r}")
     if jobs is None:
         jobs = os.cpu_count() or 1  # default: available parallelism
-    work = [(cfg.__dict__.copy(), param, v) for v in values]
-    if jobs > 1 and len(work) > 1:
+    elif jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    is_int = type(getattr(RunConfig, param.replace(".", "_"))) is int
+    runs = []
+    for text in values:
+        swept = replace(cfg)
+        try:
+            _assign(swept, param, text)
+        except ValueError:
+            raise ConfigError(f"--values: could not convert {text!r} to "
+                              f"{'an integer' if is_int else 'a number'}") from None
+        runs.append(_build(swept))
+    if jobs > 1 and len(runs) > 1:
         # The fork start method forks every worker at the first submit.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            results = list(pool.map(_sweep_one, work))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(runs))) as pool:
+            results = list(pool.map(_eigen_numbers, runs))
     else:
-        results = [_sweep_one(w) for w in work]
+        results = [_eigen_numbers(r) for r in runs]
     out = _out_dir(cfg)
     lines = ["param,value,lambda,mu,profile_gap,steps"]
-    for value, lam, mu, gap, steps in results:
+    for value, (lam, mu, gap, steps) in zip(values, results):
         lines.append(f"{param},{value!r},{lam!r},{mu!r},{gap!r},{steps}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     return 0
+
+
+def _snapshot_steps(text: str, steps: int) -> list:
+    """The ``--snapshots`` step indices, each an integer in [0, steps]."""
+    ks = []
+    for entry in [s.strip() for s in text.split(",") if s.strip()]:
+        try:
+            k = int(entry)
+        except ValueError:
+            raise ConfigError(f"--snapshots: could not convert {entry!r} to an integer") from None
+        if not 0 <= k <= steps:
+            raise ConfigError(f"--snapshots: snapshot step {k} outside [0, {steps}]")
+        ks.append(k)
+    return ks
 
 
 class _Parser(argparse.ArgumentParser):
@@ -297,27 +313,19 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"dnflow: cannot read config: {exc}", file=sys.stderr)
             return 4
-        cfg = parse_config(text)
+        run = parse_config(text)
+        cfg = run[0]
         if args.out is not None:
             cfg.out_dir = args.out
         if args.command == "evolve":
-            snaps = [int(s) for s in args.snapshots.split(",") if s.strip()]
-            return cmd_evolve(cfg, snaps)
-        if args.command == "eigen":
-            return cmd_eigen(cfg)
-        if args.command == "oracle":
-            return cmd_oracle(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
+            return cmd_evolve(run, _snapshot_steps(args.snapshots, cfg.steps))
+        commands = {"eigen": cmd_eigen, "oracle": cmd_oracle, "verify": cmd_verify}
+        if args.command in commands:
+            return commands[args.command](run)
         values = [v.strip() for v in args.values.split(",") if v.strip()]
         if not values:
             raise ConfigError("sweep needs at least one value")
-        for v in values:
-            try:
-                float(v)
-            except ValueError:
-                raise ConfigError(f"--values: could not convert {v!r} to a number") from None
-        return cmd_sweep(cfg, args.param, values, args.jobs)
+        return cmd_sweep(run, args.param, values, args.jobs)
     except ConfigError as exc:
         print(f"dnflow: config error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ import numpy as np
 from .domain import Domain, integrate_power
 from .elliptic import SolverConfig, inverse_operator, project_cperp
 from .errors import DegenerateInputError
-from .operators import BoundaryRegime, EnergyParams, jp
+from .operators import BoundaryRegime, EnergyParams, energy, jp
 
 __all__ = [
     "DiagnosticsRow",
@@ -47,6 +47,7 @@ class DiagnosticsRow:
     lambda_decay: float
     conservation: float
     energy_residual: float
+    energy: float  # E(u^k) at the step's frozen eps; not a CSV column
 
     # The CSV repeats the two quotients as the lambda and mu estimates.
     @property
@@ -154,11 +155,9 @@ def build_row(dom: Domain, traj, k: int) -> DiagnosticsRow:
     p = traj.params.p
     vol = dom.cell_volume
     n_p = integrate_power(dom, u, p)
-    if n_p > 0.0:
-        ray = p * traj.regime_energy(k) / n_p
-    else:
-        ray = math.nan
+    e_k = energy(dom, u, traj.params_at(k), traj.regime)
+    ray = p * e_k / n_p if n_p > 0.0 else math.nan
     cons = vol * float(np.sum(jp(u, p)))
     return DiagnosticsRow(
         k=k, t=k * traj.tau, Np=n_p, rayleigh=ray, dual_q=math.nan,
-        lambda_decay=math.nan, conservation=cons, energy_residual=math.nan)
+        lambda_decay=math.nan, conservation=cons, energy_residual=math.nan, energy=e_k)

@@ -18,7 +18,7 @@ from . import diagnostics as diag
 from .domain import Domain, lp_norm
 from .elliptic import SolverConfig, implicit_step, project_pmean
 from .errors import InvalidSnapshotError, NonConvergenceError
-from .operators import BoundaryRegime, EnergyParams, energy, jp
+from .operators import BoundaryRegime, EnergyParams, jp
 
 __all__ = [
     "FlowTrajectory",
@@ -54,7 +54,6 @@ class FlowTrajectory:
     regime: BoundaryRegime
     states: list
     diagnostics: list = field(default_factory=list)
-    _energy_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def steps(self) -> int:
@@ -66,12 +65,8 @@ class FlowTrajectory:
         return self.params.with_epsilon(_step_epsilon(self.params, u_prev))
 
     def regime_energy(self, k: int) -> float:
-        """Energy of u^k under the eps frozen for that step (cached)."""
-        val = self._energy_cache.get(k)
-        if val is None:
-            val = energy(self.dom, self.states[k], self.params_at(k), self.regime)
-            self._energy_cache[k] = val
-        return val
+        """Energy of u^k under the eps frozen for that step (from its row)."""
+        return self.diagnostics[k].energy
 
 
 def _step_epsilon(params: EnergyParams, u_prev: np.ndarray) -> float:
@@ -91,8 +86,6 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
     """
     if max_steps < 1:
         raise ValueError(f"need at least one step, got {max_steps}")
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
     g = dom.check_field(g)
     if not np.isfinite(g).all():
         raise ValueError("initial data has a NaN or infinite value")

@@ -24,7 +24,7 @@ def run_cli(args):
 
 
 def test_parse_minimal_defaults():
-    cfg = parse_config("domain.kind=interval\ndomain.n=199\np=2\nregime.kind=dirichlet")
+    cfg = parse_config("domain.kind=interval\ndomain.n=199\np=2\nregime.kind=dirichlet")[0]
     assert cfg.domain_n == 199
     assert cfg.grad_tol == 1e-9
     assert cfg.epsilon == 1e-6
@@ -34,7 +34,7 @@ def test_parse_minimal_defaults():
 
 
 def test_parse_comments_and_spacing():
-    cfg = parse_config("# run\n domain.kind = interval # inline\ndomain.n=9\np = 2.5\nregime.kind=neumann\n\n")
+    cfg = parse_config("# run\n domain.kind = interval # inline\ndomain.n=9\np = 2.5\nregime.kind=neumann\n\n")[0]
     assert cfg.p == 2.5
     assert cfg.regime_kind == "neumann"
 
@@ -220,12 +220,15 @@ def _with(*lines):
     pytest.param(_with("regime.kind = fractional", "regime.s = 1"), [],
                  "fractional regime needs s in (0,1)", id="s-outside"),
     pytest.param(_with("init.kind = file"), [], "needs init.path", id="file-no-path"),
+    pytest.param(_with("seed = -1"), [], "seed must be >= 0, got -1", id="seed-negative"),
     pytest.param(BASE, ["--param", "bogus", "--values", "1"], "unknown sweep parameter",
                  id="sweep-param"),
     pytest.param(BASE, ["--param", "p", "--values", " , "], "needs at least one value",
                  id="sweep-empty-values"),
     pytest.param(BASE, ["--param", "p", "--values", "2,x"], "could not convert",
                  id="sweep-non-numeric"),
+    pytest.param(BASE, ["--param", "p", "--values", "2", "--jobs", "0"],
+                 "--jobs must be >= 1, got 0", id="sweep-jobs-zero"),
 ])
 def test_config_rejections_exit_1_with_one_line(tmp_path, capsys, config, extra_args, message):
     cfg_path = tmp_path / "run.cfg"
@@ -242,6 +245,8 @@ def test_config_rejections_exit_1_with_one_line(tmp_path, capsys, config, extra_
     pytest.param(["domain.n = 2"], 1, "bad input", "interval needs n >= 3", id="n-two"),
     pytest.param(["domain.kind = rectangle", "domain.ly = inf"], 1, "bad input",
                  "rectangle needs positive lengths, each finite, got (1.0,inf)", id="ly-inf"),
+    pytest.param(["domain.kind = rectangle", "domain.ny = -3"], 1, "bad input",
+                 "rectangle needs nx,ny >= 3, got (39,-3)", id="ny-negative"),
     pytest.param(["domain.kind = masked", "domain.mask = /nonexistent/mask.txt"], 4,
                  "i/o error", "/nonexistent/mask.txt", id="mask-missing"),
 ])
@@ -299,6 +304,92 @@ def test_out_naming_a_file_is_io_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert code == 4
     assert len(err) == 1 and err[0].startswith("dnflow: i/o error: "), err
+
+
+def test_each_command_builds_its_run_once(tmp_path, monkeypatch):
+    # parse_config builds the run every command takes; a sweep builds one
+    # more run per value, all in the parent before any pipeline starts.
+    import dnflow.cli as cli_mod
+
+    builds = []
+    build = cli_mod._build
+    monkeypatch.setattr(cli_mod, "_build", lambda cfg: builds.append(cfg) or build(cfg))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE.replace("domain.n = 39", "domain.n = 9"))
+    for command in ("evolve", "eigen", "oracle", "verify"):
+        builds.clear()
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert len(builds) == 1, command
+    builds.clear()
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+                 "--param", "p", "--values", "2,3", "--jobs", "1"]) == 0
+    assert len(builds) == 3
+    assert [cfg.p for cfg in builds[1:]] == [2.0, 3.0]
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["evolve", "--snapshots", "0,x"],
+                 "--snapshots: could not convert 'x' to an integer", id="snapshots-text"),
+    pytest.param(["sweep", "--param", "seed", "--values", "1,1.5"],
+                 "--values: could not convert '1.5' to an integer", id="values-int-key"),
+    pytest.param(["sweep", "--param", "p", "--values", "2,0.5"],
+                 "p must exceed 1 and be finite, got 0.5", id="values-p-half"),
+    pytest.param(["sweep", "--param", "steps", "--values", "5,0"],
+                 "steps must be >= 1, got 0", id="values-steps-zero"),
+])
+def test_flag_entries_are_checked_before_any_work(tmp_path, capsys, monkeypatch, args, message):
+    import dnflow.cli as cli_mod
+
+    calls = []
+    monkeypatch.setattr(cli_mod, "_eigen_numbers", calls.append)
+    monkeypatch.setattr(cli_mod, "evolve", calls.append)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE)
+    jobs = ["--jobs", "1"] if args[0] == "sweep" else []  # spies see every call
+    code = main([args[0], "--config", str(cfg_path), "--out", str(tmp_path), *args[1:], *jobs])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == [f"dnflow: config error: {message}"]
+    assert calls == []
+
+
+def test_sweep_parses_a_string_key_by_its_type(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE.replace("domain.n = 39", "domain.n = 9"))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+                 "--param", "regime.kind", "--values", "dirichlet,robin", "--jobs", "1"]) == 0
+    rows = [ln.split(",") for ln in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["'dirichlet'", "'robin'"]
+    assert float(rows[0][2]) > float(rows[1][2]) > 0  # Robin relaxes Dirichlet
+
+
+@pytest.mark.parametrize("lines, regime", [
+    pytest.param(["regime.kind = robin", "regime.beta = 2.5"], "robin:beta=2.5", id="robin"),
+    pytest.param(["regime.kind = fractional", "regime.s = 0.25"], "fractional:s=0.25",
+                 id="fractional"),
+])
+def test_oracle_extremal_header_names_the_regime_parameter(tmp_path, lines, regime):
+    from dnflow.flow import read_snapshot
+
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_with("domain.n = 9", *lines))
+    assert main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    meta, values = read_snapshot(tmp_path / "extremal.txt")
+    assert (meta["kind"], meta["n"], meta["regime"]) == ("interval", "9", regime)
+    assert values.size == 9 and np.all(np.isfinite(values))
+
+
+def test_random_init_is_reproducible_per_seed(tmp_path):
+    csv = {}
+    for name, seed in (("a", 3), ("b", 3), ("c", 4)):
+        cfg_path = tmp_path / f"{name}.cfg"
+        cfg_path.write_text(_with("domain.n = 15", "regime.kind = neumann", "init.kind = random",
+                                  "steps = 5", "tau = 0.05", f"seed = {seed}"))
+        assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+        csv[name] = (tmp_path / name / "diagnostics.csv").read_bytes()
+    assert csv["a"] == csv["b"]
+    assert csv["a"] != csv["c"]
+    assert len(csv["a"].splitlines()) == 7
 
 
 def test_sweep_rows_in_order(tmp_path):
