@@ -221,7 +221,10 @@ def load_mask(path) -> Domain:
     head = lines[0].split()
     if len(head) != 3:
         raise InvalidMaskError(f"{path}: header must be 'rows cols h'")
-    rows, cols, h = int(head[0]), int(head[1]), float(head[2])
+    try:
+        rows, cols, h = int(head[0]), int(head[1]), float(head[2])
+    except ValueError:
+        raise InvalidMaskError(f"{path}: header must be 'rows cols h', got {lines[0]!r}") from None
     if len(lines) - 1 != rows:
         raise InvalidMaskError(f"{path}: expected {rows} bitmap rows, got {len(lines) - 1}")
     bitmap = np.zeros((rows, cols), dtype=bool)

@@ -37,9 +37,14 @@ __all__ = [
 # reported as the degenerate (identically vanishing) limit.
 DEGENERATE_FLOOR = 1e3 * np.finfo(float).eps
 
-# evolve_until_settled's stationarity test and auto_tau's bootstrap run.
+# evolve_until_settled's stop test (see _lambda_settled) and auto_tau's
+# bootstrap run.  With tau = None the settle march continues from the
+# bootstrap's last state, so its states[0] is that state, not g.
 SETTLE_REL_TOL = 1e-7
-SETTLE_WINDOW = 10
+# lambda-hat is a ratio of two p-th power sums minus 1, so it carries a
+# rounding error of some tens of ulps; changes below this relative size are
+# noise, and so are their ratios.
+LAMBDA_ROUNDING = 32 * np.finfo(float).eps
 BOOTSTRAP_TAU = 0.1
 BOOTSTRAP_STEPS = 10
 
@@ -118,6 +123,16 @@ def evolve(dom: Domain, g, tau: float, steps: int, params: EnergyParams,
     return _march(dom, g, tau, steps, params, regime, cfg, lambda traj: False)
 
 
+def _bootstrap(dom: Domain, g, params: EnergyParams, regime: BoundaryRegime,
+               cfg: SolverConfig):
+    """auto_tau's bootstrap run and the tau it picks: (tau, trajectory)."""
+    traj = evolve(dom, g, BOOTSTRAP_TAU, BOOTSTRAP_STEPS, params, regime, cfg)
+    lam = traj.diagnostics[-1].lambda_decay
+    if not math.isfinite(lam) or lam <= 0.0:
+        return BOOTSTRAP_TAU, traj
+    return 1.0 / (2.0 * lam), traj
+
+
 def auto_tau(dom: Domain, g, params: EnergyParams, regime: BoundaryRegime,
              cfg: SolverConfig) -> float:
     """Pick tau = 1/(2 lambda-hat) from a short bootstrap run.
@@ -127,40 +142,62 @@ def auto_tau(dom: Domain, g, params: EnergyParams, regime: BoundaryRegime,
     The decay estimator is scale-free, so the bootstrap step size needs no
     reference to the size of g.
     """
-    traj = evolve(dom, g, BOOTSTRAP_TAU, BOOTSTRAP_STEPS, params, regime, cfg)
-    lam = traj.diagnostics[-1].lambda_decay
-    if not math.isfinite(lam) or lam <= 0.0:
-        return BOOTSTRAP_TAU
-    return 1.0 / (2.0 * lam)
+    return _bootstrap(dom, g, params, regime, cfg)[0]
+
+
+def _degenerate(traj: FlowTrajectory) -> bool:
+    """Whether the last state has decayed to the floor relative to states[0]."""
+    rows = traj.diagnostics
+    return rows[-1].Np <= (DEGENERATE_FLOOR ** traj.params.p) * rows[0].Np
+
+
+def _lambda_settled(lams) -> bool:
+    """Whether the decay-rate estimates lams (oldest first) have settled.
+
+    With d_k = |lam_k - lam_(k-1)| and r_k = d_k / d_(k-1), each of the last
+    two steps must either change lambda-hat by no more than its rounding
+    floor LAMBDA_ROUNDING * lam, or contract (r_k < 1) with both d_k and
+    the geometric tail bound d_k r_k / (1 - r_k) on the change still to
+    come below SETTLE_REL_TOL * lam.
+    """
+    last = lams[-4:]
+    if len(last) < 4 or not all(map(math.isfinite, last)) or last[-1] <= 0.0:
+        return False
+    tol = SETTLE_REL_TOL * last[-1]
+    floor = LAMBDA_ROUNDING * last[-1]
+    d = [abs(b - a) for a, b in zip(last, last[1:])]
+    # d_k r_k / (1 - r_k) = d_k^2 / (d_(k-1) - d_k) once d_k < d_(k-1).
+    return all(cur <= floor or (cur < prev and cur < tol and cur * cur / (prev - cur) < tol)
+               for prev, cur in zip(d, d[1:]))
 
 
 def evolve_until_settled(dom: Domain, g, params: EnergyParams,
                          regime: BoundaryRegime, cfg: SolverConfig,
                          tau: float | None = None,
                          max_steps: int = 400) -> FlowTrajectory:
-    """Evolve until the decay-rate estimate is stationary.
+    """Evolve until the decay-rate estimate lambda-hat has settled.
 
-    Stops once lambda-hat changes by less than SETTLE_REL_TOL = 1e-7
-    (relatively) over SETTLE_WINDOW = 10 consecutive steps, once the state
-    reaches the degenerate floor, or at the step budget.  tau defaults to
-    auto_tau.
+    With tau = None the auto_tau bootstrap runs once: tau is its choice,
+    and the settle march continues from its last state scaled to max|u| = 1
+    (exact by degree-p homogeneity, since eps is relative), so states[0] is
+    that state, not g.  It starts from g when the bootstrap decayed to zero
+    or to the degenerate floor.  A given tau marches from g.
+
+    The march stops once lambda-hat has settled: each of the last two steps
+    changed it only at its rounding floor, or contracted the change with
+    both the change and its geometric tail bound below SETTLE_REL_TOL = 1e-7
+    relative (see _lambda_settled).  It also stops at the degenerate floor,
+    and after max_steps steps, which count the settle march only.
     """
     if tau is None:
-        tau = auto_tau(dom, g, params, regime, cfg)
-    settled = 0
+        tau, boot = _bootstrap(dom, g, params, regime, cfg)
+        if not _degenerate(boot):
+            g = boot.states[-1] / np.max(np.abs(boot.states[-1]))
 
     def stop(traj):
-        nonlocal settled
-        rows = traj.diagnostics
-        lam, prev_lam = rows[-1].lambda_decay, rows[-2].lambda_decay
-        if math.isfinite(lam) and math.isfinite(prev_lam) and lam > 0:
-            if abs(lam - prev_lam) < SETTLE_REL_TOL * abs(lam):
-                settled += 1
-            else:
-                settled = 0
         # The degenerate limit leaves nothing to estimate.
-        return (settled >= SETTLE_WINDOW
-                or rows[-1].Np <= (DEGENERATE_FLOOR ** params.p) * rows[0].Np)
+        return _degenerate(traj) or _lambda_settled(
+            [row.lambda_decay for row in traj.diagnostics[1:]])
 
     return _march(dom, g, tau, max_steps, params, regime, cfg, stop)
 

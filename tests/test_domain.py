@@ -130,6 +130,9 @@ FULL = np.ones((3, 3), dtype=bool)
                  id="file-empty"),
     pytest.param(_mask_file("3 3\n111\n111\n111\n"), InvalidMaskError,
                  "header must be 'rows cols h'", id="file-bad-header"),
+    pytest.param(_mask_file("a b c\n111\n111\n111\n"), InvalidMaskError,
+                 "mask.txt: header must be 'rows cols h', got 'a b c'",
+                 id="file-header-not-numbers"),
     pytest.param(_mask_file("3 3 0.25\n111\n111\n"), InvalidMaskError,
                  "expected 3 bitmap rows, got 2", id="file-row-count"),
     pytest.param(_mask_file("3 3 inf\n111\n111\n111\n"), InvalidResolutionError,

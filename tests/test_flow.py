@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dnflow import flow
 from dnflow.diagnostics import energy_identity_residual, lambda_decay_estimate
 from dnflow.domain import build_interval, build_rectangle, lp_norm
 from dnflow.elliptic import SolverConfig, implicit_step, pmean_defect
@@ -19,7 +20,7 @@ from dnflow.flow import (
     write_snapshot,
 )
 from dnflow.operators import BoundaryRegime, EnergyParams, jp
-from dnflow.oracle import minimize_rayleigh
+from dnflow.oracle import dense_linear_reference, minimize_rayleigh
 
 DIRICHLET = BoundaryRegime.dirichlet()
 NEUMANN = BoundaryRegime.neumann()
@@ -233,6 +234,73 @@ def test_auto_tau_matches_half_rate():
     tau = auto_tau(d, np.ones(29), params, DIRICHLET, CFG)
     eig = minimize_rayleigh(d, params, DIRICHLET, CFG, seed=0)
     assert tau == pytest.approx(1.0 / (2 * eig.lam), rel=0.05)
+
+
+def _geometric(r, c, steps=60, lam=10.0):
+    return [lam + c * r**k for k in range(steps)]
+
+
+@pytest.mark.parametrize("lams, stops", [
+    pytest.param(_geometric(0.3, 1e-3), True, id="geometric-r0.3"),
+    pytest.param(_geometric(0.5, -2.0), True, id="geometric-from-below"),
+    # Every change is below the tolerance, but the tail still to come is
+    # about c = 5e-5, far above it.
+    pytest.param(_geometric(0.99, 5e-5, steps=30), False, id="geometric-r0.99"),
+    pytest.param([10.0 + np.spacing(10.0) * j for j in (0, 3, -4, 5, -6, 7)], True,
+                 id="rounding-jitter"),
+    pytest.param([10.0 + 1e-9 * k for k in range(30)], False, id="constant-drift"),
+    pytest.param([10.0 + 1e-12 * 2**k for k in range(30)], False, id="growing"),
+    pytest.param([math.nan] * 6, False, id="nan"),
+    pytest.param([math.nan, 10.0, 10.0, 10.0], False, id="nan-oldest"),
+    pytest.param([10.0, 10.0, 10.0, math.inf], False, id="inf"),
+    pytest.param([0.0] * 6, False, id="zero-rate"),
+])
+def test_lambda_settled_is_a_tail_bound(lams, stops):
+    # The stop test fires only where the change still to come is below
+    # SETTLE_REL_TOL: on a geometric sequence the first stop is within the
+    # tolerance of the limit, and a sequence that does not contract never stops.
+    first = next((k for k in range(1, len(lams) + 1)
+                  if flow._lambda_settled(lams[:k])), None)
+    assert (first is not None) == stops
+    if stops:
+        assert abs(lams[first - 1] - lams[-1]) < flow.SETTLE_REL_TOL * lams[-1]
+
+
+def test_settle_continues_from_the_bootstrap(monkeypatch):
+    # The README config: the settle march starts from the bootstrap's last
+    # state scaled to max 1 and stops a few steps later at the dense p = 2
+    # eigenvalue.
+    d = build_interval(199)
+    params = EnergyParams(2.0, 1e-6)
+    steps = []
+    step = flow.implicit_step
+    monkeypatch.setattr(flow, "implicit_step",
+                        lambda *args: steps.append(1) or step(*args))
+    traj = evolve_until_settled(d, np.ones(199), params, DIRICHLET, CFG)
+    assert len(steps) <= flow.BOOTSTRAP_STEPS + 6
+    assert traj.steps == len(steps) - flow.BOOTSTRAP_STEPS
+    lam = dense_linear_reference(d, DIRICHLET).lam
+    assert abs(traj.diagnostics[-1].lambda_decay / lam - 1.0) <= 1e-6
+
+    boot = evolve(d, np.ones(199), flow.BOOTSTRAP_TAU, flow.BOOTSTRAP_STEPS,
+                  params, DIRICHLET, CFG)
+    np.testing.assert_array_equal(traj.states[0],
+                                  boot.states[-1] / np.max(np.abs(boot.states[-1])))
+    assert traj.tau == auto_tau(d, np.ones(199), params, DIRICHLET, CFG)
+    # max_steps counts the settle march only.
+    assert evolve_until_settled(d, np.ones(199), params, DIRICHLET, CFG,
+                                max_steps=2).steps == 2
+
+
+@pytest.mark.parametrize("p, regime", [(2.0, DIRICHLET), (3.0, DIRICHLET), (2.0, NEUMANN)])
+def test_settle_zero_data_marches_from_g(p, regime):
+    # A bootstrap that decays to zero leaves nothing to continue from: the
+    # march starts from g at the fallback tau and stops at the degenerate floor.
+    d = build_interval(9)
+    traj = evolve_until_settled(d, np.zeros(9), EnergyParams(p, 1e-6), regime, CFG)
+    assert traj.steps == 1 and traj.tau == flow.BOOTSTRAP_TAU
+    assert not np.any(traj.states[0]) and not np.any(traj.states[1])
+    assert rescaled_profile(traj, 1) is None
 
 
 def test_snapshot_roundtrip(tmp_path):
