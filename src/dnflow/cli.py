@@ -202,7 +202,10 @@ def _eigen_numbers(run):
                                 max_steps=cfg.steps)
     k = traj.steps
     lam = traj.diagnostics[k].lambda_decay
-    mu = diag.dual_quotient(dom, traj.states[k], traj.params_at(k), regime, solver)
+    # At an extremal (-Delta_p)^-1 jp(u) = u / mu: the ray start from u
+    # lands next to the solution.
+    mu = diag.dual_quotient(dom, traj.states[k], traj.params_at(k), regime, solver,
+                            warm_start=traj.states[k])
     prof = rescaled_profile(traj, k)
     ref = minimize_rayleigh(dom, params, regime, solver, seed=cfg.seed)
     if prof is None:

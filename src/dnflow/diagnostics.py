@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain, integrate_power
-from .elliptic import SolverConfig, inverse_operator, project_cperp
+from .elliptic import SolveContext, SolverConfig, inverse_operator, project_cperp
 from .errors import DegenerateInputError
 from .operators import BoundaryRegime, EnergyParams, energy, jp
 
@@ -80,14 +80,14 @@ def dual_quotient(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime,
     return num / _jp_dual_norm_q(dom, u, params, regime, cfg, warm_start)[0]
 
 
-def _jp_dual_norm_q(dom, u, params, regime, cfg, warm_start):
+def _jp_dual_norm_q(dom, u, params, regime, cfg, warm_start, ctx=None):
     """(dual_norm_q of jp(u), the inverse solved for it).
 
     jp(u) is first projected off solver drift out of C-perp.  A pairing
     outside (0, inf) raises DegenerateInputError, since quotients divide by it.
     """
     f = project_cperp(jp(u, params.p), regime)
-    sol = inverse_operator(dom, f, params, regime, cfg, warm_start=warm_start)
+    sol = inverse_operator(dom, f, params, regime, cfg, warm_start=warm_start, ctx=ctx)
     val = dom.cell_volume * float(f @ sol)
     if not 0.0 < val < math.inf:
         raise DegenerateInputError(
@@ -136,12 +136,14 @@ def energy_identity_residual(traj, k: int) -> float:
 
 def fill_dual_columns(dom: Domain, traj, cfg: SolverConfig) -> None:
     """Compute dual_q (and so mu_from_dual) for every row, warm-starting
-    each inverse solve from the previous step's solution."""
+    each inverse solve from the previous step's solution; the solves share
+    one SolveContext."""
+    ctx = SolveContext(dom, traj.regime, traj.params.p)
     warm = None
     for k, row in enumerate(traj.diagnostics):
         if row.Np > 0.0:
             val, warm = _jp_dual_norm_q(dom, traj.states[k], traj.params_at(k),
-                                        traj.regime, cfg, warm)
+                                        traj.regime, cfg, warm, ctx)
             row.dual_q = row.Np / val
 
 

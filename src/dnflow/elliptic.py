@@ -13,24 +13,31 @@ with an Armijo backtracking line search plus a single secant refinement of
 the accepted step (exact line search on quadratics, so the p = 2 case
 behaves like preconditioned CG).  The preconditioner M is the functional's
 banded Hessian (``energy_hessian`` plus the mass term of the step), factored
-by banded Cholesky (LAPACK pbtrf/pbtrs) at the start of each solve.  It is
-refactored at the current iterate, and the direction restarted, only when
-the accepted step length falls outside REFRESH_STEPS (a step far from 1
-says M no longer matches the curvature along the direction), and at the
-latest every RESTART_PERIOD iterations.  The rule reads only the iterates
-and does not bound how often it fires; on the benchmark workloads it gives
-0.4 to 0.7 factorizations per iteration, most of them at the start of short
-solves.  M only shapes the search directions of a line search, so the
-method stays first order and its stopping test is the plain gradient norm.
-A failed line search falls back to preconditioned steepest descent from
-step 1, with M factored at the current iterate, before giving up.
+by banded Cholesky (LAPACK pbtrf/pbtrs).  A SolveContext carries one factor
+from solve to solve of a problem (a march of implicit steps, the dual solves
+of a trajectory, the oracle's sweeps): after a solve that converged within
+one NCG iteration the next solve starts on that factor, rescaled to its
+start by the homogeneity M(s x) = s^(p-2) M(x), and any other solve starts
+by factoring M at its start.  M is refactored at the current iterate, and
+the direction restarted, only when the accepted step length falls outside
+REFRESH_STEPS (a step far from 1 says M no longer matches the curvature
+along the direction), and at the latest every RESTART_PERIOD iterations.
+The rule reads only the iterates and does not bound how often it fires.
+M only shapes the search directions of a line search, so the method stays
+first order and its stopping test is the plain gradient norm.  A failed
+line search falls back to preconditioned steepest descent from step 1,
+with M factored at the current iterate, before giving up.
 
 Every solve first moves its start along the ray {s x0 : s > 0} to the
 minimizer there, which the degree-p homogeneity gives in closed form.  A
 warm start then keeps its shape and gains the right size: for an implicit
 step from u_prev the factor is that of the separated solution,
 s^(p-1) = 1 / (1 + tau lambda-hat) with lambda-hat the Rayleigh quotient of
-u_prev.  The stopping reference is still taken at the unscaled start.
+u_prev.  The stopping reference is still taken at the unscaled start.  The
+first step of a march also tries the p = 2 linear step from u_prev, which
+from flat data at p > 2 is far closer than u_prev (there H_E vanishes inside
+the domain, so each direction of M reaches only about one cell further in),
+and starts from whichever ray-scaled candidate has the lower objective.
 
 The Neumann zero-p-mean shift is a safeguarded Newton iteration on the
 p-mean, started at c = 0, with bisection as its fallback.
@@ -57,6 +64,7 @@ from .operators import (
 )
 
 __all__ = [
+    "SolveContext",
     "SolverConfig",
     "implicit_step",
     "inverse_operator",
@@ -184,6 +192,71 @@ def _factor(ab):
     return lambda g: pbtrs(c, g, lower=1)[0]
 
 
+class SolveContext:
+    """Solver state shared by the solves of one problem.
+
+    One context serves the implicit steps of one march (tau given) or a run
+    of inverse solves (tau None) on one domain, regime and p, with the
+    regime validated once; eps still comes per call through the params.  It
+    holds at most one preconditioner factor, with the scale max|x_ref| of the
+    iterate it was built at, and a gate: whether the last solve converged
+    within one NCG iteration.  While the gate is open the next solve starts
+    on that factor, its solves scaled by (max|x_ref| / max|x|)^(p-2) since
+    M(s x) = s^(p-2) M(x); a scale that is not finite and positive, or a
+    zero x, builds a fresh factor instead.  A factor built at the zero field
+    (a cold inverse start, on the p = 2 stiffness) is not kept, and a solve
+    that fails closes the gate.
+
+    The counters record the work: solves, NCG iterations, and the
+    factorizations by kind, fresh (at a solve's start), refreshed (inside a
+    solve) and linear (the p = 2 step of a march's first step); carried
+    counts the solves that started on a kept factor instead of a fresh one.
+    """
+
+    def __init__(self, dom: Domain, regime: BoundaryRegime, p: float,
+                 tau: float | None = None):
+        if tau is not None and not 0 < tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {tau}")
+        validate_regime(dom, regime)
+        self.dom, self.regime, self.p, self.tau = dom, regime, p, tau
+        self._solve = None  # z -> M^-1 g of the kept factor
+        self._ref_scale = 0.0  # max|x_ref| of the kept factor
+        self._gate = False
+        self.solves = self.iterations = 0
+        self.fresh = self.refreshed = self.carried = self.linear = 0
+
+    @property
+    def factorizations(self) -> int:
+        return self.fresh + self.refreshed + self.linear
+
+    def _check(self, dom, regime, p, tau):
+        if dom is not self.dom or (regime, p, tau) != (self.regime, self.p, self.tau):
+            raise ValueError("the solve context belongs to another problem")
+
+    def factor(self, x, precondition):
+        """Factor M = precondition(x), keep it unless x = 0; returns z -> M^-1 g."""
+        self._solve = None  # free the kept factor before the new one is built
+        solve = _factor(precondition(x))
+        scale = float(np.max(np.abs(x)))
+        if scale > 0.0:
+            self._solve, self._ref_scale = solve, scale
+        return solve
+
+    def start(self, x, precondition):
+        """(z -> M^-1 g, fresh) for a solve starting at x: the kept factor
+        rescaled to x while the gate is open, else a fresh factor at x."""
+        scale = np.max(np.abs(x))
+        if self._gate and self._solve is not None and scale > 0.0:
+            with np.errstate(over="ignore", under="ignore"):
+                c = float((self._ref_scale / scale) ** (self.p - 2.0))
+            if 0.0 < c < math.inf:
+                self.carried += 1
+                solve = self._solve
+                return (lambda g: c * solve(g)), False
+        self.fresh += 1
+        return self.factor(x, precondition), True
+
+
 def _ray_start(value_grad, b, p, x, f, g):
     """Move x to the minimizer of the objective along its ray {s x : s > 0}.
 
@@ -209,22 +282,26 @@ def _ray_start(value_grad, b, p, x, f, g):
     return x, f, g
 
 
-def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition):
+def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition,
+         ctx: SolveContext, alt=None):
     """Minimize a smooth convex function; returns (x, gnorm, iterations).
 
     The objective is a degree-p energy minus the linear term <b, x>.
     Preconditioned Polak-Ribiere+ directions; preconditioned
     steepest-descent fallback when a conjugate direction stalls.
     value_grad(x) -> (f, g); precondition(x) -> the lower band of an SPD
-    approximation M of the Hessian at x.  M is factored at the start and
-    refactored, with a restart (beta = 0), after an accepted step outside
-    REFRESH_STEPS and every RESTART_PERIOD iterations; the next line search
-    still starts from the last accepted step.  A failed line search falls
-    back to d = -M^-1 g from step 1, refactoring M unless it was just
-    refactored; only a failed search from step 1 with a fresh M raises.
+    approximation M of the Hessian at x.  The first direction uses ctx's
+    kept factor, rescaled, when its gate is open and M factored at the
+    start otherwise (see SolveContext.start).  M is refactored, with a
+    restart (beta = 0), after an accepted step outside REFRESH_STEPS and
+    every RESTART_PERIOD iterations; the next line search still starts from
+    the last accepted step.  A failed line search falls back to d = -M^-1 g
+    from step 1, refactoring M unless it was just factored at this iterate;
+    only a failed search from step 1 with a fresh M raises.
     Stops when ||g||_2 <= grad_tol * R0 with
     R0 = max(||g(x0)||, ref_norm); the iteration starts from x0 moved along
-    its ray (see _ray_start).
+    its ray (see _ray_start), or from the alternative start alt moved along
+    its own ray when that has the lower objective.
     """
     x = x0.copy()
     f, g = value_grad(x)
@@ -234,6 +311,10 @@ def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition):
     if gnorm <= target:
         return x, gnorm, 0
     x, f, g = _ray_start(value_grad, b, p, x, f, g)
+    if alt is not None:
+        xa, fa, ga = _ray_start(value_grad, b, p, alt, *value_grad(alt))
+        if fa < f:
+            x, f, g = xa, fa, ga
     gnorm = float(np.linalg.norm(g))
     if gnorm <= target:
         return x, gnorm, 0
@@ -244,20 +325,25 @@ def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition):
     last_improve = 0
     window = max(3000, 4 * x.size)
 
-    def refactor(x):
+    def factored(build, x):
         try:
-            return _factor(precondition(x))
+            return build(x, precondition)
         except np.linalg.LinAlgError as err:
             raise NonConvergenceError(f"preconditioner did not factor: {err}",
                                       last_iterate=best_x, residual=best_g / ref)
 
-    solve = refactor(x)
+    def refactor(x):
+        ctx.refreshed += 1
+        return factored(ctx.factor, x)
+
+    # fresh: d = -M^-1 g with M factored at the current x
+    solve, fresh = factored(ctx.start, x)
     z = solve(g)
     gz = float(g @ z)
     d = -z
     alpha = 1.0
-    fresh = True  # d = -M^-1 g with M factored at the current x
     for it in range(MAX_ITERS):
+        ctx.iterations += 1
         gd = float(g @ d)
         if gd >= 0.0:  # conjugacy lost to rounding
             d = -z
@@ -313,26 +399,47 @@ def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition):
         last_iterate=best_x, residual=best_g / ref)
 
 
-def _solve(fg, b, x0, ref_norm, cfg, precondition, params, regime):
-    # _ncg with the regime and p attached to its NonConvergenceError.
+def _solve(fg, b, x0, ref_norm, cfg, precondition, params, ctx, alt=None):
+    # _ncg with its work and gate recorded in ctx, and the regime and p
+    # attached to its NonConvergenceError.
+    ctx.solves += 1
     try:
-        return _ncg(fg, b, params.p, x0, ref_norm, cfg, precondition)[0]
+        x, _, iterations = _ncg(fg, b, params.p, x0, ref_norm, cfg, precondition, ctx, alt)
     except NonConvergenceError as err:
-        err.regime, err.p = regime.kind, params.p
+        ctx._gate = False
+        err.regime, err.p = ctx.regime.kind, params.p
         raise
+    ctx._gate = iterations <= 1
+    return x
+
+
+def _linear_step(ctx: SolveContext, u_prev):
+    """The p = 2 step from u_prev, (tau K2 + vol I) x = vol u_prev, with K2 the
+    p = 2 stiffness (the Hessian a cold inverse start uses); one factorization."""
+    dom, vol = ctx.dom, ctx.dom.cell_volume
+    ab = energy_hessian(dom, np.zeros_like(u_prev), EnergyParams(2.0), ctx.regime)
+    ab *= ctx.tau
+    ab[0] += vol
+    ctx.linear += 1
+    return _factor(ab)(vol * u_prev)
 
 
 def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
-                  regime: BoundaryRegime, cfg: SolverConfig) -> np.ndarray:
+                  regime: BoundaryRegime, cfg: SolverConfig,
+                  ctx: SolveContext | None = None) -> np.ndarray:
     """One backward step of the flow: the unique minimizer of F above.
 
     Warm-starts from u_prev and stops once the gradient norm has dropped by
-    grad_tol relative to its value at the warm start.
+    grad_tol relative to its value at u_prev.  ctx is the march's
+    SolveContext, for tau and this p; without one the call is a one-step
+    march of its own.  The first step of a march also tries the p = 2
+    linear step as its start (see the module docstring).
     """
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if ctx is None:
+        ctx = SolveContext(dom, regime, params.p, tau)
+    else:
+        ctx._check(dom, regime, params.p, tau)
     u_prev = dom.check_field(u_prev)
-    validate_regime(dom, regime)
     if not u_prev.any():
         return np.zeros_like(u_prev)
 
@@ -352,21 +459,27 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
         ab[0] += vol * (p - 1.0) * (x * x + delta2) ** ((p - 2.0) / 2.0)
         return ab
 
-    return _solve(fg, b, u_prev, 0.0, cfg, precondition, params, regime)
+    alt = _linear_step(ctx, u_prev) if ctx.solves == 0 else None
+    return _solve(fg, b, u_prev, 0.0, cfg, precondition, params, ctx, alt)
 
 
 def inverse_operator(dom: Domain, f, params: EnergyParams,
                      regime: BoundaryRegime, cfg: SolverConfig,
-                     warm_start=None) -> np.ndarray:
+                     warm_start=None, ctx: SolveContext | None = None) -> np.ndarray:
     """Solve -Delta_p u = f weakly: minimize E(u) - int f u.
 
     For the Neumann regime f must annihilate constants (zero weighted mean);
     the minimizer is then pinned to its zero-p-mean representative by a
     post-shift.  The stopping reference is the data norm ||w f||, so a warm
-    start that already satisfies the equation returns immediately.
+    start that already satisfies the equation returns immediately.  ctx is
+    the SolveContext of a run of inverse solves for this p (tau None);
+    without one the call is a run of its own.
     """
+    if ctx is None:
+        ctx = SolveContext(dom, regime, params.p)
+    else:
+        ctx._check(dom, regime, params.p, None)
     f = dom.check_field(f)
-    validate_regime(dom, regime)
     vol = dom.cell_volume
     b = vol * f
     bnorm = float(np.linalg.norm(b))
@@ -388,7 +501,7 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
         return energy_hessian(dom, x, params if x.any() else EnergyParams(2.0), regime)
 
     x0 = dom.check_field(warm_start) if warm_start is not None else np.zeros_like(f)
-    u = _solve(fg, b, x0, bnorm, cfg, precondition, params, regime)
+    u = _solve(fg, b, x0, bnorm, cfg, precondition, params, ctx)
     return project_pmean(dom, u, params.p, regime)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .domain import Domain, lp_norm
-from .elliptic import SolverConfig, implicit_step, project_pmean
+from .elliptic import SolveContext, SolverConfig, implicit_step, project_pmean
 from .errors import InvalidSnapshotError, NonConvergenceError
 from .operators import BoundaryRegime, EnergyParams, jp
 
@@ -86,8 +86,9 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
     """March up to max_steps implicit steps from g, recording diagnostics.
 
     Neumann initial data is first shifted to its zero-p-mean representative.
-    Solver failures propagate with the step index attached.  After each step
-    stop(traj) is asked whether to end the march early.
+    The steps share one SolveContext.  Solver failures propagate with the
+    step index attached.  After each step stop(traj) is asked whether to end
+    the march early.
     """
     if max_steps < 1:
         raise ValueError(f"need at least one step, got {max_steps}")
@@ -99,10 +100,11 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
     traj = FlowTrajectory(dom=dom, tau=tau, params=params, regime=regime, states=[g])
     traj.diagnostics.append(diag.build_row(dom, traj, 0))
 
+    ctx = SolveContext(dom, regime, params.p, tau)
     u = g
     for k in range(1, max_steps + 1):
         try:
-            u = implicit_step(dom, u, tau, traj.params_at(k), regime, cfg)
+            u = implicit_step(dom, u, tau, traj.params_at(k), regime, cfg, ctx)
         except NonConvergenceError as err:
             err.step = k
             raise

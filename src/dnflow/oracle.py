@@ -25,7 +25,13 @@ import numpy as np
 import scipy.linalg
 
 from .domain import Domain, integrate_power
-from .elliptic import SolverConfig, inverse_operator, project_cperp, project_pmean
+from .elliptic import (
+    SolveContext,
+    SolverConfig,
+    inverse_operator,
+    project_cperp,
+    project_pmean,
+)
 from .errors import BudgetError, DegenerateInputError, NonConvergenceError, SignViolationError
 from .fractional import kernel_for
 from .operators import (
@@ -144,13 +150,13 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
                       cfg: SolverConfig, seed: int = 0) -> EigenResult:
     """Minimize p*E(u) / int |u|^p over unit-L^p fields (zero p-mean for Neumann).
 
-    Deterministic given the seed; runs at most MAX_SWEEPS = 400 sweeps and
-    then the Newton polish.  lam is the eigen-relation multiplier.  The
+    Deterministic given the seed; runs at most MAX_SWEEPS = 400 sweeps,
+    whose inverse solves share one SolveContext, and then the Newton polish.  lam is the eigen-relation multiplier.  The
     returned pair satisfies the eigen-relation to within 10*grad_tol in the
     weighted relative norm, or a non-convergence error carries out the best
     iterate.
     """
-    validate_regime(dom, regime)
+    ctx = SolveContext(dom, regime, params.p)
     p = params.p
     rng = np.random.default_rng(seed)
     u = _normalize(dom, rng.uniform(0.5, 1.5, dom.n_nodes), p, regime)  # positive start
@@ -169,7 +175,7 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
         f = project_cperp(lam * jp(u, p), regime)
         u_old, res_old = u, res
         try:
-            u = inverse_operator(dom, f, params, regime, inner_cfg, warm_start=u)
+            u = inverse_operator(dom, f, params, regime, inner_cfg, warm_start=u, ctx=ctx)
         except NonConvergenceError as err:
             # Inner solve hit its rounding floor; its best iterate still
             # advances the sweep.
@@ -203,6 +209,7 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
     # Sweeps slow to a crawl when the extremal has a nearly flat curvature
     # direction, and stall at their rounding floor near p = 1.5.
     best = min((res, u, lam), best, key=lambda t: t[0])
+    del ctx  # free the kept factor before the polish's LU
     if best[0] > target:
         best = _newton_polish(dom, best, params, regime, target)
     res, u, lam = best

@@ -85,6 +85,22 @@ def test_evolve_writes_deterministic_csv(tmp_path):
     assert len(b1.decode().strip().splitlines()) == 32  # header + 31 rows
 
 
+@pytest.mark.parametrize("command", ["eigen", "evolve"])
+def test_repeated_runs_in_one_process_are_identical(tmp_path, capsys, command):
+    # Each march, dual-column pass and oracle run has its own solve context,
+    # so no solver state carries from one run into the next.
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("domain.kind = rectangle\ndomain.n = 15\np = 3\n"
+                        "regime.kind = dirichlet\nsteps = 20\nseed = 2\n")
+    outputs = []
+    for run in ("a", "b"):
+        assert run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / run)]) == 0
+        printed = capsys.readouterr().out
+        outputs.append(printed if command == "eigen"
+                       else (tmp_path / run / "diagnostics.csv").read_text())
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
 def test_evolve_snapshots(tmp_path):
     from dnflow.flow import read_snapshot
 

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from dnflow.diagnostics import fill_dual_columns
 from dnflow.domain import build_interval, integrate_power
 from dnflow.elliptic import (
+    SolveContext,
     SolverConfig,
     implicit_step,
     inverse_operator,
@@ -308,17 +309,26 @@ def test_failed_search_after_refresh_retries_from_step_one(monkeypatch):
 
 def _fail_searches_on_stale_factor(monkeypatch, failures):
     # Fails `failures` line searches in a row, starting with the first one
-    # that follows an accepted step inside REFRESH_STEPS, so M was not
-    # refactored for it.  Logs every Hessian build and every search start.
+    # that follows an accepted step inside REFRESH_STEPS, or a solve's start
+    # on a carried factor, so M was not factored at x for it.  Logs every
+    # Hessian build, every carried start and every search start.
     import dnflow.elliptic as elliptic
 
     inner, hessian = elliptic._line_search, elliptic.energy_hessian
+    start = elliptic.SolveContext.start
     lo, hi = elliptic.REFRESH_STEPS
     log, prev, failed = [], [None], []
 
+    def logged_start(ctx, x, precondition):
+        solve, fresh = start(ctx, x, precondition)
+        prev[0] = None  # a new solve
+        if not fresh:
+            log.append(("carried", x.copy(), None))
+        return solve, fresh
+
     def search(value_grad, x, f, g, d, gd, alpha0):
+        stale = (prev[0] is not None and lo <= prev[0] <= hi) or (log and log[-1][0] == "carried")
         log.append(("search", x.copy(), alpha0))
-        stale = prev[0] is not None and lo <= prev[0] <= hi
         if len(failed) < failures and (failed or stale):
             failed.append(alpha0)
             log.append(("fail", None, None))
@@ -333,6 +343,7 @@ def _fail_searches_on_stale_factor(monkeypatch, failures):
 
     monkeypatch.setattr(elliptic, "_line_search", search)
     monkeypatch.setattr(elliptic, "energy_hessian", counting_hessian)
+    monkeypatch.setattr(elliptic.SolveContext, "start", logged_start)
     return log
 
 
@@ -362,6 +373,92 @@ def test_failed_search_from_step_one_on_fresh_factor_raises(monkeypatch):
                          DIRICHLET, CFG)
     assert [e[0] for e in log[-5:]] == ["search", "fail", "hessian", "search", "fail"]
     assert log[-2][2] == 1.0
+
+
+def _carrying_context(d, f, params):
+    # A context that keeps a factor with its gate open, after two inverse
+    # solves of f: one from a nonzero start, whose factors are kept, then
+    # one warm-started at its solution, which stops at iteration 0.
+    ctx = SolveContext(d, DIRICHLET, params.p)
+    u = inverse_operator(d, f, params, DIRICHLET, CFG, warm_start=np.ones(f.size), ctx=ctx)
+    inverse_operator(d, f, params, DIRICHLET, CFG, warm_start=u, ctx=ctx)
+    return ctx, u
+
+
+def test_failed_search_on_carried_factor_refactors_and_continues(monkeypatch):
+    # A solve that starts on a carried factor counts it as not fresh: when
+    # its first search fails, M is factored at x and the search retried
+    # from step 1, and the solve reaches the unpatched solution.
+    d = build_interval(32)
+    params = EnergyParams(3.0, 1e-6)
+    f, f2 = np.ones(32), np.ones(32) + 0.5 * sine_mode(d, 2)
+    ctx, u = _carrying_context(d, f, params)
+    ref = inverse_operator(d, f2, params, DIRICHLET, CFG, warm_start=u, ctx=ctx)
+    assert ctx.carried == 1
+
+    ctx, u = _carrying_context(d, f, params)
+    log = _fail_searches_on_stale_factor(monkeypatch, 1)
+    got = inverse_operator(d, f2, params, DIRICHLET, CFG, warm_start=u, ctx=ctx)
+    kinds = [e[0] for e in log]
+    i = kinds.index("fail")
+    assert kinds[i - 2:i + 3] == ["carried", "search", "fail", "hessian", "search"]
+    (_, x_failed, _), (_, x_factored, _), (_, x_next, alpha0) = log[i - 1], log[i + 1], log[i + 2]
+    assert np.array_equal(x_factored, x_failed) and np.array_equal(x_next, x_failed)
+    assert alpha0 == 1.0
+    assert np.max(np.abs(got - ref)) <= 10 * CFG.grad_tol * np.max(np.abs(ref))
+
+
+def test_rescale_outside_the_floats_builds_a_fresh_factor():
+    # The carried factor is rescaled by (max|x_ref| / max|x|)^(p-2): a ratio
+    # of 1e-2 at p = 4 carries it, and one of 1e-200, whose rescale
+    # underflows to 0, builds a fresh factor, as does a zero start.
+    d = build_interval(32)
+    ctx, u = _carrying_context(d, np.ones(32), EnergyParams(4.0, 1e-6))
+    band = np.vstack([np.full(32, 2.0), np.full(32, -1.0)])
+
+    def precondition(x):
+        return band.copy(order="F")
+
+    x = u / np.max(np.abs(u)) * ctx._ref_scale
+    counts = (ctx.fresh, ctx.carried)
+    assert ctx.start(100.0 * x, precondition)[1] is False
+    assert (ctx.fresh, ctx.carried) == (counts[0], counts[1] + 1)
+    for start in (1e200 * x, np.zeros(32)):
+        assert ctx.start(start, precondition)[1] is True
+    assert (ctx.fresh, ctx.carried) == (counts[0] + 2, counts[1] + 1)
+
+
+def test_failed_solve_closes_the_gate(monkeypatch):
+    # A solve that raises says nothing about the kept factor's fit: the next
+    # solve factors M afresh instead of carrying it.
+    import dnflow.elliptic as elliptic
+
+    d = build_interval(32)
+    params = EnergyParams(3.0, 1e-6)
+    ctx, u = _carrying_context(d, np.ones(32), params)
+    f2 = np.ones(32) + 0.5 * sine_mode(d, 2)
+    monkeypatch.setattr(elliptic, "MAX_ITERS", 1)
+    with pytest.raises(NonConvergenceError, match="budget"):
+        inverse_operator(d, 1e3 * f2, params, DIRICHLET, CFG, warm_start=u, ctx=ctx)
+    assert ctx.carried == 1
+    monkeypatch.undo()
+    fresh = ctx.fresh
+    inverse_operator(d, f2, params, DIRICHLET, CFG, warm_start=u, ctx=ctx)
+    assert (ctx.carried, ctx.fresh) == (1, fresh + 1)
+
+
+def test_context_belongs_to_one_problem():
+    d = build_interval(9)
+    params = EnergyParams(3.0, 1e-6)
+    step_ctx = SolveContext(d, DIRICHLET, 3.0, 0.1)
+    with pytest.raises(ValueError, match="another problem"):
+        implicit_step(d, np.ones(9), 0.2, params, DIRICHLET, CFG, step_ctx)
+    with pytest.raises(ValueError, match="another problem"):
+        inverse_operator(d, np.ones(9), params, DIRICHLET, CFG, ctx=step_ctx)
+    with pytest.raises(ValueError, match="another problem"):
+        implicit_step(build_interval(9), np.ones(9), 0.1, params, DIRICHLET, CFG, step_ctx)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        SolveContext(d, DIRICHLET, 3.0, 0.0)
 
 
 def test_implicit_step_amplitude_equivariant_p15():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dnflow import flow
+from dnflow import elliptic, flow
 from dnflow.diagnostics import energy_identity_residual, lambda_decay_estimate
 from dnflow.domain import build_interval, build_rectangle, lp_norm
 from dnflow.elliptic import SolverConfig, implicit_step, pmean_defect
@@ -290,6 +290,83 @@ def test_settle_continues_from_the_bootstrap(monkeypatch):
     # max_steps counts the settle march only.
     assert evolve_until_settled(d, np.ones(199), params, DIRICHLET, CFG,
                                 max_steps=2).steps == 2
+
+
+def _record_contexts(monkeypatch):
+    # Every SolveContext that flow._march makes, in order.
+    made = []
+
+    def record(*args):
+        made.append(elliptic.SolveContext(*args))
+        return made[-1]
+
+    monkeypatch.setattr(flow, "SolveContext", record)
+    return made
+
+
+@pytest.mark.parametrize("dom, p, regime", [
+    (build_rectangle(31, 31, 1.0, 1.0), 3.0, DIRICHLET),
+    (build_interval(199), 1.5, BoundaryRegime.robin(1.0)),
+])
+def test_carried_factors_match_fresh_factors(monkeypatch, dom, p, regime):
+    # The march's steps start on the kept factor after a one-iteration step;
+    # refactoring at every start instead gives the same lambda-hat, with
+    # more factorizations.
+    params = EnergyParams(p, 1e-6)
+    g = np.ones(dom.n_nodes)
+    made = _record_contexts(monkeypatch)
+    carried = evolve_until_settled(dom, g, params, regime, CFG)
+    start = elliptic.SolveContext.start
+
+    def fresh_start(ctx, x, precondition):
+        ctx._gate = False
+        return start(ctx, x, precondition)
+
+    monkeypatch.setattr(elliptic.SolveContext, "start", fresh_start)
+    fresh = evolve_until_settled(dom, g, params, regime, CFG)
+    n = len(made) // 2
+    assert n == 2  # the bootstrap and the settle march
+    with_carry, without = made[:n], made[n:]
+    assert sum(c.carried for c in with_carry) > 0 and sum(c.carried for c in without) == 0
+    assert (sum(c.factorizations for c in with_carry)
+            < sum(c.factorizations for c in without))
+    lam_c, lam_f = carried.diagnostics[-1].lambda_decay, fresh.diagnostics[-1].lambda_decay
+    assert abs(lam_c / lam_f - 1.0) <= 1e-10
+
+
+def test_first_step_takes_the_linear_start(monkeypatch):
+    # From constant data at p = 3 the p = 2 step is the far better start:
+    # the first step needs at most 5 factorizations, the linear one
+    # included (13 from u_prev), and agrees with the step started at u_prev.
+    # The stop rule bounds the gradient, and at grad_tol 1e-9 either start
+    # ends up to 1e-7 from the minimizer in max norm, so the agreement is
+    # checked at grad_tol 1e-11.
+    dom = build_rectangle(31, 31, 1.0, 1.0)
+    params = EnergyParams(3.0, 1e-6)
+    ones = np.ones(dom.n_nodes)
+    ctx = elliptic.SolveContext(dom, DIRICHLET, 3.0, 0.1)
+    implicit_step(dom, ones, 0.1, params, DIRICHLET, CFG, ctx)
+    assert ctx.linear == 1 and ctx.factorizations <= 5, (ctx.fresh, ctx.refreshed)
+    tight = SolverConfig(grad_tol=1e-11)
+    u = implicit_step(dom, ones, 0.1, params, DIRICHLET, tight)
+    monkeypatch.setattr(elliptic, "_linear_step", lambda ctx, u_prev: None)
+    ref = implicit_step(dom, ones, 0.1, params, DIRICHLET, tight)
+    assert np.max(np.abs(u - ref)) <= 1e-8 * np.max(np.abs(ref))
+    assert not np.array_equal(u, ref)
+
+
+def test_separated_first_step_keeps_u_prev(monkeypatch):
+    # At an extremal the ray-scaled u_prev is the step's solution, so the
+    # linear candidate loses and the solve is the one started at u_prev.
+    d = build_interval(39)
+    params = EnergyParams(3.0, 1e-7)
+    eig = minimize_rayleigh(d, params, DIRICHLET, CFG, seed=0)
+    ctx = elliptic.SolveContext(d, DIRICHLET, 3.0, 0.05)
+    u = implicit_step(d, eig.extremal, 0.05, params, DIRICHLET, CFG, ctx)
+    assert ctx.linear == 1
+    monkeypatch.setattr(elliptic, "_linear_step", lambda ctx, u_prev: None)
+    np.testing.assert_array_equal(
+        u, implicit_step(d, eig.extremal, 0.05, params, DIRICHLET, CFG))
 
 
 @pytest.mark.parametrize("p, regime", [(2.0, DIRICHLET), (3.0, DIRICHLET), (2.0, NEUMANN)])
