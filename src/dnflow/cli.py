@@ -13,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -259,6 +258,9 @@ def cmd_sweep(run, param: str, values, jobs: int | None) -> int:
                               f"{'an integer' if is_int else 'a number'}") from None
         runs.append(_build(swept))
     if jobs > 1 and len(runs) > 1:
+        # Imported here: no other command pays for the process pool's import.
+        from concurrent.futures import ProcessPoolExecutor
+
         # The fork start method forks every worker at the first submit.
         with ProcessPoolExecutor(max_workers=min(jobs, len(runs))) as pool:
             results = list(pool.map(_eigen_numbers, runs))

@@ -46,8 +46,12 @@ p-mean, started at c = 0, with bisection as its fallback.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 
@@ -167,15 +171,48 @@ def _line_search(value_grad, x, f, g, d, gd, alpha0):
     return None
 
 
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, loaded from their file next to
+    ``scipy.__file__`` without the scipy.linalg package, whose import costs
+    several times more (it pulls in numpy.f2py and numpy.testing).  The module
+    is registered under its package name, so an earlier or later
+    ``import scipy.linalg`` in the same process shares it."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "linalg"
+    for suffix in EXTENSION_SUFFIXES:
+        path = folder / ("_flapack" + suffix)
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no _flapack extension in {folder}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    except BaseException:
+        sys.modules.pop(name, None)
+        raise
+    return module
+
+
 @functools.cache
 def _lapack_banded():
-    """LAPACK's banded Cholesky pair (pbtrf, pbtrs) for float64, fetched once."""
-    # Imported here, not at the top: dnflow.oracle loads scipy.linalg
-    # anyway, and loading it from this module, earlier in the package
-    # import, made `import dnflow.cli` about 10 ms slower (2-vCPU x86_64 VM).
-    import scipy.linalg
+    """LAPACK's float64 banded Cholesky (pbtrf, pbtrs) and pivoted banded LU
+    (gbtrf, gbtrs) routines, fetched once; through scipy.linalg's public
+    lookup when the extension does not load from its file."""
+    try:
+        flapack = _load_flapack()
+        return flapack.dpbtrf, flapack.dpbtrs, flapack.dgbtrf, flapack.dgbtrs
+    except (ImportError, OSError):
+        import scipy.linalg
 
-    return scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+        return tuple(scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs", "gbtrf", "gbtrs"),
+                                                   dtype=np.float64))
 
 
 def _factor(ab):
@@ -184,7 +221,7 @@ def _factor(ab):
     The same LAPACK calls as ``scipy.linalg.cholesky_banded`` and
     ``cho_solve_banded``, without their per-call lookup and checks.
     """
-    pbtrf, pbtrs = _lapack_banded()
+    pbtrf, pbtrs, _, _ = _lapack_banded()
     ab[0] += FACTOR_SHIFT * float(np.max(ab[0]))
     c, info = pbtrf(ab, lower=1, overwrite_ab=1)
     if info > 0:

@@ -9,11 +9,11 @@ The sweep map's fixed points are exactly the discrete eigenfunctions, and
 the contraction rate is mesh-independent, so the eigen-residual reaches
 solver precision in a few dozen sweeps.  Where the sweeps stall above the
 target, a damped Newton polish on the analytic Hessian finishes them, for
-every regime and p.
+every regime and p, with one banded LU per step.
 
 ``dense_linear_reference`` is the independent p = 2 oracle: it assembles the
 operator matrix directly from the stencil (or the nonlocal offset weights) and
-calls a dense symmetric eigensolver.
+calls numpy's dense symmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .domain import Domain, integrate_power
 from .elliptic import (
     SolveContext,
     SolverConfig,
+    _lapack_banded,
     inverse_operator,
     project_cperp,
     project_pmean,
@@ -105,34 +105,73 @@ def _normalize(dom, u, p, regime):
     return u / nrm
 
 
+def _bordered_solve(lower, b, c, f, g):
+    """(x, y) with K x + b y = f and c^T x = g; None when K does not factor
+    or the bordered matrix is singular.
+
+    K is symmetric, given by its lower band ``lower[d, j] = K[j + d, j]``.  It
+    is factored once by pivoted banded LU (LAPACK gbtrf) and the border is
+    removed by mixed block elimination (Govaerts & Pryce, IMA J. Numer. Anal.
+    1993): three solves on that factor, one of them transposed.  Unlike plain
+    block elimination this stays accurate while K is nearly singular, as it
+    is at an eigenpair, provided the bordered matrix is not.
+    """
+    _, _, gbtrf, gbtrs = _lapack_banded()
+    bw, n = lower.shape[0] - 1, lower.shape[1]
+    # The general-band layout with kl = ku = bw: K[i, j] at ab[2 bw + i - j, j],
+    # below it bw rows of room for the LU's fill-in.
+    ab = np.zeros((3 * bw + 1, n), order="F")
+    ab[2 * bw:] = lower
+    for d in range(1, bw + 1):
+        ab[2 * bw - d, d:] = lower[d, :n - d]
+    lu, piv, info = gbtrf(ab, bw, bw, overwrite_ab=1)
+    if info != 0:
+        return None
+
+    def solve(rhs, trans=0):
+        return gbtrs(lu, bw, bw, rhs, piv, trans=trans)[0]
+
+    v = solve(c, trans=1)
+    w = solve(b)
+    delta_t, delta = -float(b @ v), -float(c @ w)  # the Schur complement, twice
+    if delta_t == 0.0 or delta == 0.0:
+        return None
+    y1 = (g - float(v @ f)) / delta_t
+    xi = solve(f - y1 * b)
+    y2 = (g - float(c @ xi)) / delta
+    return xi - y2 * w, y1 + y2
+
+
+def _newton_system(dom, u, lam, params, regime):
+    """The polish's bordered Newton system at (u, lam), as (lower, b, c, f, g)
+    for ``_bordered_solve``: K = H_E/vol - lam (p-1) diag|u|^(p-2) with the
+    exact H_E from ``energy_hessian``, b = -jp(u), c = vol jp(u), f the
+    eigen-relation's defect and g the unit-L^p constraint's."""
+    p, vol = params.p, dom.cell_volume
+    ju = jp(u, p)
+    lower = energy_hessian(dom, u, params, regime) / vol
+    lower[0] -= lam * (p - 1.0) * np.abs(u) ** (p - 2.0)
+    return (lower, -ju, vol * ju, lam * ju - energy_gradient(dom, u, params, regime),
+            (1.0 - integrate_power(dom, u, p)) / p)
+
+
 def _newton_polish(dom, best, params, regime, target):
     """Newton iteration on the eigen-system grad E(u) = lam jp(u), |u|_p = 1.
 
     Starts from best = (residual, u, lam) and returns the best such triple.
-    The bordered Jacobian [[H_E/vol - lam (p-1) diag|u|^(p-2), -jp(u)],
-    [vol jp(u)^T, 0]] takes the exact H_E from ``energy_hessian`` and is
-    solved by one sparse LU per step.
+    Each step solves the bordered Jacobian [[K, -jp(u)], [vol jp(u)^T, 0]]
+    of ``_newton_system`` by one banded LU of K (``_bordered_solve``); a K
+    that does not factor, or a non-finite step, ends the polish.
     """
-    from scipy.sparse import bmat, dia_matrix
-    from scipy.sparse.linalg import spsolve
-
-    p, vol = params.p, dom.cell_volume
+    p = params.p
     for _ in range(POLISH_STEPS):
         res, u, lam = best
         if res <= target:
             break
-        ju = jp(u, p)
-        # The lower band ab[d, j] = H[j + d, j] is scipy's dia layout at
-        # offset -d; halving the diagonal makes L + L^T the whole matrix.
-        ab = energy_hessian(dom, u, params, regime) / vol
-        ab[0] = 0.5 * (ab[0] - lam * (p - 1.0) * np.abs(u) ** (p - 2.0))
-        L = dia_matrix((ab, -np.arange(len(ab))), shape=(u.size, u.size))
-        J = bmat([[L + L.T, -ju[:, None]], [vol * ju[None, :], None]], format="csc")
-        rhs = np.append(lam * ju - energy_gradient(dom, u, params, regime),
-                        (1.0 - integrate_power(dom, u, p)) / p)
-        du = spsolve(J, rhs)[:-1]
-        if not np.isfinite(du).all():
+        step = _bordered_solve(*_newton_system(dom, u, lam, params, regime))
+        if step is None or not np.isfinite(step[0]).all():
             break
+        du = step[0]
         # Damped update: near the flat cell the Hessian varies on the eps
         # scale, so the full step can overshoot the linear model's validity.
         for alpha in 0.5 ** np.arange(30.0):
@@ -267,7 +306,9 @@ def operator_matrix(dom: Domain, regime: BoundaryRegime) -> np.ndarray:
     if regime.kind == "fractional":
         ker = kernel_for(dom, regime.s, 2.0)
         h = dom.hx
-        W = scipy.linalg.toeplitz(np.concatenate(([0.0], ker.offsets)))
+        w = np.concatenate(([0.0], ker.offsets))
+        i = np.arange(dom.n_nodes)
+        W = w[np.abs(i[:, None] - i[None, :])]
         A = -(2.0 / h) * W
         np.fill_diagonal(A, (2.0 / h) * W.sum(axis=1) + 2.0 * ker.exterior)
         return A
@@ -284,7 +325,7 @@ def dense_linear_reference(dom: Domain, regime: BoundaryRegime) -> EigenResult:
         raise BudgetError(f"dense reference capped at {DENSE_MAX_NODES} nodes, "
                           f"domain has {dom.n_nodes}")
     A = operator_matrix(dom, regime)
-    vals, vecs = scipy.linalg.eigh(A)
+    vals, vecs = np.linalg.eigh(A)
     idx = 0
     if regime.kind == "neumann":
         floor = 1e-8 * max(abs(vals[0]), abs(vals[-1]))

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -422,6 +423,8 @@ def test_sweep_rows_in_order(tmp_path):
 
 
 def test_sweep_forks_at_most_one_worker_per_value(tmp_path, monkeypatch):
+    import concurrent.futures
+
     import dnflow.cli as cli_mod
 
     workers = []
@@ -439,7 +442,7 @@ def test_sweep_forks_at_most_one_worker_per_value(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 64)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(BASE.replace("domain.n = 39", "domain.n = 9"))
@@ -590,13 +593,40 @@ def test_module_entrypoint_runs(tmp_path):
     assert len(proc.stdout.split()) == 4
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # The oracle's polish imports scipy.sparse inside the function, so that
-    # its import time and memory stay out of every command's start-up.
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, dnflow.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
-        capture_output=True, text=True)
+_LOADED = """
+import json, sys
+
+def loaded(*names):
+    return sorted(m for m in sys.modules if m.startswith(names))
+
+import dnflow.cli
+import dnflow.oracle
+report = {"import": loaded("scipy.linalg", "scipy.sparse", "concurrent.futures.process")}
+polish = dnflow.oracle._newton_polish
+polished = []
+dnflow.oracle._newton_polish = lambda *args: polished.append(1) or polish(*args)
+codes = [dnflow.cli.main([command, "--config", path, "--out", sys.argv[3]])
+         for command, path in (("evolve", sys.argv[1]), ("eigen", sys.argv[1]),
+                               ("oracle", sys.argv[2]))]
+report.update(codes=codes, polished=len(polished), run=loaded("scipy.linalg", "scipy.sparse"))
+print(json.dumps(report))
+"""
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
+    # No command imports scipy.linalg or scipy.sparse: the banded LAPACK
+    # routines come from scipy's _flapack extension loaded by file path.
+    # Nor does any command but a parallel sweep import the process pool.
+    base = tmp_path / "run.cfg"
+    base.write_text(BASE)
+    polished = tmp_path / "polish.cfg"  # an oracle run that reaches the polish
+    polished.write_text("domain.kind = interval\ndomain.n = 32\np = 4\n"
+                        "regime.kind = dirichlet\nseed = 0\n")
+    proc = subprocess.run([sys.executable, "-c", _LOADED, str(base), str(polished),
+                           str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["import"] == []
+    assert report["codes"] == [0, 0, 0]
+    assert report["polished"] == 1
+    assert report["run"] == ["scipy.linalg._flapack"]

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from dnflow.diagnostics import fill_dual_columns
-from dnflow.domain import build_interval, integrate_power
+from dnflow.domain import build_interval, build_rectangle, integrate_power
 from dnflow.elliptic import (
     SolveContext,
     SolverConfig,
@@ -17,7 +17,14 @@ from dnflow.elliptic import (
 )
 from dnflow.errors import CompatibilityError, NonConvergenceError
 from dnflow.flow import evolve
-from dnflow.operators import BoundaryRegime, EnergyParams, energy, energy_gradient, jp
+from dnflow.operators import (
+    BoundaryRegime,
+    EnergyParams,
+    energy,
+    energy_gradient,
+    energy_hessian,
+    jp,
+)
 
 DIRICHLET = BoundaryRegime.dirichlet()
 NEUMANN = BoundaryRegime.neumann()
@@ -501,3 +508,48 @@ def test_unfactorable_preconditioner_raises_nonconvergence(monkeypatch):
         inverse_operator(d, np.ones(9), EnergyParams(3.0, 1e-6), DIRICHLET, CFG)
     assert (err.value.regime, err.value.p) == ("dirichlet", 3.0)
     assert err.value.last_iterate is not None
+
+
+def test_lapack_fallback_gives_identical_results(monkeypatch):
+    # When scipy's _flapack extension does not load from its file, the
+    # routines come from scipy.linalg's public lookup: the same LAPACK, so
+    # a banded solve, a 2-D implicit step and the polish match bit for bit.
+    import scipy.linalg
+
+    import dnflow.elliptic as elliptic
+    from dnflow.oracle import minimize_rayleigh
+
+    looked_up = []
+    lookup = scipy.linalg.get_lapack_funcs
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                        lambda *args, **kw: looked_up.append(args) or lookup(*args, **kw))
+    line, square = build_interval(32), build_rectangle(31, 31, 1.0, 1.0)
+    u = np.sin(np.pi * line.nodes) + 0.1
+    xy = square.nodes
+    u2 = np.sin(np.pi * xy[:, 0]) * np.sin(np.pi * xy[:, 1]) + 0.2 * xy[:, 0]
+
+    def results():
+        ab = energy_hessian(line, u, EnergyParams(3.0, 1e-6), DIRICHLET)
+        ab[0] += 1.0
+        params = EnergyParams(4.0, 1e-6)
+        eig = minimize_rayleigh(line, params, DIRICHLET, CFG, seed=0)  # reaches the polish
+        return (elliptic._factor(ab)(u),
+                implicit_step(square, u2, 0.01, EnergyParams(3.0, 1e-6), DIRICHLET, CFG),
+                np.append(eig.extremal, eig.lam))
+
+    try:
+        elliptic._lapack_banded.cache_clear()
+        direct = results()
+        assert looked_up == []
+
+        def no_file():
+            raise ImportError("no _flapack extension")
+
+        monkeypatch.setattr(elliptic, "_load_flapack", no_file)
+        elliptic._lapack_banded.cache_clear()
+        fallback = results()
+        assert looked_up == [(("pbtrf", "pbtrs", "gbtrf", "gbtrs"),)]
+    finally:
+        elliptic._lapack_banded.cache_clear()
+    for a, b in zip(direct, fallback):
+        assert np.array_equal(a, b)
