@@ -15,7 +15,8 @@ On the uniform grid |x_i - x_j| = |i - j| h, so a pair's weight depends only
 on its offset d = |i - j|: w_d = h^2 / (d h)^(1+ps), and the discretized
 operator is Toeplitz.  A kernel holds the n - 1 offset weights and the n
 exterior tails, cached on the domain per (s, p); :mod:`dnflow.operators`
-turns them into one link per unordered pair and one per node.
+folds them into a circulant table that holds each unordered pair once, with
+one exterior link per node.
 """
 
 from __future__ import annotations

@@ -22,9 +22,14 @@ cached in ``Domain._cache``; it is the only code that knows the regime:
   head = tail, so it is exactly zero.
 - trace (Robin): a link from each boundary element's node to the exterior
   zero; h = 1, weight the surface weight, scale beta.
-- pairs and exterior (fractional): a link per pair i < j with weight
-  2 w_|i-j|, and one per node to the exterior zero with weight 2 h kappa_i;
-  h = 1, scale 1.
+- pairs and exterior (fractional): one fold block.  Its n x (D + 1) table
+  pairs each node i with node (i + d) mod n for d = 1..D, D = n // 2, so it
+  reads every unordered pair once (for even n the pairs at d = n / 2 twice,
+  and the repeats have weight 0); a pair weighs 2 w_|i-j|.  Its last column
+  links each node to the exterior zero with weight 2 h kappa_i.  The
+  differences are strided views of u wrapped around, and each node's
+  gradient is a row sum minus a skewed row sum of the fluxes, in work
+  buffers the block keeps: no gather and no scatter.
 
 ``_parts`` (energy and raw partials, read by ``energy``, ``energy_gradient``
 and ``energy_and_gradient``) and ``energy_hessian`` sum over the blocks.
@@ -33,9 +38,13 @@ per difference and in 2-D one E-N link per cell for the g_x g_y term, in
 the lower-banded storage ``scipy.linalg.cholesky_banded`` factors.
 ``energy_gradient`` returns a *density*: the raw partials over the cell
 volume, which approximates -Delta_p u pointwise for the local regimes.
+No result is, or views, a block's work buffer.
 
-Reduction order: every sum is a serial numpy reduction in link order, block
-after block, so results are deterministic for fixed inputs.
+Reduction order: every sum is a serial numpy reduction, block after block:
+in link order for the cells and the trace, and by fold rows for the
+fractional block, so results are deterministic for fixed inputs.  The
+fractional block's work buffers make its calls non-reentrant, so threads
+do not share a domain.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .domain import Domain
 from .errors import UnsupportedRegimeError
@@ -195,10 +205,138 @@ class _Links:
     band: np.ndarray     # flat index of each link's -k in the (n + 1, width) transposed band
     width: int           # band width, shared by every block of a regime
 
+    def parts(self, u, p, eps):
+        # (block energy, raw partials): one gather of the differences and
+        # one bincount scatter of their fluxes.
+        g = _differences(u, self)
+        cell, m = _cell_terms((g * g).sum(axis=0), p, eps)
+        # In place, to hold one temporary of 2 x cells floats fewer.
+        terms = self.flux * m
+        terms *= g[:, None]
+        if self.weight is not None:
+            cell *= self.weight
+        return ((self.scale / p) * float(cell.sum()),
+                np.bincount(self.ends.ravel(), terms.ravel(), u.size + 1)[:u.size])
+
+    def add_hessian(self, abT, u, p, eps):
+        # Every live link adds k to the diagonal of its nodes, and a link of
+        # two nodes -k off it.
+        k = _link_weights(u, p, eps, self).ravel()
+        n = u.size
+        abT[:, 0] += np.bincount(self.diag[1], k, n + 1) + np.bincount(self.diag[0], k, n + 1)
+        np.put(abT, self.band, -k)
+
+
+@dataclass(frozen=True, eq=False)
+class _Fold:
+    # The fractional pairs and exterior links as a circulant fold.  Row i
+    # pairs node i with node (i + d) mod n in column d - 1, d = 1..D for
+    # D = n // 2, which reads every unordered pair once; for even n column
+    # D - 1 holds each of its pairs twice, and its second half has weight 0.
+    # Column D links each node to the exterior zero.  A link's flux leaves
+    # its row node and enters its head node, whose sums over the links are
+    # the row sums of a skewed view.  The views are built once over the
+    # buffers, which are work space of one call at a time: written before
+    # they are read, and never returned.
+    weight: np.ndarray   # (n, D + 1) 2 w_|i-j| per pair and 2 h kappa_i
+    band: np.ndarray     # flat index of each link's -k in the (n + 1, width)
+                         # transposed band; n * width, the cut-off row, if none
+    width: int           # n: the band holds every offset 1..n-1
+    wrapped: np.ndarray  # (n + D,) u, then u[:D] again
+    heads: np.ndarray    # (n, D) view of wrapped: heads[i, d - 1] = u[(i + d) mod n]
+    g: np.ndarray        # (n, D + 1) each link's head minus its row node
+    work: np.ndarray     # (n, D + 1) scratch
+    flux: np.ndarray     # (n + D, D + 1) rows n - D..n-1 of the fluxes, then all n
+    rows: np.ndarray     # (n, D + 1) view: the fluxes, flux[D:]
+    skew: np.ndarray     # (n, D) view of flux: skew[j, d - 1] = flux of the pair
+                         # ((j - d) mod n, j)
+
+    def _differences(self, u):
+        n, fold = self.heads.shape
+        self.wrapped[:n] = u
+        self.wrapped[n:] = u[:fold]
+        np.subtract(self.heads, u[:, None], out=self.g[:, :fold])
+        np.negative(u, out=self.g[:, fold])
+        return self.g
+
+    def _sums(self):
+        # Per node, the sums of the fluxes over the links it heads and over
+        # those it is the row node of.
+        n, fold = self.heads.shape
+        self.flux[:fold] = self.flux[n:]
+        return self.skew.sum(axis=1), self.rows.sum(axis=1)
+
+    def parts(self, u, p, eps):
+        # The smoothed power of _cell_terms, in place: the cell energies in
+        # work and the fluxes m g weight in rows.
+        g = self._differences(u)
+        cell, m = self.work, self.rows
+        np.multiply(g, g, out=cell)
+        if p == 2.0:
+            m[...] = g
+        else:
+            e2 = eps * eps
+            cell += e2
+            m[...] = cell
+            m **= (p - 2.0) / 2.0
+            cell *= m
+            cell -= e2 ** ((p - 2.0) / 2.0) * e2
+            m *= g
+        m *= self.weight
+        cell *= self.weight
+        heads, rows = self._sums()
+        return float(cell.sum()) / p, heads - rows
+
+    def add_hessian(self, abT, u, p, eps):
+        # The curvature of _cell_curvature, in place, times the weights: k
+        # per link.  A pair's nodes each get k on the diagonal, from the
+        # same two sums as the gradient, and -k at its band place.
+        k = self.rows
+        if p == 2.0:
+            k[...] = self.weight
+        else:
+            r2 = self._differences(u)
+            r2 *= r2
+            np.add(r2, eps * eps, out=k)
+            np.divide(r2, k, out=r2, where=k > 0.0)  # 0 where |g|^2 + eps^2 is
+            r2 *= p - 2.0
+            r2 += 1.0
+            k **= (p - 2.0) / 2.0
+            k *= r2
+            k *= self.weight
+        heads, rows = self._sums()
+        abT[:u.size, 0] += heads + rows
+        np.put(abT, self.band, np.negative(k, out=k))
+
+
+def _fold(ker, h):
+    # The fold of the kernel's n - 1 offset weights and n exterior tails.
+    n = ker.exterior.size
+    fold = n // 2
+    i, d = np.arange(n)[:, None], np.arange(1, fold + 1)
+    j = (i + d) % n
+    off = np.abs(j - i)
+    weight = np.empty((n, fold + 1))
+    weight[:, :fold] = 2.0 * ker.offsets[off - 1]
+    weight[:, fold] = 2.0 * h * ker.exterior
+    band = np.full((n, fold + 1), n * n)
+    band[:, :fold] = np.minimum(i, j) * n + off
+    if n % 2 == 0:
+        weight[fold:, fold - 1] = 0.0
+        band[fold:, fold - 1] = n * n
+    wrapped, flux = np.zeros(n + fold), np.zeros((n + fold, fold + 1))
+    step = flux.itemsize
+    return _Fold(weight=weight, band=band.ravel(), width=n, wrapped=wrapped,
+                 heads=as_strided(wrapped[1:], (n, fold), (step, step), writeable=False),
+                 g=np.zeros((n, fold + 1)), work=np.zeros((n, fold + 1)),
+                 flux=flux, rows=flux[fold:],
+                 skew=as_strided(flux[fold - 1:], (n, fold), (flux.strides[0], -fold * step),
+                                 writeable=False))
+
 
 def _links(dom, regime, p):
     # The one regime dispatch: the regime's link blocks, built on first use
-    # and cached on the domain.  Only the fractional blocks depend on p.
+    # and cached on the domain.  Only the fractional block depends on p.
     key = ("links", regime, p if regime.kind == "fractional" else None)
     blocks = dom._cache.get(key)
     if blocks is not None:
@@ -206,11 +344,7 @@ def _links(dom, regime, p):
     validate_regime(dom, regime)
     n = dom.n_nodes
     if regime.kind == "fractional":
-        ker = kernel_for(dom, regime.s, p)
-        tail, head = np.triu_indices(n, 1)
-        weight = 2.0 * np.concatenate((ker.offsets[head - tail - 1], dom.hx * ker.exterior))
-        blocks = (_unit_links(n, np.concatenate((head, np.arange(n))),
-                              np.concatenate((tail, np.full(n, n))), 1.0, weight, n),)
+        blocks = (_fold(kernel_for(dom, regime.s, p), dom.hx),)
     else:
         # One cell block serves Dirichlet, and one Neumann and Robin.
         dirichlet = regime.kind == "dirichlet"
@@ -309,17 +443,9 @@ def _parts(dom, u, params, regime):
     p, eps = params.p, params.epsilon
     e_val, raw = 0.0, np.zeros(u.size)
     for links in _links(dom, regime, p):
-        g = _differences(u, links)
-        cell, m = _cell_terms((g * g).sum(axis=0), p, eps)
-        # In place, to hold one temporary of 2 x cells floats fewer: at
-        # fractional n = 199 the extra one made the allocator hand pages
-        # back and fault them in again on every call.
-        terms = links.flux * m
-        terms *= g[:, None]
-        if links.weight is not None:
-            cell *= links.weight
-        e_val += (links.scale / p) * float(cell.sum())
-        raw += np.bincount(links.ends.ravel(), terms.ravel(), u.size + 1)[:u.size]
+        e, partials = links.parts(u, p, eps)
+        e_val += e
+        raw += partials
     return e_val, raw
 
 
@@ -335,17 +461,14 @@ def energy_hessian(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime)
     """
     u = dom.check_field(u)
     blocks = _links(dom, regime, params.p)
-    # Built transposed, one row per band column: every live link adds k to
-    # the diagonal of its nodes, and a link of two nodes adds -k off it
-    # (no two blocks link the same pair).  The band is the first n rows,
-    # transposed back, which is Fortran-ordered.
-    n = u.size
-    abT = np.zeros((n + 1, blocks[0].width))
+    # Built transposed, one row per band column, with a spare row n for the
+    # links that have no place off the diagonal (no two blocks link the
+    # same pair).  The band is the first n rows, transposed back, which is
+    # Fortran-ordered.
+    abT = np.zeros((u.size + 1, blocks[0].width))
     for links in blocks:
-        k = _link_weights(u, params.p, params.epsilon, links).ravel()
-        abT[:, 0] += np.bincount(links.diag[1], k, n + 1) + np.bincount(links.diag[0], k, n + 1)
-        np.put(abT, links.band, -k)
-    return abT[:n].T
+        links.add_hessian(abT, u, params.p, params.epsilon)
+    return abT[:u.size].T
 
 
 def energy(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime) -> float:

@@ -93,16 +93,12 @@ def test_fractional_gradient_fd():
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) <= 1e-6
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_link_form_matches_double_loop(p):
-    # Energy, raw gradient and Hessian against a plain loop over ordered
-    # pairs i != j of the module docstring's formula, each pair weighted
-    # h^2 / |x_i - x_j|^(1+ps), plus the exterior term 2 h kappa_i.
-    n, s, eps = 7, 0.4, 1e-3
-    d = build_interval(n)
-    x, h = d.nodes, d.hx
-    u = np.random.default_rng(9).standard_normal(n)
-    params, reg = EnergyParams(p, eps), BoundaryRegime.fractional(s)
+def double_loop(d, u, p, s, eps):
+    """Energy, raw gradient and dense Hessian of fractional.py's formula by a
+    plain loop over ordered pairs i != j, each pair weighted
+    h^2 / |x_i - x_j|^(1+ps), plus the exterior term 2 h kappa_i."""
+    x, h, u = d.nodes.tolist(), d.hx, u.tolist()
+    n, ps = len(x), p * s
 
     def terms(z, w):
         # w f(z) / p, its first and its second derivative, for
@@ -111,11 +107,11 @@ def test_link_form_matches_double_loop(p):
         m = base ** ((p - 2) / 2)
         return w * (base ** (p / 2) - eps**p) / p, w * m * z, w * m * (1 + (p - 2) * z * z / base)
 
-    e_ref, g_ref, H_ref = 0.0, np.zeros(n), np.zeros((n, n))
+    e_ref, g_ref, H_ref = 0.0, [0.0] * n, np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i != j:
-                e, g, c = terms(u[i] - u[j], h * h / abs(x[i] - x[j]) ** (1 + p * s))
+                e, g, c = terms(u[i] - u[j], h * h / abs(x[i] - x[j]) ** (1 + ps))
                 e_ref += e
                 g_ref[i] += g
                 g_ref[j] -= g
@@ -123,17 +119,41 @@ def test_link_form_matches_double_loop(p):
                 H_ref[j, j] += c
                 H_ref[i, j] -= c
                 H_ref[j, i] -= c
-        kappa = (x[i] ** (-p * s) + (1 - x[i]) ** (-p * s)) / (p * s)
+        kappa = (x[i] ** -ps + (1 - x[i]) ** -ps) / ps
         e, g, c = terms(u[i], 2 * h * kappa)
         e_ref += e
         g_ref[i] += g
         H_ref[i, i] += c
+    return e_ref, np.array(g_ref), H_ref
 
+
+def assert_matches_double_loop(n, p, s, eps, seed):
+    d = build_interval(n)
+    u = np.random.default_rng(seed).standard_normal(n)
+    params, reg = EnergyParams(p, eps), BoundaryRegime.fractional(s)
+    e_ref, g_ref, H_ref = double_loop(d, u, p, s, eps)
     e_val, raw = energy_and_gradient(d, u, params, reg)
     assert e_val == pytest.approx(e_ref, rel=1e-13)
+    assert energy(d, u, params, reg) == e_val
     assert np.max(np.abs(raw - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
     ab = energy_hessian(d, u, params, reg)
+    assert ab.shape == (n, n)
     H = np.zeros((n, n))
     for k in range(n):
         H[np.arange(k, n), np.arange(n - k)] = H[np.arange(n - k), np.arange(k, n)] = ab[k, :n - k]
     assert np.max(np.abs(H - H_ref)) <= 1e-13 * np.max(np.abs(H_ref))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_link_form_matches_double_loop(p):
+    assert_matches_double_loop(7, p, 0.4, 1e-3, 9)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("n", [3, 4, 31, 32, 199])
+def test_fold_matches_double_loop(n, p, s):
+    # The fold reads each unordered pair once; an even n has the offset
+    # n / 2 column, whose pairs it holds twice, so a pair counted twice or
+    # missed shows in every quantity.
+    assert_matches_double_loop(n, p, s, 1e-3, n)

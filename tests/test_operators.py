@@ -420,6 +420,32 @@ def test_cell_table_built_once_per_family(monkeypatch):
         builds.clear()
 
 
+@pytest.mark.parametrize("n", [32, 33])
+@pytest.mark.parametrize("regime", [DIRICHLET, NEUMANN, BoundaryRegime.robin(0.7),
+                                    BoundaryRegime.fractional(0.5)], ids=lambda r: r.kind)
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_results_survive_later_calls(n, regime, p):
+    # A result is never a cached work buffer, nor a view of one: a later
+    # call on other data leaves it as it was, and a call on the first data
+    # again reproduces it bit for bit.
+    dom = build_interval(n)
+    params = EnergyParams(p, 1e-6)
+    u1, u2 = np.random.default_rng(15).standard_normal((2, n))
+    e1, raw1 = energy_and_gradient(dom, u1, params, regime)
+    grad1, ab1 = energy_gradient(dom, u1, params, regime), energy_hessian(dom, u1, params, regime)
+    kept = raw1.copy(), grad1.copy(), ab1.copy()
+    e2, raw2 = energy_and_gradient(dom, u2, params, regime)
+    energy_gradient(dom, u2, params, regime)
+    energy_hessian(dom, u2, params, regime)
+    assert e2 != e1
+    for got, was in zip((raw1, grad1, ab1), kept):
+        assert np.array_equal(got, was)
+    e3, raw3 = energy_and_gradient(dom, u1, params, regime)
+    assert e3 == e1
+    assert np.array_equal(raw3, raw1)
+    assert np.array_equal(energy_hessian(dom, u1, params, regime), ab1)
+
+
 # --- trace ------------------------------------------------------------------
 
 def test_trace_constant_unit_square():
