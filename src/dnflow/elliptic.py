@@ -85,6 +85,7 @@ MAX_BACKTRACKS = 60
 MAX_ITERS = 100_000  # NCG iterations of one solve
 RESTART_PERIOD = 250  # iterations between forced refactors and restarts
 REFRESH_STEPS = (0.5, 2.0)  # accepted steps outside this range refactor M
+RAY_TOL = 64 * np.finfo(float).eps  # ray factors this close to 1 are not tried
 # The preconditioner's mass term of an implicit step is (p-1)(x^2 + delta^2)^((p-2)/2)
 # with delta = MASS_DELTA * max|x|, finite at zeros of x for p < 2.
 MASS_DELTA = 1e-3
@@ -302,7 +303,9 @@ def _ray_start(value_grad, b, p, x, f, g):
     s^(p-1) = <b, x> / <g(x) + b, x>.  For an implicit step started at
     u_prev this is the separated-solution factor 1 / (1 + tau lambda-hat).
     Returns (x, f, g), moved only when s is finite and positive and the
-    objective does not rise there (eps > 0 breaks exact homogeneity).
+    objective does not rise there (eps > 0 breaks exact homogeneity).  An s
+    within RAY_TOL = 64 machine eps of 1 is rounding, not a move: x is kept
+    without the trial evaluation.
     """
     num = float(b @ x)
     den = float((g + b) @ x)
@@ -310,7 +313,7 @@ def _ray_start(value_grad, b, p, x, f, g):
     if not (0.0 < num < np.inf and 0.0 < den < np.inf):
         return x, f, g
     s = (num / den) ** (1.0 / (p - 1.0))
-    if not (0.0 < s < np.inf) or s == 1.0:
+    if not (0.0 < s < np.inf) or abs(s - 1.0) <= RAY_TOL:
         return x, f, g
     xs = s * x
     fs, gs = value_grad(xs)

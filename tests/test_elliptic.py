@@ -284,6 +284,25 @@ def test_implicit_step_work_dirichlet_p15(evals):
     assert evals[0] <= 1400
 
 
+@pytest.mark.parametrize("gap, tried", [(16 * np.finfo(float).eps, False), (1e-10, True)])
+def test_ray_start_skips_rounding_level_factors(gap, tried):
+    # At p = 2 the ray factor is <b, x> / <g + b, x> = 1 / (1 + gap): within
+    # RAY_TOL of 1 it is rounding, and the start stays without a trial.
+    from dnflow.elliptic import RAY_TOL, _ray_start
+
+    calls = []
+
+    def value_grad(x):
+        calls.append(x)
+        return -1.0, np.zeros_like(x)
+
+    x, g = np.array([1.0]), np.array([gap])
+    out = _ray_start(value_grad, np.array([1.0]), 2.0, x, 0.0, g)
+    assert (abs(1.0 / (1.0 + gap) - 1.0) > RAY_TOL) == tried
+    assert len(calls) == int(tried)
+    assert (out[0] is x) != tried
+
+
 def test_cold_inverse_solve_refreshes_preconditioner(evals):
     # A cold solve takes its first direction from the p = 2 stiffness; the
     # step that scales is far from 1 at p = 1.5, so M is refactored at the
