@@ -285,6 +285,8 @@ class _Fold:
         m *= self.weight
         cell *= self.weight
         heads, rows = self._sums()
+        # A numpy sum, not a BLAS dot with the weights: a dot this long wakes
+        # the BLAS threads, which then slow the banded factorizations.
         return float(cell.sum()) / p, heads - rows
 
     def add_hessian(self, abT, u, p, eps):
