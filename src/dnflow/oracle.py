@@ -5,6 +5,9 @@ normalized inverse-power sweeps: each sweep solves the regime's elliptic
 problem with data lambda*jp(u), renormalizes to unit L^p (shifting Neumann
 iterates back to zero p-mean), and re-reads lambda and the eigen-residual
 from one gradient, lambda being the multiplier <grad E(u), u> / sum |u_i|^p.
+The sweeps start from one p = 2 inverse-power step of a seeded positive
+field, K2^-1 (vol g) with K2 the p = 2 stiffness, which smooths the noise
+away before the first nonlinear solve.
 The sweep map's fixed points are exactly the discrete eigenfunctions, and
 the contraction rate is mesh-independent, so the eigen-residual reaches
 solver precision in a few dozen sweeps.  Where the sweeps stall above the
@@ -27,6 +30,7 @@ from .domain import Domain, integrate_power
 from .elliptic import (
     SolveContext,
     SolverConfig,
+    _factor,
     _lapack_banded,
     inverse_operator,
     project_cperp,
@@ -103,6 +107,22 @@ def _normalize(dom, u, p, regime):
     if nrm == 0.0:
         raise DegenerateInputError("cannot normalize the zero field")
     return u / nrm
+
+
+def _start(dom, p, regime, seed):
+    """The sweeps' start: one p = 2 inverse-power step of the seeded positive
+    field g = U(0.5, 1.5), normalized.
+
+    K2, the p = 2 stiffness a cold inverse start also uses, is factored once
+    and dropped on return, so its band is not held during the sweeps.  K2^-1
+    is positive for Dirichlet, Robin and fractional (an M-matrix inverse).
+    For Neumann the data is g's C-perp part, which the step weights toward
+    the first nontrivial mode, and the start is shifted to zero p-mean.
+    """
+    g = np.random.default_rng(seed).uniform(0.5, 1.5, dom.n_nodes)
+    k2 = energy_hessian(dom, np.zeros_like(g), EnergyParams(2.0), regime)
+    u = _factor(k2)(dom.cell_volume * project_cperp(g, regime))
+    return _normalize(dom, u, p, regime)
 
 
 def _bordered_solve(lower, b, c, f, g):
@@ -189,16 +209,16 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
                       cfg: SolverConfig, seed: int = 0) -> EigenResult:
     """Minimize p*E(u) / int |u|^p over unit-L^p fields (zero p-mean for Neumann).
 
-    Deterministic given the seed; runs at most MAX_SWEEPS = 400 sweeps,
-    whose inverse solves share one SolveContext, and then the Newton polish.  lam is the eigen-relation multiplier.  The
-    returned pair satisfies the eigen-relation to within 10*grad_tol in the
-    weighted relative norm, or a non-convergence error carries out the best
-    iterate.
+    Deterministic given the seed: the sweeps start from one p = 2 inverse
+    step of a seeded positive field (see _start).  Runs at most MAX_SWEEPS =
+    400 sweeps, whose inverse solves share one SolveContext, and then the
+    Newton polish.  lam is the eigen-relation multiplier.  The returned pair
+    satisfies the eigen-relation to within 10*grad_tol in the weighted
+    relative norm, or a non-convergence error carries out the best iterate.
     """
     ctx = SolveContext(dom, regime, params.p)
     p = params.p
-    rng = np.random.default_rng(seed)
-    u = _normalize(dom, rng.uniform(0.5, 1.5, dom.n_nodes), p, regime)  # positive start
+    u = _start(dom, p, regime, seed)
     res, lam = _residual_lam(dom, u, params, regime)
 
     target = 3.0 * cfg.grad_tol

@@ -9,6 +9,7 @@ from dnflow.oracle import (
     _bordered_solve,
     _newton_polish,
     _newton_system,
+    _start,
     dense_linear_reference,
     eigen_residual,
     extremal_sign_normalize,
@@ -345,3 +346,89 @@ def test_unfactorable_jacobian_ends_the_polish(monkeypatch):
                         lambda dom, u, params, regime: np.zeros((2, u.size)))
     best = (1.0, u, 0.0)
     assert _newton_polish(d, best, params, DIRICHLET, 1e-9) is best
+
+
+def _l_shape(n):
+    # An n x n mask with its upper-right quarter cut away.
+    bitmap = np.ones((n, n), dtype=bool)
+    bitmap[n // 2:, n // 2:] = False
+    return build_masked(bitmap, 1.0 / (n + 1))
+
+
+@pytest.mark.parametrize("dom, regime", [
+    (build_interval(32), DIRICHLET),
+    (build_interval(199), BoundaryRegime.robin(1.0)),
+    (build_interval(32), BoundaryRegime.fractional(0.5)),
+    (build_interval(199), BoundaryRegime.fractional(0.3)),
+    (build_rectangle(15, 11, 1.0, 0.7), DIRICHLET),
+    (_l_shape(12), DIRICHLET),
+], ids=["dirichlet", "robin", "fractional-32", "fractional-199", "rectangle", "mask"])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_start_is_a_positive_unit_field(dom, regime, p):
+    # K2 is an M-matrix for every regime but Neumann, so its inverse maps
+    # the positive seeded field to a strictly positive start.
+    u = _start(dom, p, regime, seed=0)
+    assert np.all(u > 0.0)
+    assert lp_norm(dom, u, p) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("dom", [build_interval(32), build_interval(199),
+                                 build_rectangle(15, 11, 1.0, 0.7)],
+                         ids=["n32", "n199", "rectangle"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_neumann_start_has_zero_pmean(dom, p):
+    u = _start(dom, p, NEUMANN, seed=0)
+    assert pmean_defect(dom, u, p) <= 1e-10
+    assert lp_norm(dom, u, p) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(MATRIX_REGIMES))
+def test_same_seed_gives_a_bit_identical_extremal(kind):
+    d = build_interval(32)
+    regime = MATRIX_REGIMES[kind]
+    params = EnergyParams(3.0, 1e-6)
+    np.testing.assert_array_equal(_start(d, 3.0, regime, 4), _start(d, 3.0, regime, 4))
+    a = minimize_rayleigh(d, params, regime, CFG, seed=4)
+    b = minimize_rayleigh(d, params, regime, CFG, seed=4)
+    assert a.lam == b.lam and a.iterations == b.iterations
+    np.testing.assert_array_equal(a.extremal, b.extremal)
+
+
+# Work of minimize_rayleigh over interval n in {32, 199}, the four regimes
+# and p in {1.5, 3}, seed 0: the start from one p = 2 inverse step takes
+# 138 factorizations (its own 16 included) and 394 NCG iterations, the
+# start from the raw seeded field 224 and 609.
+WORK_FACTORIZATIONS = 160
+WORK_ITERATIONS = 460
+
+
+def test_oracle_work_from_the_p2_start(monkeypatch):
+    import dnflow.elliptic as elliptic
+    import dnflow.oracle as oracle
+
+    made = []
+
+    def record(*args, **kwargs):
+        made.append(elliptic.SolveContext(*args, **kwargs))
+        return made[-1]
+
+    starts = []
+    factor = elliptic._factor
+
+    def counted(ab):
+        starts.append(ab.shape)
+        return factor(ab)
+
+    monkeypatch.setattr(oracle, "SolveContext", record)
+    monkeypatch.setattr(oracle, "_factor", counted)
+    for n in (32, 199):
+        for regime in MATRIX_REGIMES.values():
+            for p in (1.5, 3.0):
+                eig = minimize_rayleigh(build_interval(n), EnergyParams(p, 1e-6), regime,
+                                        CFG, seed=0)
+                assert eig.residual <= 10 * CFG.grad_tol
+    assert len(made) == len(starts) == 16
+    factorizations = sum(c.factorizations for c in made) + len(starts)
+    iterations = sum(c.iterations for c in made)
+    assert factorizations <= WORK_FACTORIZATIONS, factorizations
+    assert iterations <= WORK_ITERATIONS, iterations
