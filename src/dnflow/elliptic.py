@@ -37,7 +37,9 @@ u_prev.  The stopping reference is still taken at the unscaled start.  The
 first step of a march also tries the p = 2 linear step from u_prev, which
 from flat data at p > 2 is far closer than u_prev (there H_E vanishes inside
 the domain, so each direction of M reaches only about one cell further in),
-and starts from whichever ray-scaled candidate has the lower objective.
+and starts from whichever ray-scaled candidate has the lower objective.  A
+march that continues from a separated state skips that step, which cannot
+win there.
 
 The Neumann zero-p-mean shift is a safeguarded Newton iteration on the
 p-mean, started at c = 0, with bisection as its fallback.
@@ -245,18 +247,21 @@ class SolveContext:
     (a cold inverse start, on the p = 2 stiffness) is not kept, and a solve
     that fails closes the gate.
 
-    The counters record the work: solves, NCG iterations, and the
+    The first step of a march tries the p = 2 linear step as its start unless
+    linear_start is False, as for a march that continues from a separated
+    state.  The counters record the work: solves, NCG iterations, and the
     factorizations by kind, fresh (at a solve's start), refreshed (inside a
     solve) and linear (the p = 2 step of a march's first step); carried
     counts the solves that started on a kept factor instead of a fresh one.
     """
 
     def __init__(self, dom: Domain, regime: BoundaryRegime, p: float,
-                 tau: float | None = None):
+                 tau: float | None = None, linear_start: bool = True):
         if tau is not None and not 0 < tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {tau}")
         validate_regime(dom, regime)
         self.dom, self.regime, self.p, self.tau = dom, regime, p, tau
+        self.linear_start = linear_start
         self._solve = None  # z -> M^-1 g of the kept factor
         self._ref_scale = 0.0  # max|x_ref| of the kept factor
         self._gate = False
@@ -473,7 +478,8 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     grad_tol relative to its value at u_prev.  ctx is the march's
     SolveContext, for tau and this p; without one the call is a one-step
     march of its own.  The first step of a march also tries the p = 2
-    linear step as its start (see the module docstring).
+    linear step as its start, unless ctx was made with linear_start False
+    (see the module docstring).
     """
     if ctx is None:
         ctx = SolveContext(dom, regime, params.p, tau)
@@ -499,7 +505,7 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
         ab[0] += vol * (p - 1.0) * (x * x + delta2) ** ((p - 2.0) / 2.0)
         return ab
 
-    alt = _linear_step(ctx, u_prev) if ctx.solves == 0 else None
+    alt = _linear_step(ctx, u_prev) if ctx.solves == 0 and ctx.linear_start else None
     return _solve(fg, b, u_prev, 0.0, cfg, precondition, params, ctx, alt)
 
 

@@ -82,11 +82,13 @@ def _step_epsilon(params: EnergyParams, u_prev: np.ndarray) -> float:
 
 
 def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
-           regime: BoundaryRegime, cfg: SolverConfig, stop) -> FlowTrajectory:
+           regime: BoundaryRegime, cfg: SolverConfig, stop,
+           linear_start: bool = True) -> FlowTrajectory:
     """March up to max_steps implicit steps from g, recording diagnostics.
 
     Neumann initial data is first shifted to its zero-p-mean representative.
-    The steps share one SolveContext.  Solver failures propagate with the
+    The steps share one SolveContext, whose first step tries the p = 2 linear
+    start when linear_start is True.  Solver failures propagate with the
     step index attached.  After each step stop(traj) is asked whether to end
     the march early.
     """
@@ -100,7 +102,7 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
     traj = FlowTrajectory(dom=dom, tau=tau, params=params, regime=regime, states=[g])
     traj.diagnostics.append(diag.build_row(dom, traj, 0))
 
-    ctx = SolveContext(dom, regime, params.p, tau)
+    ctx = SolveContext(dom, regime, params.p, tau, linear_start=linear_start)
     u = g
     for k in range(1, max_steps + 1):
         try:
@@ -182,8 +184,10 @@ def evolve_until_settled(dom: Domain, g, params: EnergyParams,
     With tau = None the auto_tau bootstrap runs once: tau is its choice,
     and the settle march continues from its last state scaled to max|u| = 1
     (exact by degree-p homogeneity, since eps is relative), so states[0] is
-    that state, not g.  It starts from g when the bootstrap decayed to zero
-    or to the degenerate floor.  A given tau marches from g.
+    that state, not g.  That state is separated, so the march's first step
+    skips the p = 2 linear start, which cannot win there.  It starts from g
+    when the bootstrap decayed to zero or to the degenerate floor.  A given
+    tau marches from g.
 
     The march stops once lambda-hat has settled: each of the last two steps
     changed it only at its rounding floor, or contracted the change with
@@ -191,9 +195,11 @@ def evolve_until_settled(dom: Domain, g, params: EnergyParams,
     relative (see _lambda_settled).  It also stops at the degenerate floor,
     and after max_steps steps, which count the settle march only.
     """
+    separated = False
     if tau is None:
         tau, boot = _bootstrap(dom, g, params, regime, cfg)
-        if not _degenerate(boot):
+        separated = not _degenerate(boot)
+        if separated:
             g = boot.states[-1] / np.max(np.abs(boot.states[-1]))
 
     def stop(traj):
@@ -201,7 +207,8 @@ def evolve_until_settled(dom: Domain, g, params: EnergyParams,
         return _degenerate(traj) or _lambda_settled(
             [row.lambda_decay for row in traj.diagnostics[1:]])
 
-    return _march(dom, g, tau, max_steps, params, regime, cfg, stop)
+    return _march(dom, g, tau, max_steps, params, regime, cfg, stop,
+                  linear_start=not separated)
 
 
 def _check_time(traj: FlowTrajectory, t: float) -> None:

@@ -296,8 +296,8 @@ def _record_contexts(monkeypatch):
     # Every SolveContext that flow._march makes, in order.
     made = []
 
-    def record(*args):
-        made.append(elliptic.SolveContext(*args))
+    def record(*args, **kwargs):
+        made.append(elliptic.SolveContext(*args, **kwargs))
         return made[-1]
 
     monkeypatch.setattr(flow, "SolveContext", record)
@@ -367,6 +367,30 @@ def test_separated_first_step_keeps_u_prev(monkeypatch):
     monkeypatch.setattr(elliptic, "_linear_step", lambda ctx, u_prev: None)
     np.testing.assert_array_equal(
         u, implicit_step(d, eig.extremal, 0.05, params, DIRICHLET, CFG))
+
+
+@pytest.mark.parametrize("p, regime", [(3.0, DIRICHLET), (1.5, BoundaryRegime.robin(1.0))])
+def test_settle_march_skips_the_linear_start(monkeypatch, p, regime):
+    # The settle march continues from the bootstrap's separated state, where
+    # the p = 2 linear candidate loses: only the bootstrap factors it, and
+    # forcing it on the settle march gives the same states.
+    d = build_interval(63)
+    params = EnergyParams(p, 1e-6)
+    g = np.ones(63)
+    made = _record_contexts(monkeypatch)
+    traj = evolve_until_settled(d, g, params, regime, CFG)
+    assert [c.linear for c in made] == [1, 0]
+    assert sum(c.factorizations for c in made[1:]) > 0
+    made.clear()
+    monkeypatch.setattr(flow, "SolveContext", lambda *args, **kwargs: elliptic.SolveContext(*args))
+    forced = evolve_until_settled(d, g, params, regime, CFG)
+    assert len(forced.states) == len(traj.states)
+    for a, b in zip(traj.states, forced.states):
+        np.testing.assert_array_equal(a, b)
+    # A given tau marches from g and still tries the linear start.
+    made = _record_contexts(monkeypatch)
+    evolve_until_settled(d, g, params, regime, CFG, tau=0.01, max_steps=2)
+    assert [c.linear for c in made] == [1]
 
 
 @pytest.mark.parametrize("p, regime", [(2.0, DIRICHLET), (3.0, DIRICHLET), (2.0, NEUMANN)])
