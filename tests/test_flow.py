@@ -381,7 +381,6 @@ def test_settle_march_skips_the_linear_start(monkeypatch, p, regime):
     traj = evolve_until_settled(d, g, params, regime, CFG)
     assert [c.linear for c in made] == [1, 0]
     assert sum(c.factorizations for c in made[1:]) > 0
-    made.clear()
     monkeypatch.setattr(flow, "SolveContext", lambda *args, **kwargs: elliptic.SolveContext(*args))
     forced = evolve_until_settled(d, g, params, regime, CFG)
     assert len(forced.states) == len(traj.states)
