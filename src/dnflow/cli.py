@@ -10,6 +10,7 @@ CSV output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -293,7 +294,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args keeps no state between calls.
     parser = _Parser(prog="dnflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("evolve", "eigen", "oracle", "verify", "sweep"):

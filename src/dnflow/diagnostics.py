@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domain import Domain, integrate_power
 from .elliptic import SolveContext, SolverConfig, inverse_operator, project_cperp
 from .errors import DegenerateInputError
@@ -151,15 +149,22 @@ def rows_to_csv(rows) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_line() for r in rows]) + "\n"
 
 
-def build_row(dom: Domain, traj, k: int) -> DiagnosticsRow:
-    """Cheap (no inverse solve) diagnostics for step k of a trajectory."""
+def build_row(dom: Domain, traj, k: int, evaluation=None) -> DiagnosticsRow:
+    """Cheap (no inverse solve) diagnostics for step k of a trajectory.
+
+    evaluation, when the caller already has it, is (E(u^k) at
+    traj.params_at(k), sum |u^k|^p), and the row then evaluates nothing."""
     u = traj.states[k]
     p = traj.params.p
     vol = dom.cell_volume
-    n_p = integrate_power(dom, u, p)
-    e_k = energy(dom, u, traj.params_at(k), traj.regime)
+    if evaluation is None:
+        n_p = integrate_power(dom, u, p)
+        e_k = energy(dom, u, traj.params_at(k), traj.regime)
+    else:
+        e_k, power_sum = evaluation
+        n_p = vol * power_sum
     ray = p * e_k / n_p if n_p > 0.0 else math.nan
-    cons = vol * float(np.sum(jp(u, p)))
+    cons = vol * float(jp(u, p).sum())
     return DiagnosticsRow(
         k=k, t=k * traj.tau, Np=n_p, rayleigh=ray, dual_q=math.nan,
         lambda_decay=math.nan, conservation=cons, energy_residual=math.nan, energy=e_k)

@@ -59,7 +59,10 @@ class Domain:
     _cache : dict
         Tables derived from the grid alone (fractional kernels and the link
         blocks of :mod:`dnflow.operators`), each written once per key on
-        first use and never changed after.
+        first use and not changed after; the key of a table built for one p
+        ends in that p.  An entry may be dropped, as the oracle's start drops
+        the p = 2 tables it built for a run at another p, and is then built
+        again on its next use.
     """
 
     kind: str
@@ -82,7 +85,8 @@ class Domain:
         return self.hx if self.dimension == 1 else self.hx * self.hy
 
     def check_field(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+        if type(u) is not np.ndarray or u.dtype != float:
+            u = np.asarray(u, dtype=float)
         if u.shape != (self.n_nodes,):
             raise FieldShapeError(
                 f"field has shape {u.shape}, domain has {self.n_nodes} nodes"
@@ -244,7 +248,7 @@ def integrate_power(dom: Domain, u, r: float) -> float:
     if r <= 0:
         raise ValueError(f"exponent must be positive, got {r}")
     u = dom.check_field(u)
-    return float(dom.cell_volume * np.sum(np.abs(u) ** r))
+    return float(dom.cell_volume * (np.abs(u) ** r).sum())
 
 
 def lp_norm(dom: Domain, u, p: float) -> float:

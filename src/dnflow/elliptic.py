@@ -111,6 +111,12 @@ class SolverConfig:
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
 
 
+def _norm(v) -> float:
+    """Euclidean norm of a 1-D vector, sqrt(v . v): the value np.linalg.norm
+    returns, without its per-call dispatch."""
+    return math.sqrt(float(v @ v))
+
+
 def _line_search(value_grad, x, f, g, d, gd, alpha0):
     """Step along the descent direction d with certified decrease.
 
@@ -123,7 +129,9 @@ def _line_search(value_grad, x, f, g, d, gd, alpha0):
     step takes one secant refinement toward phi'(a) = 0, which is the exact
     minimizer when the objective is quadratic.
 
-    Returns (a, xa, fa, ga) or None when no acceptable step exists.
+    value_grad(x) returns (f, g, *extra).  Returns (a, xa, fa, ga, *extra),
+    with the extra items of xa's evaluation, or None when no acceptable
+    step exists.
     """
     c1 = SUFFICIENT_DECREASE
     a = alpha0
@@ -131,7 +139,7 @@ def _line_search(value_grad, x, f, g, d, gd, alpha0):
     hi_a = hi_g = None
     for _ in range(MAX_BACKTRACKS):
         xa = x + a * d
-        fa, ga = value_grad(xa)
+        fa, ga, *extra = value_grad(xa)
         gad = float(ga @ d)
         if not (np.isfinite(fa) and np.isfinite(gad)):
             # Overflowed trial: force the bracket down and retry.
@@ -149,10 +157,10 @@ def _line_search(value_grad, x, f, g, d, gd, alpha0):
             a2 = min(a * (-gd) / curv, 50.0 * a) if curv > 1e-15 * abs(gd) else a
             if np.isfinite(a2) and a2 > 0 and abs(a2 - a) > 1e-12 * a:
                 xb = x + a2 * d
-                fb, gb = value_grad(xb)
+                fb, gb, *extra_b = value_grad(xb)
                 if np.isfinite(fb) and fb <= fa + 1e-14 * (abs(fa) + abs(fb)):
-                    return a2, xb, fb, gb
-            return a, xa, fa, ga
+                    return (a2, xb, fb, gb, *extra_b)
+            return (a, xa, fa, ga, *extra)
         if gad > 0.0:
             hi_a, hi_g = a, gad
         else:
@@ -225,7 +233,7 @@ def _factor(ab):
     ``cho_solve_banded``, without their per-call lookup and checks.
     """
     pbtrf, pbtrs, _, _ = _lapack_banded()
-    ab[0] += FACTOR_SHIFT * float(np.max(ab[0]))
+    ab[0] += FACTOR_SHIFT * float(ab[0].max())
     c, info = pbtrf(ab, lower=1, overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
@@ -253,6 +261,11 @@ class SolveContext:
     factorizations by kind, fresh (at a solve's start), refreshed (inside a
     solve) and linear (the p = 2 step of a march's first step); carried
     counts the solves that started on a kept factor instead of a fresh one.
+
+    evaluation is (x, E(x), sum |x|^p) for the point x the last solved
+    implicit step returned, E at that step's eps, so the march's diagnostics
+    need not evaluate x again; None before the first.  It holds that one
+    point only.
     """
 
     def __init__(self, dom: Domain, regime: BoundaryRegime, p: float,
@@ -265,6 +278,7 @@ class SolveContext:
         self._solve = None  # z -> M^-1 g of the kept factor
         self._ref_scale = 0.0  # max|x_ref| of the kept factor
         self._gate = False
+        self.evaluation = None
         self.solves = self.iterations = 0
         self.fresh = self.refreshed = self.carried = self.linear = 0
 
@@ -280,7 +294,7 @@ class SolveContext:
         """Factor M = precondition(x), keep it unless x = 0; returns z -> M^-1 g."""
         self._solve = None  # free the kept factor before the new one is built
         solve = _factor(precondition(x))
-        scale = float(np.max(np.abs(x)))
+        scale = float(np.abs(x).max())
         if scale > 0.0:
             self._solve, self._ref_scale = solve, scale
         return solve
@@ -288,7 +302,7 @@ class SolveContext:
     def start(self, x, precondition):
         """(z -> M^-1 g, fresh) for a solve starting at x: the kept factor
         rescaled to x while the gate is open, else a fresh factor at x."""
-        scale = np.max(np.abs(x))
+        scale = np.abs(x).max()
         if self._gate and self._solve is not None and scale > 0.0:
             with np.errstate(over="ignore", under="ignore"):
                 c = float((self._ref_scale / scale) ** (self.p - 2.0))
@@ -300,41 +314,46 @@ class SolveContext:
         return self.factor(x, precondition), True
 
 
-def _ray_start(value_grad, b, p, x, f, g):
+def _ray_start(value_grad, b, p, x, f, g, *extra):
     """Move x to the minimizer of the objective along its ray {s x : s > 0}.
 
     For a degree-p energy the objective along the ray is s^p A - s <b, x>,
     and Euler's identity gives <g(x) + b, x> = p A, so the minimizer is
     s^(p-1) = <b, x> / <g(x) + b, x>.  For an implicit step started at
     u_prev this is the separated-solution factor 1 / (1 + tau lambda-hat).
-    Returns (x, f, g), moved only when s is finite and positive and the
-    objective does not rise there (eps > 0 breaks exact homogeneity).  An s
-    within RAY_TOL = 64 machine eps of 1 is rounding, not a move: x is kept
-    without the trial evaluation.
+    (f, g, *extra) is value_grad's result at x.  Returns (x, f, g, *extra),
+    moved only when s is finite and positive and the objective does not
+    rise there (eps > 0 breaks exact homogeneity).  An s within RAY_TOL = 64
+    machine eps of 1 is rounding, not a move: x is kept without the trial
+    evaluation.
     """
     num = float(b @ x)
     den = float((g + b) @ x)
     # A zero x, or dot products that overflowed or underflowed, give no ray.
     if not (0.0 < num < np.inf and 0.0 < den < np.inf):
-        return x, f, g
+        return (x, f, g, *extra)
     s = (num / den) ** (1.0 / (p - 1.0))
     if not (0.0 < s < np.inf) or abs(s - 1.0) <= RAY_TOL:
-        return x, f, g
+        return (x, f, g, *extra)
     xs = s * x
-    fs, gs = value_grad(xs)
-    if fs <= f:
-        return xs, fs, gs
-    return x, f, g
+    trial = value_grad(xs)
+    if trial[0] <= f:
+        return (xs, *trial)
+    return (x, f, g, *extra)
 
 
 def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition,
-         ctx: SolveContext, alt=None):
-    """Minimize a smooth convex function; returns (x, gnorm, iterations).
+         ctx: SolveContext, alt=None, start=None):
+    """Minimize a smooth convex function; returns (x, iterations, extra).
 
     The objective is a degree-p energy minus the linear term <b, x>.
     Preconditioned Polak-Ribiere+ directions; preconditioned
     steepest-descent fallback when a conjugate direction stalls.
-    value_grad(x) -> (f, g); precondition(x) -> the lower band of an SPD
+    value_grad(x) -> (f, g, *extra), where the extra items are whatever the
+    caller wants kept from an evaluation: the minimizer carries them with
+    its iterate and returns those of x, so x is never evaluated again.
+    start, when given, is value_grad's result at x0, which then makes no
+    evaluation there.  precondition(x) -> the lower band of an SPD
     approximation M of the Hessian at x.  The first direction uses ctx's
     kept factor, rescaled, when its gate is open and M factored at the
     start otherwise (see SolveContext.start).  M is refactored, with a
@@ -349,20 +368,20 @@ def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition,
     its own ray when that has the lower objective.
     """
     x = x0.copy()
-    f, g = value_grad(x)
-    gnorm = float(np.linalg.norm(g))
+    f, g, *extra = value_grad(x) if start is None else start
+    gnorm = _norm(g)
     ref = max(gnorm, ref_norm, _TINY)
     target = cfg.grad_tol * ref
     if gnorm <= target:
-        return x, gnorm, 0
-    x, f, g = _ray_start(value_grad, b, p, x, f, g)
+        return x, 0, extra
+    x, f, g, *extra = _ray_start(value_grad, b, p, x, f, g, *extra)
     if alt is not None:
-        xa, fa, ga = _ray_start(value_grad, b, p, alt, *value_grad(alt))
+        xa, fa, ga, *extra_a = _ray_start(value_grad, b, p, alt, *value_grad(alt))
         if fa < f:
-            x, f, g = xa, fa, ga
-    gnorm = float(np.linalg.norm(g))
+            x, f, g, extra = xa, fa, ga, extra_a
+    gnorm = _norm(g)
     if gnorm <= target:
-        return x, gnorm, 0
+        return x, 0, extra
 
     # Best-so-far iterate, for honest reporting when the target is below the
     # rounding floor of this problem.
@@ -410,13 +429,10 @@ def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition,
             fresh = True
             alpha = 1.0
             continue
-        alpha, xa, fa, ga = hit
-
-        g_new = ga
-        gnorm = float(np.linalg.norm(g_new))
-        x, f = xa, fa
+        alpha, x, f, g_new, *extra = hit
+        gnorm = _norm(g_new)
         if gnorm <= target:
-            return x, gnorm, it + 1
+            return x, it + 1, extra
         if gnorm < 0.99 * best_g:
             best_g, best_x = gnorm, x.copy()
             last_improve = it
@@ -444,18 +460,19 @@ def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition,
         last_iterate=best_x, residual=best_g / ref)
 
 
-def _solve(fg, b, x0, ref_norm, cfg, precondition, params, ctx, alt=None):
-    # _ncg with its work and gate recorded in ctx, and the regime and p
-    # attached to its NonConvergenceError.
+def _solve(fg, b, x0, ref_norm, cfg, precondition, params, ctx, alt=None, start=None):
+    # _ncg's (x, extra) with its work and gate recorded in ctx, and the
+    # regime and p attached to its NonConvergenceError.
     ctx.solves += 1
     try:
-        x, _, iterations = _ncg(fg, b, params.p, x0, ref_norm, cfg, precondition, ctx, alt)
+        x, iterations, extra = _ncg(fg, b, params.p, x0, ref_norm, cfg, precondition, ctx,
+                                    alt, start)
     except NonConvergenceError as err:
         ctx._gate = False
         err.regime, err.p = ctx.regime.kind, params.p
         raise
     ctx._gate = iterations <= 1
-    return x
+    return x, extra
 
 
 def _linear_step(ctx: SolveContext, u_prev):
@@ -479,7 +496,8 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     SolveContext, for tau and this p; without one the call is a one-step
     march of its own.  The first step of a march also tries the p = 2
     linear step as its start, unless ctx was made with linear_start False
-    (see the module docstring).
+    (see the module docstring).  The step leaves the evaluation of the
+    point it returns in ctx.evaluation.
     """
     if ctx is None:
         ctx = SolveContext(dom, regime, params.p, tau)
@@ -494,24 +512,29 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     b = vol * jp(u_prev, p)  # linear-term coefficients
 
     def fg(u):
+        # F and its gradient, then E(u) and sum |u|^p for ctx.evaluation.
         e_val, raw = energy_and_gradient(dom, u, params, regime)
-        phi = (vol / p) * float(np.sum(np.abs(u) ** p))
-        return tau * e_val + phi - float(b @ u), tau * raw + vol * jp(u, p) - b
+        power_sum = float((np.abs(u) ** p).sum())
+        return (tau * e_val + (vol / p) * power_sum - float(b @ u),
+                tau * raw + vol * jp(u, p) - b, e_val, power_sum)
 
     def precondition(x):
         ab = energy_hessian(dom, x, params, regime)
         ab *= tau
-        delta2 = (MASS_DELTA * float(np.max(np.abs(x)))) ** 2
+        delta2 = (MASS_DELTA * float(np.abs(x).max())) ** 2
         ab[0] += vol * (p - 1.0) * (x * x + delta2) ** ((p - 2.0) / 2.0)
         return ab
 
     alt = _linear_step(ctx, u_prev) if ctx.solves == 0 and ctx.linear_start else None
-    return _solve(fg, b, u_prev, 0.0, cfg, precondition, params, ctx, alt)
+    x, extra = _solve(fg, b, u_prev, 0.0, cfg, precondition, params, ctx, alt)
+    ctx.evaluation = (x, *extra)
+    return x
 
 
 def inverse_operator(dom: Domain, f, params: EnergyParams,
                      regime: BoundaryRegime, cfg: SolverConfig,
-                     warm_start=None, ctx: SolveContext | None = None) -> np.ndarray:
+                     warm_start=None, ctx: SolveContext | None = None,
+                     warm_eval=None) -> np.ndarray:
     """Solve -Delta_p u = f weakly: minimize E(u) - int f u.
 
     For the Neumann regime f must annihilate constants (zero weighted mean);
@@ -519,7 +542,9 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
     post-shift.  The stopping reference is the data norm ||w f||, so a warm
     start that already satisfies the equation returns immediately.  ctx is
     the SolveContext of a run of inverse solves for this p (tau None);
-    without one the call is a run of its own.
+    without one the call is a run of its own.  warm_eval, when the caller
+    already has it, is energy_and_gradient's (E, raw partials) at warm_start
+    under these params, and the solve then makes no evaluation there.
     """
     if ctx is None:
         ctx = SolveContext(dom, regime, params.p)
@@ -528,12 +553,12 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
     f = dom.check_field(f)
     vol = dom.cell_volume
     b = vol * f
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros_like(f)
     if regime.kind == "neumann":
-        mean = vol * float(np.sum(f))
-        if abs(mean) > 1e-10 * vol * float(np.sum(np.abs(f))):
+        mean = vol * float(f.sum())
+        if abs(mean) > 1e-10 * vol * float(np.abs(f).sum()):
             raise CompatibilityError(
                 f"neumann data must have zero mean; got sum {mean:.3e}")
 
@@ -547,14 +572,18 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
         return energy_hessian(dom, x, params if x.any() else EnergyParams(2.0), regime)
 
     x0 = dom.check_field(warm_start) if warm_start is not None else np.zeros_like(f)
-    u = _solve(fg, b, x0, bnorm, cfg, precondition, params, ctx)
+    start = None
+    if warm_eval is not None:
+        e_val, raw = warm_eval
+        start = e_val - float(b @ x0), raw - b
+    u, _ = _solve(fg, b, x0, bnorm, cfg, precondition, params, ctx, start=start)
     return project_pmean(dom, u, params.p, regime)
 
 
 def project_cperp(f, regime: BoundaryRegime) -> np.ndarray:
     """Neumann data minus its mean, which puts it in C-perp; else f itself."""
     if regime.kind == "neumann":
-        return f - float(np.mean(f))
+        return f - float(f.mean())
     return f
 
 
@@ -570,8 +599,8 @@ def _pmean_slope(r, p: float):
     a = np.abs(r)
     # At p < 2 a zero entry makes the slope inf; the caller bisects then.
     with np.errstate(divide="ignore"):
-        slope = (p - 1.0) * float(np.sum(a ** (p - 2.0)))
-    return float(np.sum(jp(r, p))), slope
+        slope = (p - 1.0) * float((a ** (p - 2.0)).sum())
+    return float(jp(r, p).sum()), slope
 
 
 def zero_pmean_shift(dom: Domain, u, p: float) -> np.ndarray:
@@ -589,13 +618,13 @@ def zero_pmean_shift(dom: Domain, u, p: float) -> np.ndarray:
     decayed.
     """
     u = dom.check_field(u)
-    top, bottom = float(np.max(u)), float(np.min(u))
+    top, bottom = float(u.max()), float(u.min())
     if top == bottom:
         # A multiple root for p > 2, where Newton is only linear; and a
         # rounded mean would leave a nonzero field at p = 2.
         return u - top
     if p == 2.0:
-        return u - float(np.mean(u))
+        return u - float(u.mean())
     scale = max(top, -bottom)
     lo = -top - 0.125 * scale
     hi = -bottom + 0.125 * scale

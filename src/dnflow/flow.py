@@ -59,15 +59,23 @@ class FlowTrajectory:
     regime: BoundaryRegime
     states: list
     diagnostics: list = field(default_factory=list)
+    # params_at's result per state index k - 1, built on first use.
+    _step_params: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def steps(self) -> int:
         return len(self.states) - 1
 
     def params_at(self, k: int) -> EnergyParams:
-        """The energy parameters with the eps frozen for step k, from u^(k-1)."""
-        u_prev = self.states[max(k - 1, 0)]
-        return self.params.with_epsilon(_step_epsilon(self.params, u_prev))
+        """The energy parameters with the eps frozen for step k, from u^(k-1).
+
+        Built once per step; states are only ever appended."""
+        j = max(k - 1, 0)
+        params = self._step_params.get(j)
+        if params is None:
+            params = self.params.with_epsilon(_step_epsilon(self.params, self.states[j]))
+            self._step_params[j] = params
+        return params
 
     def regime_energy(self, k: int) -> float:
         """Energy of u^k under the eps frozen for that step (from its row)."""
@@ -75,7 +83,7 @@ class FlowTrajectory:
 
 
 def _step_epsilon(params: EnergyParams, u_prev: np.ndarray) -> float:
-    eps = params.epsilon * float(np.max(np.abs(u_prev)))
+    eps = params.epsilon * float(np.abs(u_prev).max())
     # Zero or underflowed scale: fall back to the nominal value (the state is
     # at or below the degenerate floor, where eps no longer matters).
     return eps if eps > 0.0 else params.epsilon
@@ -112,7 +120,10 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
             raise
         u = project_pmean(dom, u, params.p, regime)  # stay on the constraint set
         traj.states.append(u)
-        traj.diagnostics.append(diag.build_row(dom, traj, k))
+        # The step's own evaluation of u, unless the Neumann shift moved it.
+        held = ctx.evaluation
+        traj.diagnostics.append(
+            diag.build_row(dom, traj, k, held[1:] if held and held[0] is u else None))
         row = traj.diagnostics[k]
         row.lambda_decay = diag.lambda_decay_estimate(traj, k)
         row.energy_residual = diag.energy_identity_residual(traj, k)

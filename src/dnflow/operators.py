@@ -146,6 +146,8 @@ def jp(z, p: float):
 
     Strictly increasing and odd; jp(0) = 0 for every p > 1.
     """
+    if type(z) is np.ndarray and z.dtype == float and z.ndim:
+        return np.sign(z) * np.abs(z) ** (p - 1.0)
     z_arr = np.asarray(z, dtype=float)
     out = np.sign(z_arr) * np.abs(z_arr) ** (p - 1.0)
     return float(out) if np.isscalar(z) or z_arr.ndim == 0 else out

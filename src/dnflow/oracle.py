@@ -32,6 +32,7 @@ from .elliptic import (
     SolverConfig,
     _factor,
     _lapack_banded,
+    _norm,
     inverse_operator,
     project_cperp,
     project_pmean,
@@ -41,6 +42,7 @@ from .fractional import kernel_for
 from .operators import (
     BoundaryRegime,
     EnergyParams,
+    energy_and_gradient,
     energy_gradient,
     energy_hessian,
     jp,
@@ -81,23 +83,25 @@ def eigen_residual(dom, u, lam, params, regime) -> float:
 
 
 def _defect(g, target):
-    denom = float(np.linalg.norm(target))
+    denom = _norm(target)
     if denom == 0.0:
         return math.inf
-    return float(np.linalg.norm(g - target)) / denom
+    return _norm(g - target) / denom
 
 
 def _residual_lam(dom, u, params, regime):
-    """(eigen-residual, lam) at u from one gradient.
+    """(eigen-residual, lam, evaluation) at u from one evaluation.
 
     lam is the multiplier <grad E(u), u> / sum |u_i|^p of the eigen-relation;
     for eps = 0 it equals the Rayleigh quotient p E(u) / int |u|^p by Euler's
-    identity.
+    identity.  evaluation is energy_and_gradient's (E, raw partials) at u,
+    which the next sweep's inverse solve takes as its warm start's.
     """
-    g = energy_gradient(dom, u, params, regime)
+    evaluation = energy_and_gradient(dom, u, params, regime)
+    g = evaluation[1] / dom.cell_volume
     ju = jp(u, params.p)
     lam = float(g @ u) / float(ju @ u)
-    return _defect(g, lam * ju), lam
+    return _defect(g, lam * ju), lam, evaluation
 
 
 def _normalize(dom, u, p, regime):
@@ -114,13 +118,21 @@ def _start(dom, p, regime, seed):
     field g = U(0.5, 1.5), normalized.
 
     K2, the p = 2 stiffness a cold inverse start also uses, is factored once
-    and dropped on return, so its band is not held during the sweeps.  K2^-1
-    is positive for Dirichlet, Robin and fractional (an M-matrix inverse).
-    For Neumann the data is g's C-perp part, which the step weights toward
-    the first nontrivial mode, and the start is shifted to zero p-mean.
+    and dropped on return, so its band is not held during the sweeps; for
+    p != 2 so are the tables the start added to the domain's cache for p = 2
+    alone (the fractional kernel and fold), which the sweeps never read.
+    K2^-1 is positive for Dirichlet, Robin and fractional (an M-matrix
+    inverse).  For Neumann the data is g's C-perp part, which the step
+    weights toward the first nontrivial mode, and the start is shifted to
+    zero p-mean.
     """
     g = np.random.default_rng(seed).uniform(0.5, 1.5, dom.n_nodes)
+    cached = set(dom._cache)
     k2 = energy_hessian(dom, np.zeros_like(g), EnergyParams(2.0), regime)
+    if p != 2.0:
+        for key in dom._cache.keys() - cached:
+            if key[-1] == 2.0:  # a table built for p = 2 (see Domain._cache)
+                del dom._cache[key]
     u = _factor(k2)(dom.cell_volume * project_cperp(g, regime))
     return _normalize(dom, u, p, regime)
 
@@ -196,7 +208,7 @@ def _newton_polish(dom, best, params, regime, target):
         # scale, so the full step can overshoot the linear model's validity.
         for alpha in 0.5 ** np.arange(30.0):
             u_new = _normalize(dom, u + alpha * du, p, regime)
-            res_new, lam_new = _residual_lam(dom, u_new, params, regime)
+            res_new, lam_new, _ = _residual_lam(dom, u_new, params, regime)
             if res_new < res:  # False for nan
                 best = (res_new, u_new, lam_new)
                 break
@@ -219,7 +231,7 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
     ctx = SolveContext(dom, regime, params.p)
     p = params.p
     u = _start(dom, p, regime, seed)
-    res, lam = _residual_lam(dom, u, params, regime)
+    res, lam, evaluation = _residual_lam(dom, u, params, regime)
 
     target = 3.0 * cfg.grad_tol
     best = (math.inf, u, lam)
@@ -234,7 +246,8 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
         f = project_cperp(lam * jp(u, p), regime)
         u_old, res_old = u, res
         try:
-            u = inverse_operator(dom, f, params, regime, inner_cfg, warm_start=u, ctx=ctx)
+            u = inverse_operator(dom, f, params, regime, inner_cfg, warm_start=u, ctx=ctx,
+                                 warm_eval=evaluation)
         except NonConvergenceError as err:
             # Inner solve hit its rounding floor; its best iterate still
             # advances the sweep.
@@ -242,7 +255,7 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
                 raise
             u = err.last_iterate
         u = _normalize(dom, u, p, regime)
-        res, lam = _residual_lam(dom, u, params, regime)
+        res, lam, evaluation = _residual_lam(dom, u, params, regime)
 
         # Aitken extrapolation of the dominant error mode: when consecutive
         # sweep steps align (slow geometric contraction, small spectral
@@ -253,9 +266,9 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
             rho = float(step @ prev_step) / den if den > 0 else 0.0
             if 0.2 < rho < 0.995:
                 u_try = _normalize(dom, u + (rho / (1.0 - rho)) * step, p, regime)
-                res_try, lam_try = _residual_lam(dom, u_try, params, regime)
+                res_try, lam_try, eval_try = _residual_lam(dom, u_try, params, regime)
                 if res_try < res:
-                    u, res, lam = u_try, res_try, lam_try
+                    u, res, lam, evaluation = u_try, res_try, lam_try, eval_try
                     step = u - u_old
         prev_step = step
 

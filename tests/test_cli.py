@@ -478,6 +478,24 @@ def test_exit_codes():
     assert main(["bogus-cmd"]) == 1
 
 
+def test_one_parser_serves_a_process(tmp_path, capsys):
+    # The parser is built once per process; one process still runs different
+    # commands in a row, and a bad command line after them still exits 1.
+    from dnflow import cli
+
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE)
+    assert main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "e")]) == 0
+    assert (tmp_path / "o" / "extremal.txt").is_file()
+    assert (tmp_path / "e" / "diagnostics.csv").is_file()
+    capsys.readouterr()
+    # --snapshots belongs to evolve only.
+    assert main(["oracle", "--config", str(cfg_path), "--snapshots", "1"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_exit_code_config_error(tmp_path):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("domain.kind=interval\ndomain.n=9\np=1\nregime.kind=dirichlet")

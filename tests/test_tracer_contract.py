@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import dnflow.cli  # noqa: F401  (loads every dnflow module)
 from dnflow.domain import build_interval
@@ -62,3 +63,38 @@ def test_fractional_energy_builds_one_kernel():
         tracer.uninstall()
     names = [tracer.span_names[i] for i in tracer.names]
     assert names.count("fractional.build_kernel") == 1, names
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("oracle", ["regime.kind = robin", "p = 3"]),
+    ("oracle", ["regime.kind = fractional", "p = 1.5"]),
+    ("evolve", ["regime.kind = fractional", "p = 3", "tau = auto", "steps = 20"]),
+    ("evolve", ["regime.kind = neumann", "p = 1.5", "tau = auto", "steps = 20",
+                "init.kind = random"]),
+])
+def test_every_evaluation_is_one_operators_span(tmp_path, monkeypatch, command, lines):
+    # perfbench's operators.evals counts the spans of the traced evaluators.
+    # Each span must be exactly one evaluation, counted here independently
+    # at operators._parts, so a lower count is work saved and not
+    # evaluations that bypass the traced bindings.
+    tracing = _load_tracing()
+    parts, evaluations = operators._parts, [0]
+
+    def counted(*args):
+        evaluations[0] += 1
+        return parts(*args)
+
+    monkeypatch.setattr(operators, "_parts", counted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(["domain.kind = interval", "domain.n = 32", "epsilon = 1e-6",
+                              *lines]) + "\n")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = dnflow.cli.main([command, "--config", str(cfg), "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [tracer.span_names[i] for i in tracer.names]
+    spans = sum(name.startswith("operators.") for name in names)
+    assert spans == evaluations[0] > 0
