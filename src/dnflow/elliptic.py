@@ -351,9 +351,9 @@ def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition,
     steepest-descent fallback when a conjugate direction stalls.
     value_grad(x) -> (f, g, *extra), where the extra items are whatever the
     caller wants kept from an evaluation: the minimizer carries them with
-    its iterate and returns those of x, so x is never evaluated again.
-    start, when given, is value_grad's result at x0, which then makes no
-    evaluation there.  precondition(x) -> the lower band of an SPD
+    its iterate and returns those of x, so the caller need not evaluate x
+    again.  start, when given, is value_grad's result at x0, which is then
+    not evaluated.  precondition(x) -> the lower band of an SPD
     approximation M of the Hessian at x.  The first direction uses ctx's
     kept factor, rescaled, when its gate is open and M factored at the
     start otherwise (see SolveContext.start).  M is refactored, with a
@@ -562,9 +562,12 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
             raise CompatibilityError(
                 f"neumann data must have zero mean; got sum {mean:.3e}")
 
-    def fg(u):
-        e_val, raw = energy_and_gradient(dom, u, params, regime)
+    def objective(e_val, raw, u):
+        # E(u) - <b, u> and its gradient from an evaluation of E at u.
         return e_val - float(b @ u), raw - b
+
+    def fg(u):
+        return objective(*energy_and_gradient(dom, u, params, regime), u)
 
     def precondition(x):
         # At the zero field (a cold start) H_E vanishes or blows up, so the
@@ -572,10 +575,7 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
         return energy_hessian(dom, x, params if x.any() else EnergyParams(2.0), regime)
 
     x0 = dom.check_field(warm_start) if warm_start is not None else np.zeros_like(f)
-    start = None
-    if warm_eval is not None:
-        e_val, raw = warm_eval
-        start = e_val - float(b @ x0), raw - b
+    start = None if warm_eval is None else objective(*warm_eval, x0)
     u, _ = _solve(fg, b, x0, bnorm, cfg, precondition, params, ctx, start=start)
     return project_pmean(dom, u, params.p, regime)
 
