@@ -2,8 +2,8 @@
 
 ``perfbench/tracing.py`` wraps dnflow functions by module and name from
 outside the package, so a rename or a deleted function breaks traced
-benchmark runs only.  This test installs and uninstalls the tracer on the
-loaded package.
+benchmark runs only.  These tests install and uninstall the tracer on the
+loaded package, and check that its spans count every operator evaluation.
 """
 
 import importlib.util
