@@ -36,6 +36,7 @@ from .flow import (
     profile_gap,
     read_snapshot,
     rescaled_profile,
+    write_new_file,
     write_snapshot,
 )
 from .operators import BoundaryRegime, EnergyParams, validate_regime
@@ -188,7 +189,7 @@ def cmd_evolve(run, snapshot_steps=()) -> int:
     traj = evolve(dom, g, tau, cfg.steps, params, regime, solver)
     diag.fill_dual_columns(dom, traj, solver)
     out = _out_dir(cfg)
-    (out / "diagnostics.csv").write_text(diag.rows_to_csv(traj.diagnostics))
+    write_new_file(out / "diagnostics.csv", diag.rows_to_csv(traj.diagnostics))
     for k in snapshot_steps:
         write_snapshot(out / f"snapshot_{k:06d}.txt", dom, params, regime,
                        traj.states[k], k, tau)
@@ -271,7 +272,7 @@ def cmd_sweep(run, param: str, values, jobs: int | None) -> int:
     lines = ["param,value,lambda,mu,profile_gap,steps"]
     for value, (lam, mu, gap, steps) in zip(values, results):
         lines.append(f"{param},{value!r},{lam!r},{mu!r},{gap!r},{steps}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    write_new_file(out / "sweep.csv", "\n".join(lines) + "\n")
     return 0
 
 

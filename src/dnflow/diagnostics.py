@@ -135,14 +135,27 @@ def energy_identity_residual(traj, k: int) -> float:
 def fill_dual_columns(dom: Domain, traj, cfg: SolverConfig) -> None:
     """Compute dual_q (and so mu_from_dual) for every row, warm-starting
     each inverse solve from the previous step's solution; the solves share
-    one SolveContext."""
+    one SolveContext.
+
+    When steps k-1 and k both returned their prediction with the same
+    factor t (traj.predicted), row k's problem is row k-1's scaled by t:
+    its data by t^(p-1) and its eps by t.  So when row k-1's solve moved
+    its start along the ray only, row k starts from t times that solution,
+    which then passes the unchanged stopping test at its one evaluation.
+    """
     ctx = SolveContext(dom, traj.regime, traj.params.p)
-    warm = None
+    warm, chained = None, False
     for k, row in enumerate(traj.diagnostics):
         if row.Np > 0.0:
+            t = traj.predicted[k]
+            if chained and t is not None and t == traj.predicted[k - 1]:
+                warm = t * warm
             val, warm = _jp_dual_norm_q(dom, traj.states[k], traj.params_at(k),
                                         traj.regime, cfg, warm, ctx)
+            chained = ctx.ray is not None
             row.dual_q = row.Np / val
+        else:
+            chained = False
 
 
 def rows_to_csv(rows) -> str:

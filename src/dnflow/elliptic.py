@@ -41,6 +41,15 @@ and starts from whichever ray-scaled candidate has the lower objective.  A
 march that continues from a separated state skips that step, which cannot
 win there.
 
+Once a march has separated, each step multiplies the state by one factor t,
+and eps is relative, so the next step is the last one scaled by t.  A
+SolveContext therefore keeps t when its last solve returned t times its
+start without an NCG iteration, and the next implicit step first tries
+t u_prev.  One evaluation there gives the step's stopping test: the
+reference ||g(u_prev)|| = tau ||grad E(u_prev)|| follows from grad E(t u_prev)
+by the degree-(p-1) homogeneity of grad E.  A prediction the test rejects
+is dropped and the step runs from u_prev as any other.
+
 The Neumann zero-p-mean shift is a safeguarded Newton iteration on the
 p-mean, started at c = 0, with bisection as its fallback.
 """
@@ -260,7 +269,13 @@ class SolveContext:
     state.  The counters record the work: solves, NCG iterations, and the
     factorizations by kind, fresh (at a solve's start), refreshed (inside a
     solve) and linear (the p = 2 step of a march's first step); carried
-    counts the solves that started on a kept factor instead of a fresh one.
+    counts the solves that started on a kept factor instead of a fresh one,
+    and predicted the implicit steps that returned their prediction.
+
+    ray is the factor t of the last solve when that solve returned t times
+    its start without an NCG iteration (1.0 when it returned the start
+    itself), else None.  An implicit step on this context first tries
+    t u_prev (see implicit_step); an accepted prediction keeps t.
 
     evaluation is (x, E(x), sum |x|^p) for the point x the last solved
     implicit step returned, E at that step's eps, so the march's diagnostics
@@ -278,9 +293,10 @@ class SolveContext:
         self._solve = None  # z -> M^-1 g of the kept factor
         self._ref_scale = 0.0  # max|x_ref| of the kept factor
         self._gate = False
+        self.ray = None
         self.evaluation = None
         self.solves = self.iterations = 0
-        self.fresh = self.refreshed = self.carried = self.linear = 0
+        self.fresh = self.refreshed = self.carried = self.linear = self.predicted = 0
 
     @property
     def factorizations(self) -> int:
@@ -321,25 +337,25 @@ def _ray_start(value_grad, b, p, x, f, g, *extra):
     and Euler's identity gives <g(x) + b, x> = p A, so the minimizer is
     s^(p-1) = <b, x> / <g(x) + b, x>.  For an implicit step started at
     u_prev this is the separated-solution factor 1 / (1 + tau lambda-hat).
-    (f, g, *extra) is value_grad's result at x.  Returns (x, f, g, *extra),
-    moved only when s is finite and positive and the objective does not
-    rise there (eps > 0 breaks exact homogeneity).  An s within RAY_TOL = 64
-    machine eps of 1 is rounding, not a move: x is kept without the trial
-    evaluation.
+    (f, g, *extra) is value_grad's result at x.  Returns (x, s, f, g, *extra)
+    with x moved to s x only when s is finite and positive and the objective
+    does not rise there (eps > 0 breaks exact homogeneity), and s = 1.0 when
+    x is kept.  An s within RAY_TOL = 64 machine eps of 1 is rounding, not a
+    move: x is kept without the trial evaluation.
     """
     num = float(b @ x)
     den = float((g + b) @ x)
     # A zero x, or dot products that overflowed or underflowed, give no ray.
     if not (0.0 < num < np.inf and 0.0 < den < np.inf):
-        return (x, f, g, *extra)
+        return (x, 1.0, f, g, *extra)
     s = (num / den) ** (1.0 / (p - 1.0))
     if not (0.0 < s < np.inf) or abs(s - 1.0) <= RAY_TOL:
-        return (x, f, g, *extra)
+        return (x, 1.0, f, g, *extra)
     xs = s * x
     trial = value_grad(xs)
     if trial[0] <= f:
-        return (xs, *trial)
-    return (x, f, g, *extra)
+        return (xs, s, *trial)
+    return (x, 1.0, f, g, *extra)
 
 
 def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition,
@@ -365,7 +381,8 @@ def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition,
     Stops when ||g||_2 <= grad_tol * R0 with
     R0 = max(||g(x0)||, ref_norm); the iteration starts from x0 moved along
     its ray (see _ray_start), or from the alternative start alt moved along
-    its own ray when that has the lower objective.
+    its own ray when that has the lower objective.  A return without an
+    iteration from s x0 sets ctx.ray to s.
     """
     x = x0.copy()
     f, g, *extra = value_grad(x) if start is None else start
@@ -373,14 +390,16 @@ def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition,
     ref = max(gnorm, ref_norm, _TINY)
     target = cfg.grad_tol * ref
     if gnorm <= target:
+        ctx.ray = 1.0
         return x, 0, extra
-    x, f, g, *extra = _ray_start(value_grad, b, p, x, f, g, *extra)
+    x, s, f, g, *extra = _ray_start(value_grad, b, p, x, f, g, *extra)
     if alt is not None:
-        xa, fa, ga, *extra_a = _ray_start(value_grad, b, p, alt, *value_grad(alt))
+        xa, _, fa, ga, *extra_a = _ray_start(value_grad, b, p, alt, *value_grad(alt))
         if fa < f:
-            x, f, g, extra = xa, fa, ga, extra_a
+            x, s, f, g, extra = xa, None, fa, ga, extra_a
     gnorm = _norm(g)
     if gnorm <= target:
+        ctx.ray = s
         return x, 0, extra
 
     # Best-so-far iterate, for honest reporting when the target is below the
@@ -464,6 +483,7 @@ def _solve(fg, b, x0, ref_norm, cfg, precondition, params, ctx, alt=None, start=
     # _ncg's (x, extra) with its work and gate recorded in ctx, and the
     # regime and p attached to its NonConvergenceError.
     ctx.solves += 1
+    ctx.ray = None
     try:
         x, iterations, extra = _ncg(fg, b, params.p, x0, ref_norm, cfg, precondition, ctx,
                                     alt, start)
@@ -494,10 +514,13 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     Warm-starts from u_prev and stops once the gradient norm has dropped by
     grad_tol relative to its value at u_prev.  ctx is the march's
     SolveContext, for tau and this p; without one the call is a one-step
-    march of its own.  The first step of a march also tries the p = 2
-    linear step as its start, unless ctx was made with linear_start False
-    (see the module docstring).  The step leaves the evaluation of the
-    point it returns in ctx.evaluation.
+    march of its own.  When ctx.ray holds a factor t, the step first tries
+    t u_prev and returns it when one evaluation there passes that stopping
+    test (see _prediction); otherwise ctx.ray is cleared by the solve that
+    follows.  The first step of a march also tries the p = 2 linear step as
+    its start, unless ctx was made with linear_start False (see the module
+    docstring).  The step leaves the evaluation of the point it returns in
+    ctx.evaluation.
     """
     if ctx is None:
         ctx = SolveContext(dom, regime, params.p, tau)
@@ -511,12 +534,24 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     p = params.p
     b = vol * jp(u_prev, p)  # linear-term coefficients
 
+    def evaluate(u):
+        # E(u), its raw partials and sum |u|^p.
+        e_val, raw = energy_and_gradient(dom, u, params, regime)
+        return e_val, raw, float((np.abs(u) ** p).sum())
+
     def fg(u):
         # F and its gradient, then E(u) and sum |u|^p for ctx.evaluation.
-        e_val, raw = energy_and_gradient(dom, u, params, regime)
-        power_sum = float((np.abs(u) ** p).sum())
+        e_val, raw, power_sum = evaluate(u)
         return (tau * e_val + (vol / p) * power_sum - float(b @ u),
                 tau * raw + vol * jp(u, p) - b, e_val, power_sum)
+
+    if ctx.ray is not None:
+        held = _prediction(ctx, u_prev, b, evaluate, cfg)
+        if held is not None:
+            ctx.solves += 1
+            ctx.predicted += 1
+            ctx.evaluation = held
+            return held[0]
 
     def precondition(x):
         ab = energy_hessian(dom, x, params, regime)
@@ -529,6 +564,23 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     x, extra = _solve(fg, b, u_prev, 0.0, cfg, precondition, params, ctx, alt)
     ctx.evaluation = (x, *extra)
     return x
+
+
+def _prediction(ctx: SolveContext, u_prev, b, evaluate, cfg: SolverConfig):
+    """(x, E(x), sum |x|^p) for x = t u_prev, t = ctx.ray, when x passes the
+    implicit step's stopping test, else None; one evaluation either way.
+
+    The test's reference ||g(u_prev)|| = tau ||grad E(u_prev)|| is taken from
+    x's own gradient as tau t^(1-p) ||grad E(x)||, by the degree-(p-1)
+    homogeneity of grad E (exact up to eps, which is frozen for the step).
+    """
+    t, p, tau, vol = ctx.ray, ctx.p, ctx.tau, ctx.dom.cell_volume
+    x = t * u_prev
+    e_val, raw, power_sum = evaluate(x)
+    ref = tau * t ** (1.0 - p) * _norm(raw)
+    if _norm(tau * raw + vol * jp(x, p) - b) <= cfg.grad_tol * max(ref, _TINY):
+        return x, e_val, power_sum
+    return None
 
 
 def inverse_operator(dom: Domain, f, params: EnergyParams,

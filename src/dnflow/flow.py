@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -59,6 +60,9 @@ class FlowTrajectory:
     regime: BoundaryRegime
     states: list
     diagnostics: list = field(default_factory=list)
+    # Per state index k, the factor t when step k returned its prediction
+    # t u^(k-1) (see elliptic.implicit_step), else None; None for k = 0.
+    predicted: list = field(default_factory=lambda: [None])
     # params_at's result per state index k - 1, built on first use.
     _step_params: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -96,7 +100,9 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
 
     Neumann initial data is first shifted to its zero-p-mean representative.
     The steps share one SolveContext, whose first step tries the p = 2 linear
-    start when linear_start is True.  Solver failures propagate with the
+    start when linear_start is True, and whose later steps try the state
+    the last ray factor predicts; traj.predicted records the factor of each
+    step that returned its prediction.  Solver failures propagate with the
     step index attached.  After each step stop(traj) is asked whether to end
     the march early.
     """
@@ -113,6 +119,7 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
     ctx = SolveContext(dom, regime, params.p, tau, linear_start=linear_start)
     u = g
     for k in range(1, max_steps + 1):
+        predicted = ctx.predicted
         try:
             u = implicit_step(dom, u, tau, traj.params_at(k), regime, cfg, ctx)
         except NonConvergenceError as err:
@@ -120,6 +127,7 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
             raise
         u = project_pmean(dom, u, params.p, regime)  # stay on the constraint set
         traj.states.append(u)
+        traj.predicted.append(ctx.ray if ctx.predicted > predicted else None)
         # The step's own evaluation of u, unless the Neumann shift moved it.
         held = ctx.evaluation
         traj.diagnostics.append(
@@ -267,9 +275,22 @@ def profile_gap(dom: Domain, a, b, p: float) -> float:
     return min(lp_norm(dom, a - b, p), lp_norm(dom, a + b, p))
 
 
+def write_new_file(path: Path, text: str) -> None:
+    """Write text to path as a new file, removing a file already there first.
+
+    Truncating a file written moments before, or renaming another file over
+    it, makes ext4 flush the old data first (its auto_da_alloc heuristic),
+    which stalls the write for tens of milliseconds; creating the file anew
+    after an unlink does not, and leaves no temporary file behind.
+    """
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+
+
 def write_snapshot(path, dom: Domain, params: EnergyParams, regime: BoundaryRegime,
                    u, k: int, tau: float) -> None:
-    """Plain-text state dump: one header line, then node values row-major."""
+    """Plain-text state dump: one header line, then node values row-major,
+    written as a new file (see write_new_file)."""
     p = params.p
     if dom.kind == "interval":
         dims = f"n={dom.shape[0]} h={dom.hx!r}"
@@ -284,10 +305,7 @@ def write_snapshot(path, dom: Domain, params: EnergyParams, regime: BoundaryRegi
         reg += f":s={regime.s!r}"
     header = f"kind={dom.kind} {dims} p={p!r} regime={reg} k={k} tau={tau!r}"
     u = dom.check_field(u)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for v in u:
-            fh.write(repr(float(v)) + "\n")
+    write_new_file(Path(path), "".join([header + "\n"] + [repr(float(v)) + "\n" for v in u]))
 
 
 def read_snapshot(path):

@@ -648,3 +648,35 @@ def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
     assert report["codes"] == [0, 0, 0]
     assert report["polished"] == 1
     assert report["run"] == ["scipy.linalg._flapack"]
+
+
+def test_outputs_are_replaced_by_new_files(tmp_path, monkeypatch):
+    # Truncating a file written moments before stalls on ext4, so every
+    # output file is removed before it is written anew.  A second run into
+    # the same out.dir removes each existing file, writes the same bytes and
+    # leaves no other file behind.
+    import pathlib
+
+    removed, unlink = [], pathlib.Path.unlink
+
+    def spy(path, *args, **kwargs):
+        removed.append((path.name, path.exists()))
+        return unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "unlink", spy)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE.replace("domain.n = 39", "domain.n = 15").replace("steps = 30", "steps = 3"))
+    out = tmp_path / "out"
+    runs = (["evolve", "--snapshots", "0,3"], ["oracle"],
+            ["sweep", "--param", "p", "--values", "2", "--jobs", "1"])
+    names = {"diagnostics.csv", "snapshot_000000.txt", "snapshot_000003.txt", "extremal.txt",
+             "sweep.csv"}
+    written = []
+    for _ in range(2):
+        removed.clear()
+        for args in runs:
+            assert main([args[0], "--config", str(cfg_path), "--out", str(out), *args[1:]]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert set(written[0]) == names
+    assert written[0] == written[1]
+    assert sorted(removed) == sorted((name, True) for name in names)
