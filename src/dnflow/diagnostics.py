@@ -138,7 +138,7 @@ def fill_dual_columns(dom: Domain, traj, cfg: SolverConfig) -> None:
     one SolveContext.
 
     When steps k-1 and k both returned their prediction with the same
-    factor t (traj.predicted), row k's problem is row k-1's scaled by t:
+    factor t (traj.ray_factors), row k's problem is row k-1's scaled by t:
     its data by t^(p-1) and its eps by t.  So when row k-1's solve moved
     its start along the ray only, row k starts from t times that solution,
     which then passes the unchanged stopping test at its one evaluation.
@@ -147,8 +147,8 @@ def fill_dual_columns(dom: Domain, traj, cfg: SolverConfig) -> None:
     warm, chained = None, False
     for k, row in enumerate(traj.diagnostics):
         if row.Np > 0.0:
-            t = traj.predicted[k]
-            if chained and t is not None and t == traj.predicted[k - 1]:
+            t = traj.ray_factors[k]
+            if chained and t is not None and t == traj.ray_factors[k - 1]:
                 warm = t * warm
             val, warm = _jp_dual_norm_q(dom, traj.states[k], traj.params_at(k),
                                         traj.regime, cfg, warm, ctx)

@@ -62,7 +62,7 @@ class FlowTrajectory:
     diagnostics: list = field(default_factory=list)
     # Per state index k, the factor t when step k returned its prediction
     # t u^(k-1) (see elliptic.implicit_step), else None; None for k = 0.
-    predicted: list = field(default_factory=lambda: [None])
+    ray_factors: list = field(default_factory=lambda: [None])
     # params_at's result per state index k - 1, built on first use.
     _step_params: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -101,7 +101,7 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
     Neumann initial data is first shifted to its zero-p-mean representative.
     The steps share one SolveContext, whose first step tries the p = 2 linear
     start when linear_start is True, and whose later steps try the state
-    the last ray factor predicts; traj.predicted records the factor of each
+    the last ray factor predicts; traj.ray_factors records the factor of each
     step that returned its prediction.  Solver failures propagate with the
     step index attached.  After each step stop(traj) is asked whether to end
     the march early.
@@ -127,7 +127,7 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
             raise
         u = project_pmean(dom, u, params.p, regime)  # stay on the constraint set
         traj.states.append(u)
-        traj.predicted.append(ctx.ray if ctx.predicted > predicted else None)
+        traj.ray_factors.append(ctx.ray if ctx.predicted > predicted else None)
         # The step's own evaluation of u, unless the Neumann shift moved it.
         held = ctx.evaluation
         traj.diagnostics.append(

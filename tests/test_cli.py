@@ -665,7 +665,8 @@ def test_outputs_are_replaced_by_new_files(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pathlib.Path, "unlink", spy)
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(BASE.replace("domain.n = 39", "domain.n = 15").replace("steps = 30", "steps = 3"))
+    cfg_path.write_text(BASE.replace("domain.n = 39", "domain.n = 15")
+                        .replace("steps = 30", "steps = 3"))
     out = tmp_path / "out"
     runs = (["evolve", "--snapshots", "0,3"], ["oracle"],
             ["sweep", "--param", "p", "--values", "2", "--jobs", "1"])

@@ -29,10 +29,6 @@ COLUMNS = diagnostics.CSV_HEADER.split(",")
 EVALUATORS = ("energy", "energy_gradient", "energy_and_gradient")
 
 
-def _switch_off(monkeypatch):
-    monkeypatch.setattr(elliptic, "_prediction", lambda *args: None)
-
-
 def _spy_predictions(monkeypatch):
     # (tried, accepted) counts of the predictions made.
     counts, inner = [0, 0], elliptic._prediction
@@ -81,14 +77,16 @@ def _evolve_columns(regime, p, kicks):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("regime", list(REGIMES))
 def test_predicted_run_matches_the_run_without_predictions(monkeypatch, regime, p):
-    # The march is kicked off its ray once, at step 100: the first
-    # prediction after the kick must be rejected, and the flow separates
-    # again before the tail is predicted anew.
+    # A march rejects no prediction on its own: after a ray-only step the
+    # next step's problem is that step's scaled by t.  So the march is
+    # kicked off its ray once, at step 100; the first prediction after the
+    # kick must be rejected, and the flow separates again before the tail
+    # is predicted anew.
     counts = _spy_predictions(monkeypatch)
     kicks = _kick_step(monkeypatch, 100)
     kept = _evolve_columns(regime, p, kicks)
     assert counts[1] > 50 and counts[0] - counts[1] == 1
-    _switch_off(monkeypatch)
+    monkeypatch.setattr(elliptic, "_prediction", lambda *args: None)
     dropped = _evolve_columns(regime, p, kicks)
     for name in COLUMNS:
         a, b = kept[name], dropped[name]
@@ -154,9 +152,9 @@ def test_separated_tail_makes_one_evaluation_per_step_and_row(monkeypatch):
     traj = evolve(d, g, tau, 200, params, DIRICHLET, CFG)
     diagnostics.fill_dual_columns(d, traj, CFG)
     assert len(steps) == 200 and len(rows) == 201
-    k0 = next(k for k, t in enumerate(traj.predicted) if t is not None) - 1
+    k0 = next(k for k, t in enumerate(traj.ray_factors) if t is not None) - 1
     assert k0 <= 40
-    assert all(t is not None for t in traj.predicted[k0 + 1:])
+    assert all(t is not None for t in traj.ray_factors[k0 + 1:])
     assert made[0].predicted == 200 - k0
     assert steps[k0:] == [1] * (200 - k0)  # steps[k - 1] is step k
     assert rows[k0 + 2:] == [1] * (199 - k0)
@@ -176,7 +174,7 @@ def test_prediction_from_an_unrelated_state_meets_the_stopping_test(monkeypatch,
     tau = auto_tau(d, np.ones(32), params, DIRICHLET, CFG)
     made = _record_contexts(monkeypatch)
     traj = evolve(d, np.ones(32), tau, 60, params, DIRICHLET, CFG)
-    ctx, u, t = made[0], traj.states[-1], traj.predicted[-1]
+    ctx, u, t = made[0], traj.states[-1], traj.ray_factors[-1]
     assert t is not None and ctx.ray == t
     params = traj.params_at(traj.steps + 1)
     predicted = ctx.predicted
