@@ -37,8 +37,8 @@ for row in traj.diagnostics:
     if row.k % 3:
         continue
     scaled = row.Np * factor**row.k
-    e_k = traj.regime_energy(row.k)
-    print(f"{row.k:3d}  {row.Np:.6e}  {scaled:.6e}  {e_k:.4e}  {row.rayleigh:12.6f}  {row.dual_q:12.6f}")
+    print(f"{row.k:3d}  {row.Np:.6e}  {scaled:.6e}  {row.energy:.4e}  {row.rayleigh:12.6f}  "
+          f"{row.dual_q:12.6f}")
 
 nps = np.array([r.Np for r in traj.diagnostics])
 print()

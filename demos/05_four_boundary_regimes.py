@@ -42,7 +42,7 @@ for regime in (BoundaryRegime.dirichlet(),
     traj = evolve_until_settled(dom, g, params, regime, cfg)
     k = traj.steps
     lam_hat = lambda_decay_estimate(traj, k)
-    mu_hat = dual_quotient(dom, traj.states[k], traj.params_at(k), regime, cfg)
+    mu_hat = dual_quotient(dom, traj.states[k], params, regime, cfg)
     eig = minimize_rayleigh(dom, params, regime, cfg, seed=0)
     print(f"{regime.kind:12s} {k:4d}   {lam_hat:14.8f}  {eig.lam:14.8f}  "
           f"{mu_hat:14.8f}  {lam_hat ** (1 / (p - 1)):14.8f}")

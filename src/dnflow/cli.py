@@ -41,7 +41,7 @@ from .flow import (
 )
 from .operators import BoundaryRegime, EnergyParams, validate_regime
 from .oracle import minimize_rayleigh
-from .verify import run_invariant_suite
+from .verify import LAMBDA_GAP_BOUND, run_invariant_suite
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
@@ -203,16 +203,16 @@ def _eigen_numbers(run):
                                 max_steps=cfg.steps)
     k = traj.steps
     lam = traj.diagnostics[k].lambda_decay
-    # At an extremal (-Delta_p)^-1 jp(u) = u / mu: the ray start from u
-    # lands next to the solution.
-    mu = diag.dual_quotient(dom, traj.states[k], traj.params_at(k), regime, solver,
-                            warm_start=traj.states[k])
+    # At an extremal (-Delta_p)^-1 jp(u) = u / mu: the ray start from the
+    # profile lands next to the solution.
     prof = rescaled_profile(traj, k)
+    mu = diag.dual_quotient(dom, traj.states[k], params, regime, solver, warm_start=prof)
     ref = minimize_rayleigh(dom, params, regime, solver, seed=cfg.seed)
-    if prof is None:
-        gap = float("nan")
-    else:
-        gap = profile_gap(dom, prof, ref.extremal, params.p)
+    # A flow settled on a higher mode reads that mode's rate: refuse it.
+    if not abs(lam / ref.lam - 1.0) <= LAMBDA_GAP_BOUND:
+        raise NonConvergenceError(f"the flow settled at lambda {lam!r}, the oracle's lambda "
+                                  f"is {ref.lam!r}", step=k, regime=regime.kind, p=params.p)
+    gap = math.nan if prof is None else profile_gap(dom, prof, ref.extremal, params.p)
     return lam, mu, gap, k
 
 

@@ -4,12 +4,16 @@ Dual norms are evaluated through inverse elliptic solves:
 ||f||_*^q = <f, u> with -Delta_p u = f, which also equals p E(u) at the
 minimizer.  The decay-rate estimator is exact on separated solutions, so it
 has zero bias at the flow's fixed point.
+With the flow's relative eps the quotients are degree-0 homogeneous, so
+they, like every row, are evaluated at max|u| = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .domain import Domain, integrate_power
 from .elliptic import SolveContext, SolverConfig, inverse_operator, project_cperp
@@ -45,7 +49,7 @@ class DiagnosticsRow:
     lambda_decay: float
     conservation: float
     energy_residual: float
-    energy: float  # E(u^k) at the step's frozen eps; not a CSV column
+    energy: float  # E(u^k) at eps relative to max|u^(k-1)|; not a CSV column
 
     # The CSV repeats the two quotients as the lambda and mu estimates.
     @property
@@ -70,27 +74,32 @@ def dual_norm_q(dom: Domain, f, params: EnergyParams, regime: BoundaryRegime,
 
 def dual_quotient(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime,
                   cfg: SolverConfig, warm_start=None) -> float:
-    """int |u|^p divided by the dual q-norm of jp(u); equals mu at extremals."""
+    """int |u|^p divided by the dual q-norm of jp(u); equals mu at extremals.
+
+    Read at u / max|u| (see _unit_dual_quotient); warm_start, when given,
+    starts that inverse solve, whose ray start fits its size.
+    """
     u = dom.check_field(u)
-    num = integrate_power(dom, u, params.p)
-    if num == 0.0:
+    if not u.any():
         raise DegenerateInputError("dual quotient of the zero field")
-    return num / _jp_dual_norm_q(dom, u, params, regime, cfg, warm_start)[0]
+    return _unit_dual_quotient(dom, u, params, regime, cfg, warm_start)[0]
 
 
-def _jp_dual_norm_q(dom, u, params, regime, cfg, warm_start, ctx=None):
-    """(dual_norm_q of jp(u), the inverse solved for it).
+def _unit_dual_quotient(dom, u, params, regime, cfg, warm_start, ctx=None):
+    """(dual_quotient of u, the inverse solved for it), read at x = u / max|u|
+    with eps = params.epsilon; warm_start approximates (-Delta_p)^{-1} jp(x).
 
-    jp(u) is first projected off solver drift out of C-perp.  A pairing
+    jp(x) is first projected off solver drift out of C-perp.  A pairing
     outside (0, inf) raises DegenerateInputError, since quotients divide by it.
     """
-    f = project_cperp(jp(u, params.p), regime)
+    x = u / float(np.abs(u).max())
+    f = project_cperp(jp(x, params.p), regime)
     sol = inverse_operator(dom, f, params, regime, cfg, warm_start=warm_start, ctx=ctx)
     val = dom.cell_volume * float(f @ sol)
     if not 0.0 < val < math.inf:
         raise DegenerateInputError(
             f"dual norm of jp(u) is {val!r}: rounded to zero or not finite")
-    return val, sol
+    return integrate_power(dom, x, params.p) / val, sol
 
 
 def lambda_decay_estimate(traj, k: int) -> float:
@@ -128,56 +137,48 @@ def energy_identity_residual(traj, k: int) -> float:
     p = traj.params.p
     n_prev = traj.diagnostics[k - 1].Np
     n_cur = traj.diagnostics[k].Np
-    e_k = traj.regime_energy(k)
+    e_k = traj.diagnostics[k].energy
     return (n_cur - n_prev) / p + (traj.tau / (p - 1.0)) * p * e_k
 
 
 def fill_dual_columns(dom: Domain, traj, cfg: SolverConfig) -> None:
-    """Compute dual_q (and so mu_from_dual) for every row, warm-starting
-    each inverse solve from the previous step's solution; the solves share
-    one SolveContext.
+    """Compute dual_q (and so mu_from_dual) for every row with Np > 0.
 
-    When steps k-1 and k both returned their prediction with the same
-    factor t (traj.ray_factors), row k's problem is row k-1's scaled by t:
-    its data by t^(p-1) and its eps by t.  So when row k-1's solve moved
-    its start along the ray only, row k starts from t times that solution,
-    which then passes the unchanged stopping test at its one evaluation.
+    Each row's inverse solve runs at max|u| = 1 (see _unit_dual_quotient),
+    warm-started from the previous row's solution, and the solves share one
+    SolveContext.  On a separated tail the unit-scale states agree, so each
+    row starts at its own solution and stops at its first evaluation.
     """
     ctx = SolveContext(dom, traj.regime, traj.params.p)
-    warm, chained = None, False
+    warm = None
     for k, row in enumerate(traj.diagnostics):
         if row.Np > 0.0:
-            t = traj.ray_factors[k]
-            if chained and t is not None and t == traj.ray_factors[k - 1]:
-                warm = t * warm
-            val, warm = _jp_dual_norm_q(dom, traj.states[k], traj.params_at(k),
-                                        traj.regime, cfg, warm, ctx)
-            chained = ctx.ray is not None
-            row.dual_q = row.Np / val
-        else:
-            chained = False
+            row.dual_q, warm = _unit_dual_quotient(dom, traj.states[k], traj.params,
+                                                   traj.regime, cfg, warm, ctx)
 
 
 def rows_to_csv(rows) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_line() for r in rows]) + "\n"
 
 
-def build_row(dom: Domain, traj, k: int, evaluation=None) -> DiagnosticsRow:
-    """Cheap (no inverse solve) diagnostics for step k of a trajectory.
-
-    evaluation, when the caller already has it, is (E(u^k) at
-    traj.params_at(k), sum |u^k|^p), and the row then evaluates nothing."""
-    u = traj.states[k]
+def build_row(dom: Domain, traj, k: int, x, scale: float, evaluation=None) -> DiagnosticsRow:
+    """Cheap (no inverse solve) diagnostics for step k of a trajectory, whose
+    u^k = scale * x has eps relative to scale = max|u^(k-1)| (max|u^0| at
+    k = 0): E and int |u|^p are read at x and scaled by scale^p.  evaluation,
+    when the caller already has it, is (E(x), sum |x|^p) at traj.params."""
     p = traj.params.p
     vol = dom.cell_volume
     if evaluation is None:
-        n_p = integrate_power(dom, u, p)
-        e_k = energy(dom, u, traj.params_at(k), traj.regime)
+        e_x = energy(dom, x, traj.params, traj.regime)
+        power_sum = float((np.abs(x) ** p).sum())
     else:
-        e_k, power_sum = evaluation
-        n_p = vol * power_sum
-    ray = p * e_k / n_p if n_p > 0.0 else math.nan
-    cons = vol * float(jp(u, p).sum())
+        e_x, power_sum = evaluation
+    try:
+        size = scale ** p
+    except OverflowError:  # refused by the march (see flow._record)
+        size = math.inf
+    ray = p * e_x / (vol * power_sum) if power_sum > 0.0 else math.nan
+    cons = vol * float(jp(traj.states[k], p).sum())
     return DiagnosticsRow(
-        k=k, t=k * traj.tau, Np=n_p, rayleigh=ray, dual_q=math.nan,
-        lambda_decay=math.nan, conservation=cons, energy_residual=math.nan, energy=e_k)
+        k=k, t=k * traj.tau, Np=vol * power_sum * size, rayleigh=ray, dual_q=math.nan,
+        lambda_decay=math.nan, conservation=cons, energy_residual=math.nan, energy=e_x * size)

@@ -16,10 +16,11 @@ banded Hessian (``energy_hessian`` plus the mass term of the step), factored
 by banded Cholesky (LAPACK pbtrf/pbtrs).  A SolveContext carries one factor
 from solve to solve of a problem (a march of implicit steps, the dual solves
 of a trajectory, the oracle's sweeps): after a solve that converged within
-one NCG iteration the next solve starts on that factor, rescaled to its
-start by the homogeneity M(s x) = s^(p-2) M(x), and any other solve starts
-by factoring M at its start.  M is refactored at the current iterate, and
-the direction restarted, only when the accepted step length falls outside
+one NCG iteration the next solve starts on that factor as it is (each of
+those problems solves at one scale: max|u| = 1 in the flow, unit L^p in the
+oracle), and any other solve starts by factoring M at its start.  M is
+refactored at the current iterate, and the direction restarted, only when
+the accepted step length falls outside
 REFRESH_STEPS (a step far from 1 says M no longer matches the curvature
 along the direction), and at the latest every RESTART_PERIOD iterations.
 The rule reads only the iterates and does not bound how often it fires.
@@ -42,13 +43,13 @@ march that continues from a separated state skips that step, which cannot
 win there.
 
 Once a march has separated, each step multiplies the state by one factor t,
-and eps is relative, so the next step is the last one scaled by t.  A
-SolveContext therefore keeps t when its last solve returned t times its
-start without an NCG iteration, and the next implicit step first tries
-t u_prev.  One evaluation there gives the step's stopping test: the
-reference ||g(u_prev)|| = tau ||grad E(u_prev)|| follows from grad E(t u_prev)
-by the degree-(p-1) homogeneity of grad E.  A prediction the test rejects
-is dropped and the step runs from u_prev as any other.
+so at the flow's unit scale every step has the same u_prev.  A SolveContext
+therefore keeps t when its last solve returned t times its start without an
+NCG iteration, and the next implicit step first tries t u_prev.  One
+evaluation there gives the step's stopping test: the reference
+||g(u_prev)|| = tau ||grad E(u_prev)|| follows from grad E(t u_prev) by the
+degree-(p-1) homogeneity of grad E.  A prediction the test rejects is
+dropped and the step runs from u_prev as any other.
 
 The Neumann zero-p-mean shift is a safeguarded Newton iteration on the
 p-mean, started at c = 0, with bisection as its fallback.
@@ -255,14 +256,12 @@ class SolveContext:
     One context serves the implicit steps of one march (tau given) or a run
     of inverse solves (tau None) on one domain, regime and p, with the
     regime validated once; eps still comes per call through the params.  It
-    holds at most one preconditioner factor, with the scale max|x_ref| of the
-    iterate it was built at, and a gate: whether the last solve converged
-    within one NCG iteration.  While the gate is open the next solve starts
-    on that factor, its solves scaled by (max|x_ref| / max|x|)^(p-2) since
-    M(s x) = s^(p-2) M(x); a scale that is not finite and positive, or a
-    zero x, builds a fresh factor instead.  A factor built at the zero field
-    (a cold inverse start, on the p = 2 stiffness) is not kept, and a solve
-    that fails closes the gate.
+    holds at most one preconditioner factor and a gate: whether the last
+    solve converged within one NCG iteration.  While the gate is open the
+    next solve starts on that factor as it is, since the solves of one
+    problem run at one scale (see the module docstring).  A factor built at
+    the zero field (a cold inverse start, on the p = 2 stiffness) is not
+    kept, and a solve that fails closes the gate.
 
     The first step of a march tries the p = 2 linear step as its start unless
     linear_start is False, as for a march that continues from a separated
@@ -278,9 +277,8 @@ class SolveContext:
     t u_prev (see implicit_step); an accepted prediction keeps t.
 
     evaluation is (x, E(x), sum |x|^p) for the point x the last solved
-    implicit step returned, E at that step's eps, so the march's diagnostics
-    need not evaluate x again; None before the first.  It holds that one
-    point only.
+    implicit step returned, so the march's diagnostics need not evaluate x
+    again; None before the first.  It holds that one point only.
     """
 
     def __init__(self, dom: Domain, regime: BoundaryRegime, p: float,
@@ -291,7 +289,6 @@ class SolveContext:
         self.dom, self.regime, self.p, self.tau = dom, regime, p, tau
         self.linear_start = linear_start
         self._solve = None  # z -> M^-1 g of the kept factor
-        self._ref_scale = 0.0  # max|x_ref| of the kept factor
         self._gate = False
         self.ray = None
         self.evaluation = None
@@ -310,22 +307,15 @@ class SolveContext:
         """Factor M = precondition(x), keep it unless x = 0; returns z -> M^-1 g."""
         self._solve = None  # free the kept factor before the new one is built
         solve = _factor(precondition(x))
-        scale = float(np.abs(x).max())
-        if scale > 0.0:
-            self._solve, self._ref_scale = solve, scale
+        self._solve = solve if x.any() else None
         return solve
 
     def start(self, x, precondition):
         """(z -> M^-1 g, fresh) for a solve starting at x: the kept factor
-        rescaled to x while the gate is open, else a fresh factor at x."""
-        scale = np.abs(x).max()
-        if self._gate and self._solve is not None and scale > 0.0:
-            with np.errstate(over="ignore", under="ignore"):
-                c = float((self._ref_scale / scale) ** (self.p - 2.0))
-            if 0.0 < c < math.inf:
-                self.carried += 1
-                solve = self._solve
-                return (lambda g: c * solve(g)), False
+        while the gate is open, else a fresh factor at x."""
+        if self._gate and self._solve is not None:
+            self.carried += 1
+            return self._solve, False
         self.fresh += 1
         return self.factor(x, precondition), True
 
@@ -339,7 +329,8 @@ def _ray_start(value_grad, b, p, x, f, g, *extra):
     u_prev this is the separated-solution factor 1 / (1 + tau lambda-hat).
     (f, g, *extra) is value_grad's result at x.  Returns (x, s, f, g, *extra)
     with x moved to s x only when s is finite and positive and the objective
-    does not rise there (eps > 0 breaks exact homogeneity), and s = 1.0 when
+    falls there by more than the line search's noise floor (eps > 0 breaks
+    exact homogeneity, and a last-ulp tie must not decide), and s = 1.0 when
     x is kept.  An s within RAY_TOL = 64 machine eps of 1 is rounding, not a
     move: x is kept without the trial evaluation.
     """
@@ -353,7 +344,7 @@ def _ray_start(value_grad, b, p, x, f, g, *extra):
         return (x, 1.0, f, g, *extra)
     xs = s * x
     trial = value_grad(xs)
-    if trial[0] <= f:
+    if trial[0] < f - 1e-14 * (abs(f) + abs(trial[0])):
         return (xs, s, *trial)
     return (x, 1.0, f, g, *extra)
 
@@ -371,7 +362,7 @@ def _ncg(value_grad, b, p, x0, ref_norm, cfg: SolverConfig, precondition,
     again.  start, when given, is value_grad's result at x0, which is then
     not evaluated.  precondition(x) -> the lower band of an SPD
     approximation M of the Hessian at x.  The first direction uses ctx's
-    kept factor, rescaled, when its gate is open and M factored at the
+    kept factor when its gate is open and M factored at the
     start otherwise (see SolveContext.start).  M is refactored, with a
     restart (beta = 0), after an accepted step outside REFRESH_STEPS and
     every RESTART_PERIOD iterations; the next line search still starts from
@@ -572,7 +563,7 @@ def _prediction(ctx: SolveContext, u_prev, b, evaluate, cfg: SolverConfig):
 
     The test's reference ||g(u_prev)|| = tau ||grad E(u_prev)|| is taken from
     x's own gradient as tau t^(1-p) ||grad E(x)||, by the degree-(p-1)
-    homogeneity of grad E (exact up to eps, which is frozen for the step).
+    homogeneity of grad E (exact up to eps, which the step keeps fixed).
     """
     t, p, tau, vol = ctx.ray, ctx.p, ctx.tau, ctx.dom.cell_volume
     x = t * u_prev
@@ -664,10 +655,12 @@ def zero_pmean_shift(dom: Domain, u, p: float) -> np.ndarray:
     a safeguarded Newton iteration runs from c = 0, which is nearly the root
     after the flow's first step (the scheme conserves the p-mean), inside a
     bracket padded proportionally to the field amplitude.  A step that
-    leaves the bracket, or a slope of 0 or inf, is replaced by bisection.
-    The iteration stops once the step or the bracket is a few ulps of
+    leaves the bracket or is over half the step two iterations back (Newton
+    circling a root next to a zero of u + c at p < 2), or a slope of 0 or
+    inf, is replaced by bisection.  The iteration stops once a Newton step
+    rounds to no change in c, or the step or the bracket is a few ulps of
     max|u|, so the shift stays resolvable however far a trajectory has
-    decayed.
+    decayed; after 100 iterations it raises NonConvergenceError.
     """
     u = dom.check_field(u)
     top, bottom = float(u.max()), float(u.min())
@@ -682,6 +675,7 @@ def zero_pmean_shift(dom: Domain, u, p: float) -> np.ndarray:
     hi = -bottom + 0.125 * scale
     tol = 4.0 * float(np.spacing(scale))
     c = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
+    last = before_last = hi - lo  # the last two steps taken
     for _ in range(100):
         val, slope = _pmean_slope(u + c, p)
         if val == 0.0:
@@ -690,13 +684,18 @@ def zero_pmean_shift(dom: Domain, u, p: float) -> np.ndarray:
             hi = c
         else:
             lo = c
-        c_new = c - val / slope if 0.0 < slope < np.inf else c
-        if not lo < c_new < hi:
-            c_new = 0.5 * (lo + hi)
-        done = abs(c_new - c) <= tol or hi - lo <= tol
-        c = c_new
-        if done:
+        c_new = c - val / slope if 0.0 < slope < np.inf else math.nan
+        if c_new == c:
             break
+        if not lo < c_new < hi or 2.0 * abs(c_new - c) > before_last:
+            c_new = 0.5 * (lo + hi)
+        before_last, last = last, abs(c_new - c)
+        c = c_new
+        if last <= tol or hi - lo <= tol:
+            break
+    else:
+        raise NonConvergenceError("zero-p-mean shift not resolved in 100 iterations",
+                                  last_iterate=u + c, p=p)
     return u + c
 
 

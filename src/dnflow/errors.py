@@ -35,7 +35,9 @@ class CompatibilityError(DnflowError):
 
 
 class DegenerateInputError(DnflowError):
-    """An operation received an identically zero field it cannot normalize."""
+    """An operation received a field it cannot normalize: identically zero,
+    or of an amplitude at which int |u|^p or a dual pairing leaves the
+    floating-point range."""
 
 
 class SignViolationError(DnflowError):

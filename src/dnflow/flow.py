@@ -1,10 +1,10 @@
 """Run the implicit scheme, build its interpolants, expose rescaled iterates.
 
-Each step minimizes the backward functional at a frozen regularization
-length eps_k = epsilon * max|u^{k-1}| (relative, so the per-step operator
-stays consistent with the flow's degree-p homogeneity as the solution
-decays).  The solver and the diagnostics both read a step's eps from
-FlowTrajectory.params_at, so they evaluate the same functional.
+Each step minimizes the backward functional at the regularization length
+eps_k = epsilon * max|u^{k-1}|, relative, so the scheme is exactly degree-p
+homogeneous and only u^{k-1} / max|u^{k-1}| carries information: the march
+solves each step at that unit scale, where eps is epsilon itself, so no
+solve sees the data's amplitude.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import diagnostics as diag
 from .domain import Domain, lp_norm
 from .elliptic import SolveContext, SolverConfig, implicit_step, project_pmean
-from .errors import InvalidSnapshotError, NonConvergenceError
+from .errors import DegenerateInputError, InvalidSnapshotError, NonConvergenceError
 from .operators import BoundaryRegime, EnergyParams, jp
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
 # States whose L^p norm falls below this multiple of the initial norm are
 # reported as the degenerate (identically vanishing) limit.
 DEGENERATE_FLOOR = 1e3 * np.finfo(float).eps
+NORMAL_MIN = np.finfo(float).tiny  # a row's int |u|^p below it has lost digits
 
 # evolve_until_settled's stop test (see _lambda_settled) and auto_tau's
 # bootstrap run.  With tau = None the settle march continues from the
@@ -60,37 +61,31 @@ class FlowTrajectory:
     regime: BoundaryRegime
     states: list
     diagnostics: list = field(default_factory=list)
-    # Per state index k, the factor t when step k returned its prediction
-    # t u^(k-1) (see elliptic.implicit_step), else None; None for k = 0.
-    ray_factors: list = field(default_factory=lambda: [None])
-    # params_at's result per state index k - 1, built on first use.
-    _step_params: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def steps(self) -> int:
         return len(self.states) - 1
 
-    def params_at(self, k: int) -> EnergyParams:
-        """The energy parameters with the eps frozen for step k, from u^(k-1).
 
-        Built once per step; states are only ever appended."""
-        j = max(k - 1, 0)
-        params = self._step_params.get(j)
-        if params is None:
-            params = self.params.with_epsilon(_step_epsilon(self.params, self.states[j]))
-            self._step_params[j] = params
-        return params
-
-    def regime_energy(self, k: int) -> float:
-        """Energy of u^k under the eps frozen for that step (from its row)."""
-        return self.diagnostics[k].energy
+def _unit(x):
+    """(x / max|x|, max|x|), or (x, 0.0) for the zero field."""
+    scale = float(np.abs(x).max())
+    return (x / scale if scale > 0.0 else x), scale
 
 
-def _step_epsilon(params: EnergyParams, u_prev: np.ndarray) -> float:
-    eps = params.epsilon * float(np.abs(u_prev).max())
-    # Zero or underflowed scale: fall back to the nominal value (the state is
-    # at or below the degenerate floor, where eps no longer matters).
-    return eps if eps > 0.0 else params.epsilon
+def _record(traj: FlowTrajectory, row) -> None:
+    """Append row to traj.  A nonzero state whose E or int |u|^p is not
+    finite, or whose int |u|^p is below the normal floats short of the
+    degenerate floor, raises DegenerateInputError: its quotients would be
+    rounded away."""
+    traj.diagnostics.append(row)
+    if math.isfinite(row.Np + row.energy) and (
+            row.Np >= NORMAL_MIN or row.k and _degenerate(traj)):
+        return
+    if traj.states[row.k].any():
+        raise DegenerateInputError(
+            f"step {row.k}: int |u|^p = {row.Np!r} and E(u) = {row.energy!r} at "
+            f"p = {traj.params.p}: the amplitude leaves the floating-point range")
 
 
 def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
@@ -99,12 +94,14 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
     """March up to max_steps implicit steps from g, recording diagnostics.
 
     Neumann initial data is first shifted to its zero-p-mean representative.
-    The steps share one SolveContext, whose first step tries the p = 2 linear
-    start when linear_start is True, and whose later steps try the state
-    the last ray factor predicts; traj.ray_factors records the factor of each
-    step that returned its prediction.  Solver failures propagate with the
-    step index attached.  After each step stop(traj) is asked whether to end
-    the march early.
+    Step k takes x = u^(k-1) / max|u^(k-1)| with traj.params, and u^k is its
+    result times max|u^(k-1)|, a scale carried as a product of maxima; row k
+    reuses the step's evaluation of x (see diagnostics.build_row and
+    _record).  The steps share one SolveContext, whose first step tries the
+    p = 2 linear start when linear_start is True, and whose later steps try
+    the state the last ray factor predicts.  Solver failures propagate with
+    the step index attached.  After each step stop(traj) is asked whether
+    to end the march early.
     """
     if max_steps < 1:
         raise ValueError(f"need at least one step, got {max_steps}")
@@ -114,29 +111,29 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
     g = project_pmean(dom, g, params.p, regime)
 
     traj = FlowTrajectory(dom=dom, tau=tau, params=params, regime=regime, states=[g])
-    traj.diagnostics.append(diag.build_row(dom, traj, 0))
+    x, scale = _unit(g)
+    _record(traj, diag.build_row(dom, traj, 0, x, scale))
 
     ctx = SolveContext(dom, regime, params.p, tau, linear_start=linear_start)
-    u = g
     for k in range(1, max_steps + 1):
-        predicted = ctx.predicted
         try:
-            u = implicit_step(dom, u, tau, traj.params_at(k), regime, cfg, ctx)
+            x = implicit_step(dom, x, tau, params, regime, cfg, ctx)
         except NonConvergenceError as err:
             err.step = k
             raise
-        u = project_pmean(dom, u, params.p, regime)  # stay on the constraint set
-        traj.states.append(u)
-        traj.ray_factors.append(ctx.ray if ctx.predicted > predicted else None)
-        # The step's own evaluation of u, unless the Neumann shift moved it.
+        x = project_pmean(dom, x, params.p, regime)  # stay on the constraint set
+        traj.states.append(scale * x)
+        # The step's own evaluation of x, unless the Neumann shift moved it.
         held = ctx.evaluation
-        traj.diagnostics.append(
-            diag.build_row(dom, traj, k, held[1:] if held and held[0] is u else None))
-        row = traj.diagnostics[k]
+        row = diag.build_row(dom, traj, k, x, scale,
+                             held[1:] if held and held[0] is x else None)
+        _record(traj, row)
         row.lambda_decay = diag.lambda_decay_estimate(traj, k)
         row.energy_residual = diag.energy_identity_residual(traj, k)
         if stop(traj):
             break
+        x, factor = _unit(x)
+        scale *= factor
     return traj
 
 
@@ -201,8 +198,7 @@ def evolve_until_settled(dom: Domain, g, params: EnergyParams,
     """Evolve until the decay-rate estimate lambda-hat has settled.
 
     With tau = None the auto_tau bootstrap runs once: tau is its choice,
-    and the settle march continues from its last state scaled to max|u| = 1
-    (exact by degree-p homogeneity, since eps is relative), so states[0] is
+    and the settle march continues from its last state, so states[0] is
     that state, not g.  That state is separated, so the march's first step
     skips the p = 2 linear start, which cannot win there.  It starts from g
     when the bootstrap decayed to zero or to the degenerate floor.  A given
@@ -219,7 +215,7 @@ def evolve_until_settled(dom: Domain, g, params: EnergyParams,
         tau, boot = _bootstrap(dom, g, params, regime, cfg)
         separated = not _degenerate(boot)
         if separated:
-            g = boot.states[-1] / np.max(np.abs(boot.states[-1]))
+            g = boot.states[-1]
 
     def stop(traj):
         # The degenerate limit leaves nothing to estimate.

@@ -137,9 +137,6 @@ class EnergyParams:
     def q(self) -> float:
         return self.p / (self.p - 1.0)
 
-    def with_epsilon(self, eps: float) -> "EnergyParams":
-        return EnergyParams(self.p, eps)
-
 
 def jp(z, p: float):
     """The odd power map |z|**(p-2) * z, computed as sign(z)*|z|**(p-1).

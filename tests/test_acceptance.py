@@ -165,7 +165,7 @@ def _monotonicity_violations(n, p, regime, grad_tol, steps=200):
     tau = 1.0 / (2.0 * eig.lam)
     traj = evolve(dom, g, tau, steps, params, regime, cfg)
     nps = np.array([r.Np for r in traj.diagnostics])
-    es = np.array([traj.regime_energy(k) for k in range(steps + 1)])
+    es = np.array([r.energy for r in traj.diagnostics])
 
     viol = {}
     # relative per-step growth of quantities that must not increase
@@ -268,7 +268,7 @@ def test_criterion_07_mu_lambda_consistency():
             traj = evolve_until_settled(dom, np.ones(n), params, regime, cfg)
             k = traj.steps
             lam_hat = lambda_decay_estimate(traj, k)
-            mu_hat = dual_quotient(dom, traj.states[k], traj.params_at(k), regime, cfg)
+            mu_hat = dual_quotient(dom, traj.states[k], params, regime, cfg)
             gap = mu_lambda_consistency(lam_hat, mu_hat, p)
             ok = ok and gap <= 0.02
             parts.append(f"{regime.kind} p={p}: {gap:.2e}")

@@ -154,6 +154,26 @@ def test_eigen_matches_oracle_n199(tmp_path, capsys):
     assert abs(lam / np.pi**2 - 1.0) <= 5e-3
 
 
+def test_eigen_refuses_a_higher_mode(tmp_path, capsys):
+    # Data whose ground-state component is 1e-10 of the second mode settles
+    # on that mode, where lambda-hat is flat to rounding.  eigen compares
+    # the flow's lambda with the oracle's it already holds and exits 2,
+    # naming both, instead of printing the second eigenvalue.
+    from dnflow.domain import build_interval
+
+    x = build_interval(199).nodes
+    snap = tmp_path / "mode2.txt"
+    snap.write_text("kind=interval n=199\n" + "".join(
+        f"{float(v)!r}\n" for v in np.sin(2 * np.pi * x) + 1e-10 * np.sin(np.pi * x)))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("domain.kind = interval\ndomain.n = 199\np = 2\n"
+                        f"regime.kind = dirichlet\ninit.kind = file\ninit.path = {snap}\n")
+    assert main(["eigen", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr()
+    assert not out.out and out.err.count("\n") == 1
+    assert "lambda 39.475" in out.err and "lambda is 9.869" in out.err
+
+
 def test_oracle_prints_summary(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(BASE)

@@ -214,24 +214,32 @@ def test_neumann_conservation_column():
 
 @pytest.mark.parametrize("p, amp", [(4.0, 1e-60), (4.0, 1e-75), (4.0, 1e-80),
                                     (3.0, 1e-85), (3.0, 1e-100)])
-def test_dual_norm_rounded_to_zero_raises_typed_error(p, amp):
-    # At these amplitudes the dual norm of jp(u) rounds to 0; the quotient
-    # must then be a typed error (or, once solves are scale-free, the
-    # amplitude-free value), never a bare ZeroDivisionError.
+def test_dual_quotient_is_amplitude_free(p, amp):
+    # At these amplitudes the dual norm of jp(u) itself rounds to 0.  With
+    # eps relative the quotient is degree-0 homogeneous and is read at
+    # max|u| = 1, so it equals the amplitude-1 value, and so do a
+    # trajectory's dual_q rows, unless int |u|^p itself leaves the normal
+    # floats, which the march refuses with a typed error.
     d = build_interval(32)
     params = EnergyParams(p, 1e-6)
     phi = sine_mode(d)
     ref = dual_quotient(d, phi, params, DIRICHLET, CFG)
+    assert dual_quotient(d, amp * phi, params, DIRICHLET, CFG) == pytest.approx(ref, rel=1e-12)
+    unit = evolve(d, phi, 0.01, 2, params, DIRICHLET, CFG)
+    fill_dual_columns(d, unit, CFG)
     try:
-        val = dual_quotient(d, amp * phi, params, DIRICHLET, CFG)
+        traj = evolve(d, amp * phi, 0.01, 2, params, DIRICHLET, CFG)
     except DegenerateInputError:
-        pass
-    else:
-        assert val == pytest.approx(ref, rel=1e-6)
-    traj = evolve(d, amp * phi, 0.01, 2, params, DIRICHLET, CFG)
-    try:
-        fill_dual_columns(d, traj, CFG)
-    except DegenerateInputError:
+        assert integrate_power(d, amp * phi, p) < np.finfo(float).tiny
         return
-    for row in traj.diagnostics:
-        assert row.dual_q == pytest.approx(ref, rel=1e-3)
+    fill_dual_columns(d, traj, CFG)
+    for row, unit_row in zip(traj.diagnostics, unit.diagnostics):
+        assert row.dual_q == pytest.approx(unit_row.dual_q, rel=1e-12)
+
+
+def test_dual_pairing_outside_the_positive_floats_raises_typed_error():
+    # A constant field under Neumann has jp(u) = const, which the C-perp
+    # projection takes to zero: the pairing is 0 and the quotient refuses.
+    d = build_interval(16)
+    with pytest.raises(DegenerateInputError, match="rounded to zero or not finite"):
+        dual_quotient(d, np.full(16, 2.0), EnergyParams(3.0, 1e-6), NEUMANN, CFG)

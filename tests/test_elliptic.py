@@ -248,6 +248,41 @@ def test_zero_pmean_shift_zero_entries_warn_nothing():
     assert pmean_defect(d, w, 1.5) <= 1e-12
 
 
+def _sweep_field(i):
+    # Field i of a sweep of fields u = N(0, 1) + U(-0.5, 0.5) at n = 32 from
+    # rng seed 0 (a normal vector plus one uniform offset per field).
+    rng = np.random.default_rng(0)
+    for _ in range(i + 1):
+        u = rng.standard_normal(32) + rng.uniform(-0.5, 0.5)
+    return u
+
+
+@pytest.mark.parametrize("i, p, most", [(390, 3.0, 4), (4392, 1.5, 30)])
+def test_zero_pmean_shift_hard_fields(monkeypatch, i, p, most):
+    # Field 390: Newton reaches the root in 3 slope evaluations, where its
+    # next step rounds to no change in c; taken as a bisection of the whole
+    # bracket, that step cost 47 evaluations.  Field 4392: the root lies
+    # 1.2e-7 from a zero of u + c, where the slope blows up at p = 1.5 and
+    # Newton circles the root; unsafeguarded it stopped at the 100-iteration
+    # cap with a p-mean defect of 1.1e-5.  Both must reach the defect of
+    # bisection to float exhaustion, in at most `most` evaluations.
+    import dnflow.elliptic as elliptic
+
+    count, inner = [0], elliptic._pmean_slope
+
+    def counting_slope(r, p):
+        count[0] += 1
+        return inner(r, p)
+
+    monkeypatch.setattr(elliptic, "_pmean_slope", counting_slope)
+    d = build_interval(32)
+    u = _sweep_field(i)
+    v = zero_pmean_shift(d, u, p)
+    assert count[0] <= most
+    ref = pmean_defect(d, _bisection_shift(u, p), p)
+    assert pmean_defect(d, v, p) <= max(ref, 2 * np.finfo(float).eps)
+
+
 def test_zero_pmean_shift_work_per_call(monkeypatch):
     # After the first step the flow conserves the p-mean, so the root sits at
     # c ~ 0 and Newton from c = 0 needs a step or two; bisection to float
@@ -434,24 +469,23 @@ def test_failed_search_on_carried_factor_refactors_and_continues(monkeypatch):
     assert np.max(np.abs(got - ref)) <= 10 * CFG.grad_tol * np.max(np.abs(ref))
 
 
-def test_rescale_outside_the_floats_builds_a_fresh_factor():
-    # The carried factor is rescaled by (max|x_ref| / max|x|)^(p-2): a ratio
-    # of 1e-2 at p = 4 carries it, and one of 1e-200, whose rescale
-    # underflows to 0, builds a fresh factor, as does a zero start.
+def test_kept_factor_is_carried_as_it_is():
+    # The solves of one context run at one scale, so while the gate is open
+    # the kept factor starts the next solve unchanged, whatever its start;
+    # a factor built at the zero field is not kept.
     d = build_interval(32)
     ctx, u = _carrying_context(d, np.ones(32), EnergyParams(4.0, 1e-6))
-    band = np.vstack([np.full(32, 2.0), np.full(32, -1.0)])
+    kept, counts = ctx._solve, (ctx.fresh, ctx.carried)
 
     def precondition(x):
-        return band.copy(order="F")
+        raise AssertionError("a carried start factors nothing")
 
-    x = u / np.max(np.abs(u)) * ctx._ref_scale
-    counts = (ctx.fresh, ctx.carried)
-    assert ctx.start(100.0 * x, precondition)[1] is False
-    assert (ctx.fresh, ctx.carried) == (counts[0], counts[1] + 1)
-    for start in (1e200 * x, np.zeros(32)):
-        assert ctx.start(start, precondition)[1] is True
-    assert (ctx.fresh, ctx.carried) == (counts[0] + 2, counts[1] + 1)
+    for start in (100.0 * u, np.zeros(32)):
+        assert ctx.start(start, precondition) == (kept, False)
+    assert (ctx.fresh, ctx.carried) == (counts[0], counts[1] + 2)
+    band = np.vstack([np.full(32, 2.0), np.full(32, -1.0)])
+    ctx.factor(np.zeros(32), lambda x: band.copy(order="F"))
+    assert ctx._solve is None
 
 
 def test_failed_solve_closes_the_gate(monkeypatch):

@@ -31,7 +31,8 @@ def _drop_handoffs(monkeypatch):
     # Rows evaluate their state again, and sweeps their warm start.
     build_row, inverse = diagnostics.build_row, oracle.inverse_operator
     monkeypatch.setattr(diagnostics, "build_row",
-                        lambda dom, traj, k, evaluation=None: build_row(dom, traj, k))
+                        lambda dom, traj, k, x, scale, evaluation=None:
+                        build_row(dom, traj, k, x, scale))
 
     def inverse_without(*args, warm_eval=None, **kwargs):
         return inverse(*args, **kwargs)

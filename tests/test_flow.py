@@ -89,7 +89,7 @@ def test_lp_decay_and_energy_monotone():
         g = rng.standard_normal(29)
         traj = evolve(d, g, 0.02, 15, params, DIRICHLET, CFG)
         nps = [r.Np for r in traj.diagnostics]
-        es = [traj.regime_energy(k) for k in range(16)]
+        es = [r.energy for r in traj.diagnostics]
         for k in range(1, 16):
             assert nps[k] <= nps[k - 1] * (1 + 1e-10)
             assert es[k] <= es[k - 1] * (1 + 1e-9) + 1e-14 * es[0]
@@ -120,7 +120,7 @@ def test_decay_bound():
         traj = evolve(d, g, tau, 12, params, DIRICHLET, CFG)
         nps = [r.Np for r in traj.diagnostics]
         for k in range(1, 13):
-            e_k = traj.regime_energy(k)
+            e_k = traj.diagnostics[k].energy
             for m in range(1, k + 1):
                 assert e_k * p / (p - 1) <= nps[k - m] / (m * tau) * (1 + 1e-9)
 
@@ -165,10 +165,11 @@ def test_settle_states_equal_evolve_states(p, regime):
                                    max_steps=40)
     assert settled.steps < 40  # the settle test, not the budget, stopped it
     fixed = evolve(d, g, 0.05, settled.steps, params, regime, CFG)
+    assert len(settled.states) == len(fixed.states)
     for a, b in zip(settled.states, fixed.states):
         np.testing.assert_array_equal(a, b)
-    steps = range(settled.steps + 1)
-    assert [settled.params_at(k) for k in steps] == [fixed.params_at(k) for k in steps]
+    assert ([(r.csv_line(), r.energy) for r in settled.diagnostics]
+            == [(r.csv_line(), r.energy) for r in fixed.diagnostics])
 
 
 def test_limit_profile_positive():
@@ -268,8 +269,7 @@ def test_lambda_settled_is_a_tail_bound(lams, stops):
 
 def test_settle_continues_from_the_bootstrap(monkeypatch):
     # The README config: the settle march starts from the bootstrap's last
-    # state scaled to max 1 and stops a few steps later at the dense p = 2
-    # eigenvalue.
+    # state and stops a few steps later at the dense p = 2 eigenvalue.
     d = build_interval(199)
     params = EnergyParams(2.0, 1e-6)
     steps = []
@@ -284,8 +284,7 @@ def test_settle_continues_from_the_bootstrap(monkeypatch):
 
     boot = evolve(d, np.ones(199), flow.BOOTSTRAP_TAU, flow.BOOTSTRAP_STEPS,
                   params, DIRICHLET, CFG)
-    np.testing.assert_array_equal(traj.states[0],
-                                  boot.states[-1] / np.max(np.abs(boot.states[-1])))
+    np.testing.assert_array_equal(traj.states[0], boot.states[-1])
     assert traj.tau == auto_tau(d, np.ones(199), params, DIRICHLET, CFG)
     # max_steps counts the settle march only.
     assert evolve_until_settled(d, np.ones(199), params, DIRICHLET, CFG,

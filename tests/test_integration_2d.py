@@ -36,8 +36,7 @@ def test_rectangle_robin_flow_vs_oracle_p25():
     traj = evolve_until_settled(dom, np.ones(dom.n_nodes), params, regime, CFG)
     lam_hat = lambda_decay_estimate(traj, traj.steps)
     assert abs(lam_hat / eig.lam - 1.0) <= 5e-3
-    mu_hat = dual_quotient(dom, traj.states[traj.steps], traj.params_at(traj.steps),
-                           regime, CFG)
+    mu_hat = dual_quotient(dom, traj.states[traj.steps], params, regime, CFG)
     assert abs(mu_hat / eig.mu - 1.0) <= 0.02
 
 

@@ -1,7 +1,7 @@
 """The separated tail steps in one evaluation: an implicit step first tries
-the state its context's last ray factor t predicts, t u_prev, and a dual row
-whose problem is the previous row's scaled by t starts from t times that
-row's solution.
+the state its context's last ray factor t predicts, t u_prev, and a dual
+row, solved at max|u| = 1 like the step, starts from the previous row's
+solution, which on that tail is its own.
 
 Switching the prediction off must leave every output within rounding, so
 the comparisons here are against runs with elliptic._prediction patched to
@@ -100,8 +100,9 @@ def test_predicted_run_matches_the_run_without_predictions(monkeypatch, regime, 
 
 def _count_work(monkeypatch):
     # Evaluations through the package's bindings of the evaluators, per
-    # implicit step of the march and per dual row.
-    calls, steps, rows = [0], [], []
+    # implicit step of the march and per dual row, and per step whether it
+    # returned its prediction (its context's predicted count rose).
+    calls, steps, rows, predicted = [0], [], [], []
     for module in (diagnostics, elliptic, oracle):
         for name in EVALUATORS:
             if hasattr(module, name):
@@ -116,15 +117,19 @@ def _count_work(monkeypatch):
 
         def spy(*args, **kwargs):
             before = calls[0]
+            ctx = args[-1] if name == "implicit_step" else None
+            was = ctx.predicted if ctx else 0
             out = inner(*args, **kwargs)
             into.append(calls[0] - before)
+            if ctx:
+                predicted.append(ctx.predicted > was)
             return out
 
         monkeypatch.setattr(module, name, spy)
 
     per_call(flow, "implicit_step", steps)
     per_call(diagnostics, "inverse_operator", rows)
-    return steps, rows
+    return steps, rows, predicted
 
 
 def _record_contexts(monkeypatch):
@@ -141,24 +146,24 @@ def _record_contexts(monkeypatch):
 def test_separated_tail_makes_one_evaluation_per_step_and_row(monkeypatch):
     # The evolve_1d Dirichlet p = 1.5 case.  After the first step k0 that
     # returned its start moved along the ray only, every step is a
-    # prediction.  Row k0 + 1 follows a step that was not, so it still takes
-    # the ray; every later row starts from the previous row's solution
-    # scaled by t and stops there.
+    # prediction.  Every row from k0 on starts at the previous row's
+    # solution, which is its own, since the rows' unit-scale states agree
+    # to rounding there, and stops there.
     d = build_interval(32)
     params, g = EnergyParams(1.5, 1e-6), np.ones(32)
     tau = auto_tau(d, g, params, DIRICHLET, CFG)
     made = _record_contexts(monkeypatch)
-    steps, rows = _count_work(monkeypatch)
+    steps, rows, predicted = _count_work(monkeypatch)
     traj = evolve(d, g, tau, 200, params, DIRICHLET, CFG)
     diagnostics.fill_dual_columns(d, traj, CFG)
-    assert len(steps) == 200 and len(rows) == 201
-    k0 = next(k for k, t in enumerate(traj.ray_factors) if t is not None) - 1
+    assert len(steps) == 200 and len(rows) == 201 and traj.steps == 200
+    k0 = predicted.index(True)  # predicted[k - 1] is step k
     assert k0 <= 40
-    assert all(t is not None for t in traj.ray_factors[k0 + 1:])
+    assert all(predicted[k0:])
     assert made[0].predicted == 200 - k0
     assert steps[k0:] == [1] * (200 - k0)  # steps[k - 1] is step k
-    assert rows[k0 + 2:] == [1] * (199 - k0)
-    assert min(steps[:k0]) >= 2 and min(rows[:k0 + 2]) >= 2
+    assert rows[k0:] == [1] * (201 - k0)
+    assert min(steps[:k0]) >= 2
 
 
 def _step_gradient_norm(d, x, u_prev, tau, params):
@@ -174,9 +179,9 @@ def test_prediction_from_an_unrelated_state_meets_the_stopping_test(monkeypatch,
     tau = auto_tau(d, np.ones(32), params, DIRICHLET, CFG)
     made = _record_contexts(monkeypatch)
     traj = evolve(d, np.ones(32), tau, 60, params, DIRICHLET, CFG)
-    ctx, u, t = made[0], traj.states[-1], traj.ray_factors[-1]
-    assert t is not None and ctx.ray == t
-    params = traj.params_at(traj.steps + 1)
+    # The march's next step would take the last state at max|u| = 1.
+    ctx, u, t = made[0], traj.states[-1] / np.abs(traj.states[-1]).max(), made[0].ray
+    assert t is not None and ctx.predicted > 0
     predicted = ctx.predicted
     np.testing.assert_array_equal(implicit_step(d, u, tau, params, DIRICHLET, CFG, ctx), t * u)
     assert ctx.predicted == predicted + 1
