@@ -246,7 +246,10 @@ def cmd_sweep(run, param: str, values, jobs: int | None) -> int:
     if param not in _KEYS:
         raise ConfigError(f"unknown sweep parameter {param!r}")
     if jobs is None:
-        jobs = os.cpu_count() or 1  # default: available parallelism
+        # The CPUs this process may run on: os.cpu_count() also counts those
+        # outside its affinity mask or cpuset.
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     elif jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     is_int = type(getattr(RunConfig, param.replace(".", "_"))) is int

@@ -85,16 +85,18 @@ def dual_quotient(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime,
     return _unit_dual_quotient(dom, u, params, regime, cfg, warm_start)[0]
 
 
-def _unit_dual_quotient(dom, u, params, regime, cfg, warm_start, ctx=None):
+def _unit_dual_quotient(dom, u, params, regime, cfg, warm_start, ctx=None, warm_eval=None):
     """(dual_quotient of u, the inverse solved for it), read at x = u / max|u|
-    with eps = params.epsilon; warm_start approximates (-Delta_p)^{-1} jp(x).
+    with eps = params.epsilon; warm_start approximates (-Delta_p)^{-1} jp(x),
+    and warm_eval, when given, is its evaluation (see inverse_operator).
 
     jp(x) is first projected off solver drift out of C-perp.  A pairing
     outside (0, inf) raises DegenerateInputError, since quotients divide by it.
     """
     x = u / float(np.abs(u).max())
     f = project_cperp(jp(x, params.p), regime)
-    sol = inverse_operator(dom, f, params, regime, cfg, warm_start=warm_start, ctx=ctx)
+    sol = inverse_operator(dom, f, params, regime, cfg, warm_start=warm_start, ctx=ctx,
+                           warm_eval=warm_eval)
     val = dom.cell_volume * float(f @ sol)
     if not 0.0 < val < math.inf:
         raise DegenerateInputError(
@@ -145,16 +147,20 @@ def fill_dual_columns(dom: Domain, traj, cfg: SolverConfig) -> None:
     """Compute dual_q (and so mu_from_dual) for every row with Np > 0.
 
     Each row's inverse solve runs at max|u| = 1 (see _unit_dual_quotient),
-    warm-started from the previous row's solution, and the solves share one
-    SolveContext.  On a separated tail the unit-scale states agree, so each
-    row starts at its own solution and stops at its first evaluation.
+    warm-started from the previous row's solution and, unless the Neumann
+    shift moved that solution, from the evaluation the previous solve left
+    there in the SolveContext the solves share.  On a separated tail the
+    unit-scale states agree, so each row starts at its own solution and
+    stops there without an evaluation.
     """
     ctx = SolveContext(dom, traj.regime, traj.params.p)
     warm = None
     for k, row in enumerate(traj.diagnostics):
         if row.Np > 0.0:
-            row.dual_q, warm = _unit_dual_quotient(dom, traj.states[k], traj.params,
-                                                   traj.regime, cfg, warm, ctx)
+            held = ctx.evaluation
+            row.dual_q, warm = _unit_dual_quotient(
+                dom, traj.states[k], traj.params, traj.regime, cfg, warm, ctx,
+                held[1:] if held and held[0] is warm else None)
 
 
 def rows_to_csv(rows) -> str:

@@ -49,7 +49,9 @@ NCG iteration, and the next implicit step first tries t u_prev.  One
 evaluation there gives the step's stopping test: the reference
 ||g(u_prev)|| = tau ||grad E(u_prev)|| follows from grad E(t u_prev) by the
 degree-(p-1) homogeneity of grad E.  A prediction the test rejects is
-dropped and the step runs from u_prev as any other.
+dropped and the step runs from u_prev as any other.  A step given the very
+u_prev of an accepted prediction, with t unchanged, has that step's inputs
+and returns its point and evaluation again without evaluating.
 
 The Neumann zero-p-mean shift is a safeguarded Newton iteration on the
 p-mean, started at c = 0, with bisection as its fallback.
@@ -269,16 +271,23 @@ class SolveContext:
     factorizations by kind, fresh (at a solve's start), refreshed (inside a
     solve) and linear (the p = 2 step of a march's first step); carried
     counts the solves that started on a kept factor instead of a fresh one,
-    and predicted the implicit steps that returned their prediction.
+    predicted the implicit steps that returned their prediction, repeated
+    those of them that took the step before's prediction again without an
+    evaluation, and handed_over the inverse solves that started from an
+    evaluation their caller handed over (warm_eval) instead of making it.
 
     ray is the factor t of the last solve when that solve returned t times
     its start without an NCG iteration (1.0 when it returned the start
     itself), else None.  An implicit step on this context first tries
-    t u_prev (see implicit_step); an accepted prediction keeps t.
+    t u_prev (see implicit_step); an accepted prediction keeps t, and
+    source is the u_prev it started from (None after any other solve).
 
-    evaluation is (x, E(x), sum |x|^p) for the point x the last solved
-    implicit step returned, so the march's diagnostics need not evaluate x
-    again; None before the first.  It holds that one point only.
+    evaluation is the last solve's evaluation of the point x it returned,
+    so the caller need not evaluate x again; None before the first.  A
+    march holds (x, E(x), sum |x|^p), which the step's diagnostics row
+    reads, and a run of inverse solves (x, E(x), raw partials of E at x),
+    which the next solve takes when it starts at x.  x is the returned
+    array unless the Neumann shift moved it.
     """
 
     def __init__(self, dom: Domain, regime: BoundaryRegime, p: float,
@@ -290,10 +299,10 @@ class SolveContext:
         self.linear_start = linear_start
         self._solve = None  # z -> M^-1 g of the kept factor
         self._gate = False
-        self.ray = None
-        self.evaluation = None
+        self.ray = self.source = self.evaluation = None
         self.solves = self.iterations = 0
-        self.fresh = self.refreshed = self.carried = self.linear = self.predicted = 0
+        self.fresh = self.refreshed = self.carried = self.linear = 0
+        self.predicted = self.repeated = self.handed_over = 0
 
     @property
     def factorizations(self) -> int:
@@ -474,7 +483,7 @@ def _solve(fg, b, x0, ref_norm, cfg, precondition, params, ctx, alt=None, start=
     # _ncg's (x, extra) with its work and gate recorded in ctx, and the
     # regime and p attached to its NonConvergenceError.
     ctx.solves += 1
-    ctx.ray = None
+    ctx.ray = ctx.source = None
     try:
         x, iterations, extra = _ncg(fg, b, params.p, x0, ref_norm, cfg, precondition, ctx,
                                     alt, start)
@@ -508,15 +517,22 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     march of its own.  When ctx.ray holds a factor t, the step first tries
     t u_prev and returns it when one evaluation there passes that stopping
     test (see _prediction); otherwise ctx.ray is cleared by the solve that
-    follows.  The first step of a march also tries the p = 2 linear step as
-    its start, unless ctx was made with linear_start False (see the module
-    docstring).  The step leaves the evaluation of the point it returns in
-    ctx.evaluation.
+    follows.  When u_prev is ctx.source, the very array the accepted
+    prediction before started from (so a caller must not write into it),
+    the step returns that prediction again without evaluating.  The first
+    step of a march also tries the p = 2 linear step as its start, unless
+    ctx was made with linear_start False (see the module docstring).  The
+    step leaves the evaluation of the point it returns in ctx.evaluation.
     """
     if ctx is None:
         ctx = SolveContext(dom, regime, params.p, tau)
     else:
         ctx._check(dom, regime, params.p, tau)
+    if ctx.ray is not None and u_prev is ctx.source:
+        ctx.solves += 1
+        ctx.predicted += 1
+        ctx.repeated += 1
+        return ctx.evaluation[0]
     u_prev = dom.check_field(u_prev)
     if not u_prev.any():
         return np.zeros_like(u_prev)
@@ -541,7 +557,7 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
         if held is not None:
             ctx.solves += 1
             ctx.predicted += 1
-            ctx.evaluation = held
+            ctx.source, ctx.evaluation = u_prev, held
             return held[0]
 
     def precondition(x):
@@ -587,7 +603,8 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
     the SolveContext of a run of inverse solves for this p (tau None);
     without one the call is a run of its own.  warm_eval, when the caller
     already has it, is energy_and_gradient's (E, raw partials) at warm_start
-    under these params, and the solve then makes no evaluation there.
+    under these params, and the solve then makes no evaluation there.  The
+    solve leaves its own such evaluation in ctx.evaluation.
     """
     if ctx is None:
         ctx = SolveContext(dom, regime, params.p)
@@ -606,8 +623,9 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
                 f"neumann data must have zero mean; got sum {mean:.3e}")
 
     def objective(e_val, raw, u):
-        # E(u) - <b, u> and its gradient from an evaluation of E at u.
-        return e_val - float(b @ u), raw - b
+        # E(u) - <b, u> and its gradient from an evaluation of E at u, then
+        # that evaluation for ctx.evaluation.
+        return e_val - float(b @ u), raw - b, e_val, raw
 
     def fg(u):
         return objective(*energy_and_gradient(dom, u, params, regime), u)
@@ -619,7 +637,9 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
 
     x0 = dom.check_field(warm_start) if warm_start is not None else np.zeros_like(f)
     start = None if warm_eval is None else objective(*warm_eval, x0)
-    u, _ = _solve(fg, b, x0, bnorm, cfg, precondition, params, ctx, start=start)
+    ctx.handed_over += start is not None
+    u, extra = _solve(fg, b, x0, bnorm, cfg, precondition, params, ctx, start=start)
+    ctx.evaluation = (u, *extra)
     return project_pmean(dom, u, params.p, regime)
 
 

@@ -99,9 +99,12 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
     reuses the step's evaluation of x (see diagnostics.build_row and
     _record).  The steps share one SolveContext, whose first step tries the
     p = 2 linear start when linear_start is True, and whose later steps try
-    the state the last ray factor predicts.  Solver failures propagate with
-    the step index attached.  After each step stop(traj) is asked whether
-    to end the march early.
+    the state the last ray factor predicts.  A step that returned its
+    prediction t x is not shifted (t x keeps the zero p-mean of x), and
+    since max|x| = 1 its max is t, so the next step takes x itself, the
+    same array, and repeats the prediction (see implicit_step).  Solver
+    failures propagate with the step index attached.  After each step
+    stop(traj) is asked whether to end the march early.
     """
     if max_steps < 1:
         raise ValueError(f"need at least one step, got {max_steps}")
@@ -116,12 +119,15 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
 
     ctx = SolveContext(dom, regime, params.p, tau, linear_start=linear_start)
     for k in range(1, max_steps + 1):
+        u_prev, predictions = x, ctx.predicted
         try:
-            x = implicit_step(dom, x, tau, params, regime, cfg, ctx)
+            x = implicit_step(dom, u_prev, tau, params, regime, cfg, ctx)
         except NonConvergenceError as err:
             err.step = k
             raise
-        x = project_pmean(dom, x, params.p, regime)  # stay on the constraint set
+        predicted = ctx.predicted > predictions  # x = t u_prev with t = ctx.ray
+        if not predicted:
+            x = project_pmean(dom, x, params.p, regime)  # stay on the constraint set
         traj.states.append(scale * x)
         # The step's own evaluation of x, unless the Neumann shift moved it.
         held = ctx.evaluation
@@ -132,7 +138,7 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
         row.energy_residual = diag.energy_identity_residual(traj, k)
         if stop(traj):
             break
-        x, factor = _unit(x)
+        x, factor = (u_prev, ctx.ray) if predicted else _unit(x)
         scale *= factor
     return traj
 

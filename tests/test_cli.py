@@ -464,12 +464,35 @@ def test_sweep_forks_at_most_one_worker_per_value(tmp_path, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(BASE.replace("domain.n = 39", "domain.n = 9"))
     for jobs in (["--jobs", "64"], []):
         assert run_cli(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
                         "--param", "p", "--values", "2,3", *jobs]) == 0
     assert workers == [2, 2]
+    lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+    assert [ln.split(",")[1] for ln in lines[1:]] == ["'2'", "'3'"]
+
+
+def test_sweep_default_jobs_follow_the_affinity_mask(tmp_path, monkeypatch):
+    # One CPU in the mask of a 64-CPU machine: the default runs the values
+    # in this process and makes no pool.
+    import concurrent.futures
+
+    import dnflow.cli as cli_mod
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("sweep made a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE.replace("domain.n = 39", "domain.n = 9"))
+    assert run_cli(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+                    "--param", "p", "--values", "2,3"]) == 0
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert [ln.split(",")[1] for ln in lines[1:]] == ["'2'", "'3'"]
 

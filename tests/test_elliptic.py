@@ -288,6 +288,7 @@ def test_zero_pmean_shift_work_per_call(monkeypatch):
     # c ~ 0 and Newton from c = 0 needs a step or two; bisection to float
     # exhaustion used about 90 evaluations per call on this run.
     import dnflow.elliptic as elliptic
+    import dnflow.flow as flow
 
     counts, inner = [], elliptic._pmean_slope
     shift = elliptic.zero_pmean_shift
@@ -300,13 +301,24 @@ def test_zero_pmean_shift_work_per_call(monkeypatch):
         counts.append(0)
         return shift(dom, u, p)
 
+    made = []
+
+    def recording_context(*args, **kwargs):
+        made.append(elliptic.SolveContext(*args, **kwargs))
+        return made[-1]
+
     monkeypatch.setattr(elliptic, "_pmean_slope", counting_slope)
     monkeypatch.setattr(elliptic, "zero_pmean_shift", counting_shift)
+    monkeypatch.setattr(flow, "SolveContext", recording_context)
     d = build_interval(32)
     g = np.random.default_rng(0).standard_normal(32)
     traj = evolve(d, g, 0.01, 200, EnergyParams(3.0, 1e-6), NEUMANN, CFG)
     fill_dual_columns(d, traj, CFG)
-    assert len(counts) == 402
+    # One shift of g, one per solved step (a predicted step t u_prev keeps
+    # the zero p-mean of u_prev) and one per dual row.
+    solved = 200 - made[0].predicted
+    assert made[0].predicted > 0
+    assert len(counts) == 1 + solved + 201
     assert max(counts) <= 10
 
 

@@ -1,6 +1,9 @@
 """Each state is evaluated once: a march's diagnostics rows reuse the
-evaluation their implicit step made, and each oracle sweep's inverse solve
-reuses the evaluation of its warm start made for the residual.
+evaluation their implicit step made, a step that repeats the prediction
+before it reuses that prediction's evaluation, each dual row's inverse
+solve reuses the evaluation the previous row's solve made at its warm
+start, and each oracle sweep's inverse solve reuses the evaluation of its
+warm start made for the residual.
 
 The hand-offs must not change a bit of any output, so every comparison here
 is exact against a run with the hand-offs dropped.
@@ -9,10 +12,10 @@ is exact against a run with the hand-offs dropped.
 import numpy as np
 import pytest
 
-from dnflow import diagnostics, elliptic, oracle
+from dnflow import diagnostics, elliptic, flow, oracle
 from dnflow.cli import main
 from dnflow.domain import build_interval
-from dnflow.elliptic import SolverConfig
+from dnflow.elliptic import SolveContext, SolverConfig
 from dnflow.flow import evolve
 from dnflow.operators import BoundaryRegime, EnergyParams
 from dnflow.oracle import minimize_rayleigh
@@ -28,16 +31,32 @@ EVALUATORS = ("energy", "energy_gradient", "energy_and_gradient")
 
 
 def _drop_handoffs(monkeypatch):
-    # Rows evaluate their state again, and sweeps their warm start.
-    build_row, inverse = diagnostics.build_row, oracle.inverse_operator
+    # Rows evaluate their state again, and dual rows and sweeps their warm
+    # start.  Each step gets a copy of its u_prev, so a step after an
+    # accepted prediction tries that prediction anew instead of repeating it.
+    build_row, step = diagnostics.build_row, flow.implicit_step
     monkeypatch.setattr(diagnostics, "build_row",
                         lambda dom, traj, k, x, scale, evaluation=None:
                         build_row(dom, traj, k, x, scale))
+    monkeypatch.setattr(flow, "implicit_step",
+                        lambda dom, u_prev, *args: step(dom, u_prev.copy(), *args))
+    for module in (diagnostics, oracle):
+        def inverse_without(*args, warm_eval=None, _inverse=module.inverse_operator, **kwargs):
+            return _inverse(*args, **kwargs)
 
-    def inverse_without(*args, warm_eval=None, **kwargs):
-        return inverse(*args, **kwargs)
+        monkeypatch.setattr(module, "inverse_operator", inverse_without)
 
-    monkeypatch.setattr(oracle, "inverse_operator", inverse_without)
+
+def _record_contexts(monkeypatch):
+    made = []
+
+    def record(*args, **kwargs):
+        made.append(SolveContext(*args, **kwargs))
+        return made[-1]
+
+    for module in (flow, diagnostics):
+        monkeypatch.setattr(module, "SolveContext", record)
+    return made
 
 
 def _count_evaluations(monkeypatch):
@@ -70,18 +89,27 @@ def _run(tmp_path, command, lines, out):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
 
 
-def _evolve_lines(regime):
-    return ["domain.kind = interval", "domain.n = 32", "p = 3", f"regime.kind = {regime}",
-            "tau = auto", "steps = 40", "epsilon = 1e-6", "init.kind = random"]
+def _evolve_lines(regime, p):
+    return ["domain.kind = interval", "domain.n = 32", f"p = {p}", f"regime.kind = {regime}",
+            "tau = auto", "steps = 200", "epsilon = 1e-6", "init.kind = random"]
 
 
 @pytest.mark.parametrize("regime", list(REGIMES))
 def test_evolve_csv_is_bit_identical_without_the_handoff(tmp_path, monkeypatch, regime):
-    _run(tmp_path, "evolve", _evolve_lines(regime), "kept")
+    # From this random data the Dirichlet and Robin p = 3 marches take no
+    # prediction in 200 steps; the p = 2 ones repeat predictions on their tail.
+    made = _record_contexts(monkeypatch)
+    for p in (2, 3):
+        _run(tmp_path, "evolve", _evolve_lines(regime, p), f"kept{p}")
+    # The runs repeat predictions, and their dual rows take handed-over
+    # evaluations except under Neumann, whose shift moves each solution.
+    assert sum(c.repeated for c in made if c.tau) > 0
+    assert (sum(c.handed_over for c in made if c.tau is None) > 0) == (regime != "neumann")
     _drop_handoffs(monkeypatch)
-    _run(tmp_path, "evolve", _evolve_lines(regime), "dropped")
-    kept = (tmp_path / "kept" / "diagnostics.csv").read_bytes()
-    assert kept == (tmp_path / "dropped" / "diagnostics.csv").read_bytes()
+    for p in (2, 3):
+        _run(tmp_path, "evolve", _evolve_lines(regime, p), f"dropped{p}")
+        kept = (tmp_path / f"kept{p}" / "diagnostics.csv").read_bytes()
+        assert kept == (tmp_path / f"dropped{p}" / "diagnostics.csv").read_bytes()
 
 
 def test_eigen_is_bit_identical_without_the_handoffs(tmp_path, monkeypatch, capsys):

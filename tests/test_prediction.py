@@ -1,7 +1,9 @@
-"""The separated tail steps in one evaluation: an implicit step first tries
-the state its context's last ray factor t predicts, t u_prev, and a dual
-row, solved at max|u| = 1 like the step, starts from the previous row's
-solution, which on that tail is its own.
+"""The separated tail steps without evaluations: an implicit step first
+tries the state its context's last ray factor t predicts, t u_prev, and
+the steps after an accepted prediction, which get the same u_prev, repeat
+it.  A dual row, solved at max|u| = 1 like the step, starts from the
+previous row's solution and the evaluation made there, and on that tail
+that solution is its own.
 
 Switching the prediction off must leave every output within rounding, so
 the comparisons here are against runs with elliptic._prediction patched to
@@ -29,18 +31,18 @@ COLUMNS = diagnostics.CSV_HEADER.split(",")
 EVALUATORS = ("energy", "energy_gradient", "energy_and_gradient")
 
 
-def _spy_predictions(monkeypatch):
-    # (tried, accepted) counts of the predictions made.
-    counts, inner = [0, 0], elliptic._prediction
+def _count_predictions(monkeypatch):
+    # () -> (tried, accepted) predictions over the marches' contexts.  A
+    # repeated step takes the prediction before it again without calling
+    # _prediction, so the tried ones are those calls plus the repeats.
+    made, calls, inner = _record_contexts(monkeypatch), [0], elliptic._prediction
 
     def spy(*args):
-        counts[0] += 1
-        held = inner(*args)
-        counts[1] += held is not None
-        return held
+        calls[0] += 1
+        return inner(*args)
 
     monkeypatch.setattr(elliptic, "_prediction", spy)
-    return counts
+    return lambda: (calls[0] + sum(c.repeated for c in made), sum(c.predicted for c in made))
 
 
 def _kick_step(monkeypatch, k):
@@ -82,9 +84,10 @@ def test_predicted_run_matches_the_run_without_predictions(monkeypatch, regime, 
     # kicked off its ray once, at step 100; the first prediction after the
     # kick must be rejected, and the flow separates again before the tail
     # is predicted anew.
-    counts = _spy_predictions(monkeypatch)
+    counted = _count_predictions(monkeypatch)
     kicks = _kick_step(monkeypatch, 100)
     kept = _evolve_columns(regime, p, kicks)
+    counts = counted()
     assert counts[1] > 50 and counts[0] - counts[1] == 1
     monkeypatch.setattr(elliptic, "_prediction", lambda *args: None)
     dropped = _evolve_columns(regime, p, kicks)
@@ -132,27 +135,30 @@ def _count_work(monkeypatch):
     return steps, rows, predicted
 
 
-def _record_contexts(monkeypatch):
+def _record_contexts(monkeypatch, module=flow):
     made = []
 
     def record(*args, **kwargs):
         made.append(SolveContext(*args, **kwargs))
         return made[-1]
 
-    monkeypatch.setattr(flow, "SolveContext", record)
+    monkeypatch.setattr(module, "SolveContext", record)
     return made
 
 
-def test_separated_tail_makes_one_evaluation_per_step_and_row(monkeypatch):
+def test_separated_tail_makes_no_evaluation_after_its_first_prediction(monkeypatch):
     # The evolve_1d Dirichlet p = 1.5 case.  After the first step k0 that
     # returned its start moved along the ray only, every step is a
-    # prediction.  Every row from k0 on starts at the previous row's
-    # solution, which is its own, since the rows' unit-scale states agree
-    # to rounding there, and stops there.
+    # prediction: step k0 + 1 evaluates it once, and every later step gets
+    # the same u_prev and t and repeats it.  Every row after row 0 starts
+    # from the evaluation the previous row's solve made at its solution;
+    # from k0 on that solution is the row's own, since the rows' unit-scale
+    # states agree to rounding there, so the row stops there.
     d = build_interval(32)
     params, g = EnergyParams(1.5, 1e-6), np.ones(32)
     tau = auto_tau(d, g, params, DIRICHLET, CFG)
     made = _record_contexts(monkeypatch)
+    dual = _record_contexts(monkeypatch, diagnostics)
     steps, rows, predicted = _count_work(monkeypatch)
     traj = evolve(d, g, tau, 200, params, DIRICHLET, CFG)
     diagnostics.fill_dual_columns(d, traj, CFG)
@@ -161,9 +167,12 @@ def test_separated_tail_makes_one_evaluation_per_step_and_row(monkeypatch):
     assert k0 <= 40
     assert all(predicted[k0:])
     assert made[0].predicted == 200 - k0
-    assert steps[k0:] == [1] * (200 - k0)  # steps[k - 1] is step k
-    assert rows[k0:] == [1] * (201 - k0)
+    assert made[0].repeated == 200 - k0 - 1
+    assert steps[k0:] == [1] + [0] * (200 - k0 - 1)  # steps[k - 1] is step k
     assert min(steps[:k0]) >= 2
+    assert dual[0].handed_over == 200 and dual[0].solves == 201
+    assert rows[k0:] == [0] * (201 - k0)
+    assert min(rows[1:k0 - 1]) >= 1
 
 
 def _step_gradient_norm(d, x, u_prev, tau, params):
