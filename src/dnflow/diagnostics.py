@@ -146,21 +146,26 @@ def energy_identity_residual(traj, k: int) -> float:
 def fill_dual_columns(dom: Domain, traj, cfg: SolverConfig) -> None:
     """Compute dual_q (and so mu_from_dual) for every row with Np > 0.
 
-    Each row's inverse solve runs at max|u| = 1 (see _unit_dual_quotient),
-    warm-started from the previous row's solution and, unless the Neumann
-    shift moved that solution, from the evaluation the previous solve left
-    there in the SolveContext the solves share.  On a separated tail the
-    unit-scale states agree, so each row starts at its own solution and
-    stops there without an evaluation.
+    A row of a step that returned its prediction (traj.predicted) has, at
+    max|u| = 1, the state of the row before it, and the quotient is
+    degree-0 homogeneous, so it takes that row's dual_q.  Every other row
+    solves its inverse at max|u| = 1 (see _unit_dual_quotient),
+    warm-started from the last solved row's solution and, unless the
+    Neumann shift moved that solution, from the evaluation its solve left
+    there in the SolveContext the solves share.
     """
     ctx = SolveContext(dom, traj.regime, traj.params.p)
-    warm = None
-    for k, row in enumerate(traj.diagnostics):
-        if row.Np > 0.0:
-            held = ctx.evaluation
-            row.dual_q, warm = _unit_dual_quotient(
-                dom, traj.states[k], traj.params, traj.regime, cfg, warm, ctx,
-                held[1:] if held and held[0] is warm else None)
+    warm, rows, repeats = None, traj.diagnostics, set(traj.predicted)
+    for k, row in enumerate(rows):
+        if row.Np <= 0.0:
+            continue
+        if k in repeats and rows[k - 1].Np > 0.0:
+            row.dual_q = rows[k - 1].dual_q
+            continue
+        held = ctx.evaluation
+        row.dual_q, warm = _unit_dual_quotient(
+            dom, traj.states[k], traj.params, traj.regime, cfg, warm, ctx,
+            held[1:] if held and held[0] is warm else None)
 
 
 def rows_to_csv(rows) -> str:

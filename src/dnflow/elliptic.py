@@ -153,7 +153,7 @@ def _line_search(value_grad, x, f, g, d, gd, alpha0):
         xa = x + a * d
         fa, ga, *extra = value_grad(xa)
         gad = float(ga @ d)
-        if not (np.isfinite(fa) and np.isfinite(gad)):
+        if not (math.isfinite(fa) and math.isfinite(gad)):
             # Overflowed trial: force the bracket down and retry.
             hi_a, hi_g = a, abs(gd)
             a = 0.5 * (lo_a + a)
@@ -167,10 +167,10 @@ def _line_search(value_grad, x, f, g, d, gd, alpha0):
             # at 50 a; skipped when the curvature along d is unresolvably flat.
             curv = gad - gd
             a2 = min(a * (-gd) / curv, 50.0 * a) if curv > 1e-15 * abs(gd) else a
-            if np.isfinite(a2) and a2 > 0 and abs(a2 - a) > 1e-12 * a:
+            if math.isfinite(a2) and a2 > 0 and abs(a2 - a) > 1e-12 * a:
                 xb = x + a2 * d
                 fb, gb, *extra_b = value_grad(xb)
-                if np.isfinite(fb) and fb <= fa + 1e-14 * (abs(fa) + abs(fb)):
+                if math.isfinite(fb) and fb <= fa + 1e-14 * (abs(fa) + abs(fb)):
                     return (a2, xb, fb, gb, *extra_b)
             return (a, xa, fa, ga, *extra)
         if gad > 0.0:

@@ -53,7 +53,12 @@ BOOTSTRAP_STEPS = 10
 
 @dataclass
 class FlowTrajectory:
-    """The scheme's state sequence u^0..u^K with per-step diagnostics."""
+    """The scheme's state sequence u^0..u^K with per-step diagnostics.
+
+    predicted lists, in order, the steps k that returned their prediction
+    t u^(k-1) / max|u^(k-1)| (see _march): at max|u| = 1 such a state is
+    the one before it, so its scale-free quotients are that row's.
+    """
 
     dom: Domain
     tau: float
@@ -61,6 +66,7 @@ class FlowTrajectory:
     regime: BoundaryRegime
     states: list
     diagnostics: list = field(default_factory=list)
+    predicted: list = field(default_factory=list)
 
     @property
     def steps(self) -> int:
@@ -102,7 +108,8 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
     the state the last ray factor predicts.  A step that returned its
     prediction t x is not shifted (t x keeps the zero p-mean of x), and
     since max|x| = 1 its max is t, so the next step takes x itself, the
-    same array, and repeats the prediction (see implicit_step).  Solver
+    same array, and repeats the prediction (see implicit_step); such steps
+    are listed in traj.predicted.  Solver
     failures propagate with the step index attached.  After each step
     stop(traj) is asked whether to end the march early.
     """
@@ -126,7 +133,9 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
             err.step = k
             raise
         predicted = ctx.predicted > predictions  # x = t u_prev with t = ctx.ray
-        if not predicted:
+        if predicted:
+            traj.predicted.append(k)
+        else:
             x = project_pmean(dom, x, params.p, regime)  # stay on the constraint set
         traj.states.append(scale * x)
         # The step's own evaluation of x, unless the Neumann shift moved it.

@@ -9,19 +9,26 @@ is subtracted cell-wise so E(0) = 0; gradients are unaffected.
 Link blocks.  Every energy term is a block of cells, each holding one
 difference per axis from a tail node to a head node, with block energy
 (scale/p) sum weight * ((|g|^2 + eps^2)^(p/2) - eps^p) for the differences
-g over their length h.  Node n stands for the exterior zero, and so does
-every off-mask node.  ``_links`` maps (domain, regime, p) to the blocks,
+g over their length h.  ``_links`` maps (domain, regime, p) to the blocks,
 cached in ``Domain._cache``; it is the only code that knows the regime:
 
-- cells (every local regime): the forward differences from each node to its
-  next neighbour along each axis, x first; scale the cell volume.
-  Dirichlet cells start one node before the grid on each axis, so
-  differences reach the exterior zeros: n + 1 cells in 1-D, (ny+1)(nx+1)
-  in 2-D.  Neumann and Robin cells sit at the nodes: one per node in 2-D,
-  the n - 1 links in 1-D; a difference that leaves the grid or the mask has
-  head = tail, so it is exactly zero.
-- trace (Robin): a link from each boundary element's node to the exterior
-  zero; h = 1, weight the surface weight, scale beta.
+- line (every local regime in 1-D): one block without a table.  Dirichlet
+  differences the padded field [0, u, 0] by slicing: n + 1 cells, the
+  first and last against the exterior zeros.  Neumann differences u: the
+  n - 1 links.  Robin is Dirichlet's block with its first and last cell
+  the two trace links: h = 1, weight the surface weight, scale beta.  Each
+  node's gradient is the flux of the cell ending there minus that of the
+  next, two slices of one flux array, and the tridiagonal Hessian band is
+  filled from the same slices: no gather and no scatter.
+- cells (every local regime in 2-D): the forward differences from each
+  node to its next neighbour along each axis, x first; scale the cell
+  volume.  Node n stands for the exterior zero, and so does every
+  off-mask node.  Dirichlet cells start one node before the grid on each
+  axis, so differences reach the exterior zeros: (ny+1)(nx+1) cells.
+  Neumann and Robin cells sit at the nodes, one per node; a difference
+  that leaves the grid or the mask has head = tail, so it is exactly zero.
+- trace (Robin in 2-D): a link from each boundary element's node to the
+  exterior zero; h = 1, weight the surface weight, scale beta.
 - pairs and exterior (fractional): one fold block.  Its n x (D + 1) table
   pairs each node i with node (i + d) mod n for d = 1..D, D = n // 2, so it
   reads every unordered pair once (for even n the pairs at d = n / 2 twice,
@@ -32,19 +39,20 @@ cached in ``Domain._cache``; it is the only code that knows the regime:
   buffers the block keeps: no gather and no scatter.
 
 ``_parts`` (energy and raw partials, read by ``energy``, ``energy_gradient``
-and ``energy_and_gradient``) and ``energy_hessian`` sum over the blocks.
-The Hessian is a sum of links k (e_head - e_tail)(e_head - e_tail)^T, one
-per difference and in 2-D one E-N link per cell for the g_x g_y term, in
-the lower-banded storage ``scipy.linalg.cholesky_banded`` factors.
-``energy_gradient`` returns a *density*: the raw partials over the cell
-volume, which approximates -Delta_p u pointwise for the local regimes.
-No result is, or views, a block's work buffer.
+and ``energy_and_gradient``) and ``energy_hessian`` sum over the blocks,
+each from 0.0.  The Hessian is a sum of links k (e_head - e_tail)(e_head -
+e_tail)^T, one per difference and in 2-D one E-N link per cell for the
+g_x g_y term, in the lower-banded storage ``scipy.linalg.cholesky_banded``
+factors.  ``energy_gradient`` returns a *density*: the raw partials over
+the cell volume, which approximates -Delta_p u pointwise for the local
+regimes.  No result is, or views, a block's work buffer.
 
 Reduction order: every sum is a serial numpy reduction, block after block:
-in link order for the cells and the trace, and by fold rows for the
-fractional block, so results are deterministic for fixed inputs.  The
-fractional block's work buffers make its calls non-reentrant, so threads
-do not share a domain.
+in cell order for the line block, whose Robin trace cells are summed after
+its links; in link order for the 2-D cells and trace; and by fold rows for
+the fractional block, so results are deterministic for fixed inputs.  The
+line and fractional blocks' work buffers make their calls non-reentrant,
+so threads do not share a domain.
 """
 
 from __future__ import annotations
@@ -227,6 +235,86 @@ class _Links:
 
 
 @dataclass(frozen=True, eq=False)
+class _Line:
+    # The 1-D local regimes as one block of cells, cell j ending at node j.
+    # Dirichlet and Robin difference [0, u, 0]: n + 1 cells, the first and
+    # last against the exterior zeros, which for Robin are the trace links
+    # (length 1, flux coefficient beta w, and energy (beta / p) sum w cell
+    # added after that of the n - 1 links).  Neumann differences u: its
+    # n - 1 links, padded with a zero flux at each end.  A cell's flux
+    # s = m g enters the node it ends at and leaves the one before, so node
+    # j gets s_j - s_(j+1), which _parts adds to 0.0: the value and zero
+    # sign of a scatter from 0.0.  The buffers are work space of one call
+    # at a time: their ends stay zero, the middle is written before it is
+    # read, and no result is or views one.
+    h: float | np.ndarray      # each cell's length: hx, or [1, hx, ..., hx, 1] for Robin
+    scale: float               # the cells' energy is (scale / p) sum(cell)
+    trace: tuple | None        # Robin: (beta, w, beta w) of the first and last cell
+    padded: np.ndarray | None  # Dirichlet and Robin: (n + 2,) [0, u, 0]
+    links: np.ndarray | None   # Neumann: (n + 1,) [0, one value per link, 0]
+    width: int = 2
+
+    def _differences(self, u):
+        if self.padded is None:
+            g = u[1:] - u[:-1]
+        else:
+            self.padded[1:-1] = u
+            g = self.padded[1:] - self.padded[:-1]
+        g /= self.h
+        return g
+
+    def _by_end(self, v):
+        # v, one value per cell, indexed by the node the cell ends at, 0..n
+        # with n the exterior: no Neumann link ends at node 0 or n, which
+        # get the zero ends of the buffer.
+        if self.links is None:
+            return v
+        self.links[1:-1] = v
+        return self.links
+
+    def parts(self, u, p, eps):
+        g = self._differences(u)
+        cell, m = _cell_terms(g * g, p, eps)
+        if self.trace is None:
+            e = (self.scale / p) * float(cell.sum())
+        else:
+            beta, weight, coef = self.trace
+            ends = cell[::cell.size - 1]
+            e = ((self.scale / p) * float(cell[1:-1].sum())
+                 + (beta / p) * float((ends * weight).sum()))
+            m[::m.size - 1] *= coef
+        m *= g
+        s = self._by_end(m)
+        return e, s[:-1] - s[1:]
+
+    def add_hessian(self, abT, u, p, eps):
+        # The tridiagonal band: k per cell, on the diagonal of both nodes
+        # and, for a link of two nodes, -k below it.
+        a2 = self._differences(u)
+        a2 *= a2
+        k = _cell_curvature(a2, a2, p, eps) / self.h
+        if self.trace is not None:
+            k[::k.size - 1] *= self.trace[2]
+        k = self._by_end(k)
+        n = u.size
+        abT[:n, 0] += k[:-1] + k[1:]
+        np.negative(k[1:-1], out=abT[:n - 1, 1])
+
+
+def _line(dom, regime):
+    n, h = dom.n_nodes, dom.hx
+    if regime.kind == "neumann":
+        return _Line(h=h, scale=dom.cell_volume, trace=None, padded=None, links=np.zeros(n + 1))
+    trace = None
+    if regime.kind == "robin":
+        w = dom.trace_weight
+        trace = (regime.beta, w, regime.beta * w)
+        h = np.full(n + 1, h)
+        h[::n] = 1.0
+    return _Line(h=h, scale=dom.cell_volume, trace=trace, padded=np.zeros(n + 2), links=None)
+
+
+@dataclass(frozen=True, eq=False)
 class _Fold:
     # The fractional pairs and exterior links as a circulant fold.  Row i
     # pairs node i with node (i + d) mod n in column d - 1, d = 1..D for
@@ -346,6 +434,8 @@ def _links(dom, regime, p):
     n = dom.n_nodes
     if regime.kind == "fractional":
         blocks = (_fold(kernel_for(dom, regime.s, p), dom.hx),)
+    elif dom.dimension == 1:
+        blocks = (_line(dom, regime),)
     else:
         # One cell block serves Dirichlet, and one Neumann and Robin.
         dirichlet = regime.kind == "dirichlet"
@@ -373,32 +463,26 @@ def _unit_links(n, head, tail, scale, weight, width):
 
 
 def _build_cells(dom, dirichlet):
-    n, dim = dom.n_nodes, dom.dimension
+    # The cells of a 2-D grid or mask.
+    n = dom.n_nodes
     node = np.full(dom.shape, n)  # node n is the exterior zero
     node[np.ones(dom.shape, dtype=bool) if dom.mask is None else dom.mask] = np.arange(n)
     # Exterior points after the grid on each axis, and for Dirichlet one
     # before it too; a cell sits at every point but the last on each axis.
-    ext = np.pad(node, [(1 if dirichlet else 0, 1)] * dim, constant_values=n)
-    at = (slice(None, -1),) * dim
-    head = np.stack([ext[at[:a] + (slice(1, None),) + at[a + 1:]].ravel()
-                     for a in reversed(range(dim))])
-    tail = np.broadcast_to(ext[at].ravel(), head.shape).copy()
+    ext = np.pad(node, 1 if dirichlet else (0, 1), constant_values=n)
+    head = np.stack((ext[:-1, 1:].ravel(), ext[1:, :-1].ravel()))  # x, then y
+    tail = np.broadcast_to(ext[:-1, :-1].ravel(), head.shape).copy()
     if not dirichlet:
         # Differences that leave the grid or the mask vanish: head = tail.
         dead = (head == n) | (tail == n)
         head[dead] = tail[dead]
-        if dim == 1:
-            # The n - 1 links only: the last cell is dead, and its zero
-            # would change the rounding of the energy sum.
-            head, tail = head[:, :-1], tail[:, :-1]
     ends = np.stack((head, tail), axis=1)
-    h = np.array([dom.hx, dom.hy][:dim])[:, None]
+    h = np.array([[dom.hx], [dom.hy]])
     live = head != tail
-    if dim == 2:
-        # The E-N link, live where both differences are: N follows E in the
-        # node order, nx - 1 places on from it on a grid.
-        live = np.concatenate((live, live[:1] & live[1:]))
-        head, tail = np.concatenate((head, head[1:])), np.concatenate((tail, head[:1]))
+    # The E-N link, live where both differences are: N follows E in the
+    # node order, nx - 1 places on from it on a grid.
+    live = np.concatenate((live, live[:1] & live[1:]))
+    head, tail = np.concatenate((head, head[1:])), np.concatenate((tail, head[:1]))
     head, tail, live = head.ravel(), tail.ravel(), live.ravel()
     # A link of two nodes sits at (row head - tail, column tail) of the band;
     # every other link at (0, n), a spare column cut off after assembly.
@@ -419,9 +503,8 @@ def _differences(u, links):
 
 def _link_weights(u, p, eps, links):
     # The Hessian weight of every link of the block.  A difference's link
-    # has k = flux c / h for the curvature c of its cell along that axis; in
-    # 1-D cells the flux is vol / h = 1, so k = c / h, as vol / h^2 would
-    # round differently.  In 2-D the cell's cross term c_xy (a b^T + b a^T) /
+    # has k = flux c / h for the curvature c of its cell along that axis (a
+    # trace link: k = beta w c).  A 2-D cell's cross term c_xy (a b^T + b a^T) /
     # (hx hy), with a = e_E - e_C and b = e_N - e_C, is c_xy (a a^T + b b^T -
     # (e_E - e_N)(e_E - e_N)^T): it adds k_xy = vol c_xy / (hx hy) to both
     # difference links and -k_xy to the E-N link.

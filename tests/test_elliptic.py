@@ -315,10 +315,11 @@ def test_zero_pmean_shift_work_per_call(monkeypatch):
     traj = evolve(d, g, 0.01, 200, EnergyParams(3.0, 1e-6), NEUMANN, CFG)
     fill_dual_columns(d, traj, CFG)
     # One shift of g, one per solved step (a predicted step t u_prev keeps
-    # the zero p-mean of u_prev) and one per dual row.
-    solved = 200 - made[0].predicted
-    assert made[0].predicted > 0
-    assert len(counts) == 1 + solved + 201
+    # the zero p-mean of u_prev) and one per solved dual row (a predicted
+    # step's row takes the row before it).
+    predicted = len(traj.predicted)
+    assert predicted == made[0].predicted > 0
+    assert len(counts) == 1 + (200 - predicted) + (201 - predicted)
     assert max(counts) <= 10
 
 

@@ -254,31 +254,74 @@ def test_fractional_reflection_invariance():
         energy(d, u, params, reg), rel=1e-12)
 
 
+def _serial_1d(dom, u, p, eps, regime):
+    # Independent index-order loop over the 1-D cells: the Dirichlet cells
+    # (exterior zeros at both ends), the n - 1 Neumann links, and those
+    # links plus the Robin trace term.  A cell's flux m g enters its head
+    # node and leaves its tail, each node's sum starting at 0.0; its
+    # curvature k adds to both nodes' diagonal and -k between them.
+    # Returns (energy, raw partials, diagonal, subdiagonal) in floats.
+    n, h = u.size, dom.hx
+    padded = [0.0] + [float(v) for v in u] + [0.0]
+    # (head, tail, difference, length, flux coefficient, energy scale);
+    # node -1 or n is exterior.
+    cells = []
+    first, last = (0, n + 1) if regime.kind == "dirichlet" else (1, n)
+    for c in range(first, last):
+        cells.append((c, c - 1, padded[c + 1] - padded[c], h, 1.0, h))
+    if regime.kind == "robin":
+        beta = regime.beta
+        cells += [(0, -1, padded[1], 1.0, beta, beta), (n - 1, n, padded[n], 1.0, beta, beta)]
+    energy, raw, diag, sub = 0.0, [0.0] * n, [0.0] * n, [0.0] * n
+    for head, tail, diff, length, coef, scale in cells:
+        g = diff / length
+        base = g * g + eps * eps
+        m = base ** ((p - 2) / 2)  # 0 ** 0 = 1 at p = 2, 0 ** a = 0 for p > 2
+        energy += scale / p * (m * base - (eps * eps) ** ((p - 2) / 2) * (eps * eps))
+        k = coef * (m * (1 + (p - 2) * g * g / base) if base > 0 else m) / length
+        for node, sign in ((head, 1.0), (tail, -1.0)):
+            if 0 <= node < n:
+                raw[node] += sign * coef * m * g
+                diag[node] += k
+        if 0 <= tail < n and 0 <= head < n:
+            sub[tail] = -k
+    return energy, np.array(raw), np.array(diag), np.array(sub)
+
+
+def _assert_matches_loop(got, want):
+    # Within rounding, and every exact zero of the loop an exact zero with
+    # its sign.
+    scale = max(float(np.abs(want).max()), np.finfo(float).tiny)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * scale)
+    zero = want == 0.0
+    assert np.all(got[zero] == 0.0)
+    assert np.array_equal(np.signbit(got[zero]), np.signbit(want[zero]))
+
+
 def test_energy_matches_serial_loop():
-    # Deterministic reduction: vectorized 1-D energy equals an index-order
-    # loop over the Dirichlet cells (exterior zeros at both ends), the n - 1
-    # Neumann links, and those links plus the Robin trace term.
-    d = build_interval(11)
+    # Deterministic reduction: the vectorized 1-D energy, raw partials and
+    # Hessian band equal an index-order loop over the cells, at n = 3 and
+    # 11, on random data, exact zeros of either sign and constant fields.
+    beta = 0.7
     rng = np.random.default_rng(6)
-    u = rng.standard_normal(11)
-    p, eps, beta = 2.5, 1e-6, 0.7
-
-    def power(gsq):
-        return (gsq + eps * eps) ** (p / 2) - eps**p
-
-    padded = np.concatenate([[0.0], u, [0.0]])
-    cells = {"dirichlet": [padded[c + 1] - padded[c] for c in range(12)],
-             "neumann": [u[c + 1] - u[c] for c in range(10)]}
-    cells["robin"] = cells["neumann"]
-    for regime in (DIRICHLET, NEUMANN, BoundaryRegime.robin(beta)):
-        total = 0.0
-        for diff in cells[regime.kind]:
-            total += d.hx / p * power((diff / d.hx) ** 2)
-        if regime.kind == "robin":
-            for ub in (u[0], u[-1]):
-                total += beta / p * power(ub * ub)
-        val = energy(d, u, EnergyParams(p, eps), regime)
-        assert val == pytest.approx(total, rel=1e-13), regime.kind
+    for n in (3, 11):
+        d = build_interval(n)
+        mixed = rng.standard_normal(n)
+        mixed[::2], mixed[1::3] = 0.0, -0.0
+        fields = (rng.standard_normal(n), np.zeros(n), -np.zeros(n), np.ones(n),
+                  np.full(n, -2.5), mixed)
+        for p, eps in ((2.5, 1e-6), (1.5, 1e-6), (2.0, 0.0), (3.0, 0.0)):
+            for regime in (DIRICHLET, NEUMANN, BoundaryRegime.robin(beta)):
+                for u in fields:
+                    params, where = EnergyParams(p, eps), (n, p, eps, regime.kind, u)
+                    e_loop, raw_loop, diag_loop, sub_loop = _serial_1d(d, u, p, eps, regime)
+                    e_val, raw = energy_and_gradient(d, u, params, regime)
+                    assert e_val == pytest.approx(e_loop, rel=1e-13, abs=1e-300), where
+                    _assert_matches_loop(raw, raw_loop)
+                    ab = energy_hessian(d, u, params, regime)
+                    assert ab.shape == (2, n), where
+                    _assert_matches_loop(ab[0], diag_loop)
+                    _assert_matches_loop(ab[1], sub_loop)
 
 
 def _serial_energy_2d(dom, u, p, eps, dirichlet):
@@ -394,16 +437,16 @@ def test_energy_hessian_matches_gradient_differences():
 
 def test_cell_table_built_once_per_family(monkeypatch):
     # Repeated energy, gradient and Hessian calls on one domain, over every
-    # local regime and several p and eps, build one cell table for the
-    # Dirichlet family and one for Neumann and Robin, and no more.
+    # local regime and several p and eps, build one block per family and no
+    # more: on an interval the line block of each regime, in 2-D one cell
+    # table for the Dirichlet family and one for Neumann and Robin.
     builds = []
-    build = operators._build_cells
+    for name in ("_build_cells", "_line"):
+        def counting_build(dom, family, _build=getattr(operators, name)):
+            builds.append(family if isinstance(family, bool) else family.kind)
+            return _build(dom, family)
 
-    def counting_build(dom, dirichlet):
-        builds.append(dirichlet)
-        return build(dom, dirichlet)
-
-    monkeypatch.setattr(operators, "_build_cells", counting_build)
+        monkeypatch.setattr(operators, name, counting_build)
     rng = np.random.default_rng(14)
     bitmap = np.array([[0, 1, 1, 1], [1, 1, 0, 1], [1, 1, 1, 1]], dtype=bool)
     for dom in (build_interval(9), build_rectangle(5, 4, 1.0, 0.8), build_masked(bitmap, 0.2)):
@@ -416,7 +459,10 @@ def test_cell_table_built_once_per_family(monkeypatch):
                     u = rng.standard_normal(dom.n_nodes)
                     energy_and_gradient(dom, u, params, regime)
                     energy_hessian(dom, u, params, regime)
-        assert builds == [True, False], dom.kind
+        if dom.dimension == 1:
+            assert builds == ["dirichlet", "neumann", "robin"]
+        else:
+            assert builds == [True, False], dom.kind
         builds.clear()
 
 

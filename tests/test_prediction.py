@@ -147,13 +147,14 @@ def _record_contexts(monkeypatch, module=flow):
 
 
 def test_separated_tail_makes_no_evaluation_after_its_first_prediction(monkeypatch):
-    # The evolve_1d Dirichlet p = 1.5 case.  After the first step k0 that
+    # The evolve_1d Dirichlet p = 1.5 case.  After the step k0 - 1 that
     # returned its start moved along the ray only, every step is a
-    # prediction: step k0 + 1 evaluates it once, and every later step gets
-    # the same u_prev and t and repeats it.  Every row after row 0 starts
-    # from the evaluation the previous row's solve made at its solution;
-    # from k0 on that solution is the row's own, since the rows' unit-scale
-    # states agree to rounding there, so the row stops there.
+    # prediction: step k0 evaluates it once, and every later step gets the
+    # same u_prev and t and repeats it.  Every solved row after row 0
+    # starts from the evaluation the previous row's solve made at its
+    # solution; row k0 - 1's unit-scale state agrees with row k0 - 2's to
+    # rounding, so that solution is its own and the row stops there.  Rows
+    # k0..200, of predicted steps, take row k0 - 1's quotient unsolved.
     d = build_interval(32)
     params, g = EnergyParams(1.5, 1e-6), np.ones(32)
     tau = auto_tau(d, g, params, DIRICHLET, CFG)
@@ -162,17 +163,52 @@ def test_separated_tail_makes_no_evaluation_after_its_first_prediction(monkeypat
     steps, rows, predicted = _count_work(monkeypatch)
     traj = evolve(d, g, tau, 200, params, DIRICHLET, CFG)
     diagnostics.fill_dual_columns(d, traj, CFG)
-    assert len(steps) == 200 and len(rows) == 201 and traj.steps == 200
-    k0 = predicted.index(True)  # predicted[k - 1] is step k
-    assert k0 <= 40
-    assert all(predicted[k0:])
-    assert made[0].predicted == 200 - k0
-    assert made[0].repeated == 200 - k0 - 1
-    assert steps[k0:] == [1] + [0] * (200 - k0 - 1)  # steps[k - 1] is step k
-    assert min(steps[:k0]) >= 2
-    assert dual[0].handed_over == 200 and dual[0].solves == 201
-    assert rows[k0:] == [0] * (201 - k0)
-    assert min(rows[1:k0 - 1]) >= 1
+    assert len(steps) == 200 and traj.steps == 200
+    k0 = predicted.index(True) + 1  # predicted[k - 1] is step k
+    assert k0 <= 41
+    assert traj.predicted == list(range(k0, 201))
+    assert made[0].predicted == 201 - k0
+    assert made[0].repeated == 200 - k0
+    assert steps[k0 - 1:] == [1] + [0] * (200 - k0)  # steps[k - 1] is step k
+    assert min(steps[:k0 - 1]) >= 2
+    assert dual[0].solves == len(rows) == k0 and dual[0].handed_over == k0 - 1
+    quotients = [row.dual_q for row in traj.diagnostics]
+    assert quotients[k0:] == [quotients[k0 - 1]] * (201 - k0)
+    assert rows[k0 - 1] == 0
+    assert min(rows[1:k0 - 2]) >= 1
+
+
+@pytest.mark.parametrize("regime", list(REGIMES))
+def test_predicted_rows_take_the_quotient_of_their_own_state(monkeypatch, regime):
+    # A predicted step's row takes the quotient of the row before it.  A
+    # fresh dual_quotient of the row's own state, warm-started where the
+    # last solved row's solve ended as that row's successor would be, gives
+    # the same number to rounding.
+    d = build_interval(32)
+    params, regime = EnergyParams(2.0, 1e-6), REGIMES[regime]
+    g = np.random.default_rng(0).standard_normal(32)
+    tau = auto_tau(d, g, params, regime, CFG)
+    traj = evolve(d, g, tau, 200, params, regime, CFG)
+    solutions, inverse = [], diagnostics.inverse_operator
+
+    def keep(*args, **kwargs):
+        solutions.append(inverse(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(diagnostics, "inverse_operator", keep)
+    diagnostics.fill_dual_columns(d, traj, CFG)
+    monkeypatch.undo()
+    repeats = set(traj.predicted)
+    assert len(repeats) > 50
+    solved = [k for k in range(201) if k not in repeats]
+    assert len(solutions) == len(solved)
+    for k in traj.predicted:
+        last = max(i for i, j in enumerate(solved) if j < k)
+        copied = traj.diagnostics[k].dual_q
+        assert copied == traj.diagnostics[solved[last]].dual_q
+        fresh = diagnostics.dual_quotient(d, traj.states[k], params, regime, CFG,
+                                          warm_start=solutions[last])
+        assert abs(fresh - copied) <= 1e-15 * copied, (k, fresh, copied)
 
 
 def _step_gradient_norm(d, x, u_prev, tau, params):
