@@ -57,12 +57,12 @@ class Domain:
     mask : ndarray of bool or None
         The bitmap for masked domains.
     _cache : dict
-        Tables derived from the grid alone (fractional kernels and the link
-        blocks of :mod:`dnflow.operators`), each written once per key on
-        first use and not changed after; the key of a table built for one p
-        ends in that p.  An entry may be dropped, as the oracle's start drops
-        the p = 2 tables it built for a run at another p, and is then built
-        again on its next use.
+        The link blocks of :mod:`dnflow.operators`, one per regime, derived
+        from the grid alone and keyed ``("links", regime, p)`` with p None
+        for the local regimes; each is written once on first use and not
+        changed after.  An entry may be dropped, as the oracle's start drops
+        the p = 2 fractional block it built for a run at another p, and is
+        then built again on its next use.
     """
 
     kind: str

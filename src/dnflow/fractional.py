@@ -14,9 +14,10 @@ pairwise energy, so descent methods need the smoothing there.
 On the uniform grid |x_i - x_j| = |i - j| h, so a pair's weight depends only
 on its offset d = |i - j|: w_d = h^2 / (d h)^(1+ps), and the discretized
 operator is Toeplitz.  A kernel holds the n - 1 offset weights and the n
-exterior tails, cached on the domain per (s, p); :mod:`dnflow.operators`
-folds them into a circulant table that holds each unordered pair once, with
-one exterior link per node.
+exterior tails.  :mod:`dnflow.operators` builds one per (s, p) and folds it
+into a circulant table that holds each unordered pair once, with one
+exterior link per node; the fold is what the domain caches.  The p = 2
+reference matrix of :mod:`dnflow.oracle` builds its own.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .domain import Domain
 from .errors import UnsupportedRegimeError
 
-__all__ = ["FractionalKernel", "build_kernel", "kernel_for"]
+__all__ = ["FractionalKernel", "build_kernel"]
 
 
 @dataclass
@@ -56,12 +57,3 @@ def build_kernel(dom: Domain, s: float, p: float) -> FractionalKernel:
     exterior = (x ** (-ps) + (1.0 - x) ** (-ps)) / ps
     return FractionalKernel(offsets=offsets, exterior=exterior)
 
-
-def kernel_for(dom: Domain, s: float, p: float) -> FractionalKernel:
-    """Cached kernel lookup keyed on (s, p); domains are immutable."""
-    key = ("fractional_kernel", float(s), float(p))
-    ker = dom._cache.get(key)
-    if ker is None:
-        ker = build_kernel(dom, s, p)
-        dom._cache[key] = ker
-    return ker

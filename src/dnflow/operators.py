@@ -6,11 +6,11 @@ per-cell forward-difference gradient vector, plus for Robin the trace term
 :mod:`dnflow.fractional`.  Every power is smoothed the same way, and eps**p
 is subtracted cell-wise so E(0) = 0; gradients are unaffected.
 
-Link blocks.  Every energy term is a block of cells, each holding one
-difference per axis from a tail node to a head node, with block energy
-(scale/p) sum weight * ((|g|^2 + eps^2)^(p/2) - eps^p) for the differences
-g over their length h.  ``_links`` maps (domain, regime, p) to the blocks,
-cached in ``Domain._cache``; it is the only code that knows the regime:
+Link blocks.  Every energy term is a cell holding one difference per axis
+from a tail node to a head node, with energy (scale/p) weight *
+((|g|^2 + eps^2)^(p/2) - eps^p) for the differences g over their length h.
+``_links`` maps (domain, regime, p) to one block of such cells, cached in
+``Domain._cache``; it is the only code that knows the regime:
 
 - line (every local regime in 1-D): one block without a table.  Dirichlet
   differences the padded field [0, u, 0] by slicing: n + 1 cells, the
@@ -25,47 +25,49 @@ cached in ``Domain._cache``; it is the only code that knows the regime:
   volume.  Node n stands for the exterior zero, and so does every
   off-mask node.  Dirichlet cells start one node before the grid on each
   axis, so differences reach the exterior zeros: (ny+1)(nx+1) cells.
-  Neumann and Robin cells sit at the nodes, one per node; a difference
-  that leaves the grid or the mask has head = tail, so it is exactly zero.
-- trace (Robin in 2-D): a link from each boundary element's node to the
-  exterior zero; h = 1, weight the surface weight, scale beta.
-- pairs and exterior (fractional): one fold block.  Its n x (D + 1) table
-  pairs each node i with node (i + d) mod n for d = 1..D, D = n // 2, so it
-  reads every unordered pair once (for even n the pairs at d = n / 2 twice,
-  and the repeats have weight 0); a pair weighs 2 w_|i-j|.  Its last column
-  links each node to the exterior zero with weight 2 h kappa_i.  The
+  Neumann cells sit at the nodes, one per node; a difference that leaves
+  the grid or the mask has head = tail, so it is exactly zero.  Robin's
+  block is Neumann's, sharing its index arrays, with the trace: a link from
+  each boundary element's node to the exterior zero, h = 1, weight the
+  surface weight, scale beta.
+- pairs and exterior (fractional): one fold block, built from a kernel of
+  :mod:`dnflow.fractional` that is not kept apart from it.  Its n x (D + 1)
+  table pairs each node i with node (i + d) mod n for d = 1..D, D = n // 2,
+  so it reads every unordered pair once (for even n the pairs at d = n / 2
+  twice, and the repeats have weight 0); a pair weighs 2 w_|i-j|.  Its last
+  column links each node to the exterior zero with weight 2 h kappa_i.  The
   differences are strided views of u wrapped around, and each node's
   gradient is a row sum minus a skewed row sum of the fluxes, in work
   buffers the block keeps: no gather and no scatter.
 
 ``_parts`` (energy and raw partials, read by ``energy``, ``energy_gradient``
-and ``energy_and_gradient``) and ``energy_hessian`` sum over the blocks,
-each from 0.0.  The Hessian is a sum of links k (e_head - e_tail)(e_head -
-e_tail)^T, one per difference and in 2-D one E-N link per cell for the
-g_x g_y term, in the lower-banded storage ``scipy.linalg.cholesky_banded``
-factors.  ``energy_gradient`` returns a *density*: the raw partials over
-the cell volume, which approximates -Delta_p u pointwise for the local
-regimes.  No result is, or views, a block's work buffer.
+and ``energy_and_gradient``) and ``energy_hessian`` call the block once.
+The Hessian is a sum of links k (e_head - e_tail)(e_head - e_tail)^T, one
+per difference and in 2-D one E-N link per cell for the g_x g_y term, in
+the lower-banded storage ``scipy.linalg.cholesky_banded`` factors.
+``energy_gradient`` returns a *density*: the raw partials over the cell
+volume, which approximates -Delta_p u pointwise for the local regimes.  No
+result is, or views, a block's work buffer.
 
-Reduction order: every sum is a serial numpy reduction, block after block:
-in cell order for the line block, whose Robin trace cells are summed after
-its links; in link order for the 2-D cells and trace; and by fold rows for
-the fractional block, so results are deterministic for fixed inputs.  The
-line and fractional blocks' work buffers make their calls non-reentrant,
-so threads do not share a domain.
+Reduction order: every sum is a serial numpy reduction: in cell order for
+the line block, whose Robin trace cells are summed after its links; in link
+order for the 2-D cells, whose Robin trace links are summed after them; and
+by fold rows for the fractional block, so results are deterministic for
+fixed inputs.  The line and fractional blocks' work buffers make their
+calls non-reentrant, so threads do not share a domain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import fractional
 from .domain import Domain
 from .errors import UnsupportedRegimeError
-from .fractional import kernel_for
 
 __all__ = [
     "BoundaryRegime",
@@ -196,42 +198,58 @@ def _cell_curvature(r2, ab, p, eps, unit=1.0):
 
 @dataclass(frozen=True)
 class _Links:
-    # One block of cells.  ends[a, 0] and ends[a, 1] hold the head and tail
-    # node of each cell's difference along axis a, x first; in that order
-    # the gradient scatter adds, per node, +s_x, -s_x, +s_y, -s_y.
+    # The 2-D cells as one block.  ends[a, 0] and ends[a, 1] hold the head
+    # and tail node of each cell's difference along axis a, x first; in that
+    # order the gradient scatter adds, per node, +s_x, -s_x, +s_y, -s_y.
     # The Hessian is a sum of links k (e_head - e_tail)(e_head - e_tail)^T:
-    # one per difference, and in 2-D a third set with the E-N link of each
-    # cell's cross term, from the head of its y difference to that of its x.
+    # one per difference, and a third set with the E-N link of each cell's
+    # cross term, from the head of its y difference to that of its x.
+    # Robin's trace links, from each boundary element's node to the exterior
+    # zero, are summed after the cells.
     ends: np.ndarray     # (dim, 2, cells)
     h: np.ndarray        # (dim, 1) length of the differences along each axis
-    scale: float         # the block's energy is (scale / p) sum(weight * cell)
-    weight: np.ndarray | None  # one per cell, or None for 1
-    flux: np.ndarray     # (dim, 2, 1 or cells) +-scale weight / h: a difference g
-                         # adds flux m g to its head and to its tail
+    scale: float         # the cells' energy is (scale / p) sum(cell)
+    flux: np.ndarray     # (dim, 2, 1) +-scale / h: a difference g adds flux
+                         # m g to its head and to its tail
     diag: np.ndarray     # (2, links) head and tail of each live link, n if dead
     band: np.ndarray     # flat index of each link's -k in the (n + 1, width) transposed band
-    width: int           # band width, shared by every block of a regime
+    width: int           # band width
+    trace: tuple | None = None  # Robin: (trace_index, beta, trace_weight), links
+                                # of length 1 with energy (beta / p) sum(weight cell)
 
     def parts(self, u, p, eps):
         # (block energy, raw partials): one gather of the differences and
-        # one bincount scatter of their fluxes.
+        # one bincount scatter of their fluxes, then the trace's.
         g = _differences(u, self)
         cell, m = _cell_terms((g * g).sum(axis=0), p, eps)
         # In place, to hold one temporary of 2 x cells floats fewer.
         terms = self.flux * m
         terms *= g[:, None]
-        if self.weight is not None:
-            cell *= self.weight
-        return ((self.scale / p) * float(cell.sum()),
-                np.bincount(self.ends.ravel(), terms.ravel(), u.size + 1)[:u.size])
+        e = (self.scale / p) * float(cell.sum())
+        raw = np.bincount(self.ends.ravel(), terms.ravel(), u.size + 1)[:u.size]
+        if self.trace is not None:
+            index, beta, weight = self.trace
+            g = u[index]
+            cell, m = _cell_terms(g * g, p, eps)
+            cell *= weight
+            e += (beta / p) * float(cell.sum())
+            m *= beta * weight
+            m *= g
+            raw += np.bincount(index, m, u.size)
+        return e, raw
 
     def add_hessian(self, abT, u, p, eps):
         # Every live link adds k to the diagonal of its nodes, and a link of
-        # two nodes -k off it.
+        # two nodes -k off it; a trace link k = beta w c, on its node alone.
         k = _link_weights(u, p, eps, self).ravel()
         n = u.size
         abT[:, 0] += np.bincount(self.diag[1], k, n + 1) + np.bincount(self.diag[0], k, n + 1)
         np.put(abT, self.band, -k)
+        if self.trace is not None:
+            index, beta, weight = self.trace
+            g = u[index]
+            a2 = g * g
+            abT[:n, 0] += np.bincount(index, (beta * weight) * _cell_curvature(a2, a2, p, eps), n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,9 +416,10 @@ class _Fold:
         np.put(abT, self.band, np.negative(k, out=k))
 
 
-def _fold(ker, h):
+def _fold(dom, s, p):
     # The fold of the kernel's n - 1 offset weights and n exterior tails.
-    n = ker.exterior.size
+    ker = fractional.build_kernel(dom, s, p)
+    n, h = dom.n_nodes, dom.hx
     fold = n // 2
     i, d = np.arange(n)[:, None], np.arange(1, fold + 1)
     j = (i + d) % n
@@ -424,42 +443,25 @@ def _fold(ker, h):
 
 
 def _links(dom, regime, p):
-    # The one regime dispatch: the regime's link blocks, built on first use
+    # The one regime dispatch: the regime's link block, built on first use
     # and cached on the domain.  Only the fractional block depends on p.
     key = ("links", regime, p if regime.kind == "fractional" else None)
-    blocks = dom._cache.get(key)
-    if blocks is not None:
-        return blocks
+    block = dom._cache.get(key)
+    if block is not None:
+        return block
     validate_regime(dom, regime)
-    n = dom.n_nodes
     if regime.kind == "fractional":
-        blocks = (_fold(kernel_for(dom, regime.s, p), dom.hx),)
+        block = _fold(dom, regime.s, p)
     elif dom.dimension == 1:
-        blocks = (_line(dom, regime),)
+        block = _line(dom, regime)
+    elif regime.kind == "robin":
+        # The Neumann cells, whose index arrays it shares, and the trace.
+        block = replace(_links(dom, BoundaryRegime.neumann(), p),
+                        trace=(dom.trace_index, regime.beta, dom.trace_weight))
     else:
-        # One cell block serves Dirichlet, and one Neumann and Robin.
-        dirichlet = regime.kind == "dirichlet"
-        if ("cells", dirichlet) not in dom._cache:
-            dom._cache["cells", dirichlet] = _build_cells(dom, dirichlet)
-        cells = dom._cache["cells", dirichlet]
-        blocks = (cells,)
-        if regime.kind == "robin":
-            blocks += (_unit_links(n, dom.trace_index, np.full(dom.trace_index.size, n),
-                                   regime.beta, dom.trace_weight, cells.width),)
-    dom._cache[key] = blocks
-    return blocks
-
-
-def _unit_links(n, head, tail, scale, weight, width):
-    # Links of one difference of length 1 each, none dead; tail n is the
-    # exterior zero.  A link of two nodes sits at (row head - tail, column
-    # tail) of the band, every other one at (0, n).
-    ends = np.stack((head, tail))
-    inner = tail < n
-    coef = scale * weight
-    return _Links(ends=ends[None], h=np.ones((1, 1)), scale=scale, weight=weight,
-                  flux=np.stack((coef, -coef))[None], diag=ends,
-                  band=np.where(inner, tail * width + head - tail, n * width), width=width)
+        block = _build_cells(dom, regime.kind == "dirichlet")
+    dom._cache[key] = block
+    return block
 
 
 def _build_cells(dom, dirichlet):
@@ -489,7 +491,7 @@ def _build_cells(dom, dirichlet):
     inner = live & (head < n) & (tail < n)
     row = np.where(inner, head - tail, 0)
     width = int(row.max(initial=0)) + 1
-    return _Links(ends=ends, h=h, scale=dom.cell_volume, weight=None,
+    return _Links(ends=ends, h=h, scale=dom.cell_volume,
                   flux=np.stack((dom.cell_volume / h, -dom.cell_volume / h), axis=1),
                   diag=np.where(live, np.stack((head, tail)), n),
                   band=np.where(inner, tail, n) * width + row, width=width)
@@ -502,17 +504,13 @@ def _differences(u, links):
 
 
 def _link_weights(u, p, eps, links):
-    # The Hessian weight of every link of the block.  A difference's link
-    # has k = flux c / h for the curvature c of its cell along that axis (a
-    # trace link: k = beta w c).  A 2-D cell's cross term c_xy (a b^T + b a^T) /
-    # (hx hy), with a = e_E - e_C and b = e_N - e_C, is c_xy (a a^T + b b^T -
+    # The Hessian weight of every link of the 2-D cells.  A difference's
+    # link has k = vol c / h^2 for the curvature c of its cell along that
+    # axis.  A cell's cross term c_xy (a b^T + b a^T) / (hx hy), with
+    # a = e_E - e_C and b = e_N - e_C, is c_xy (a a^T + b b^T -
     # (e_E - e_N)(e_E - e_N)^T): it adds k_xy = vol c_xy / (hx hy) to both
     # difference links and -k_xy to the E-N link.
-    g = _differences(u, links)
-    if len(g) == 1:
-        a2 = g * g
-        return links.flux[:, 0] * _cell_curvature(a2[0], a2, p, eps) / links.h
-    gx, gy = g
+    gx, gy = _differences(u, links)
     ab = np.stack((gx * gx, gy * gy, gx * gy))
     hh = np.concatenate((links.h * links.h, links.h[:1] * links.h[1:]))
     k = (links.scale / hh) * _cell_curvature(ab[0] + ab[1], ab, p, eps, _UNIT_2D)
@@ -522,15 +520,13 @@ def _link_weights(u, p, eps, links):
 
 
 def _parts(dom, u, params, regime):
-    # (energy, raw partial derivatives) at u, summed over the link blocks.
+    # (energy, raw partial derivatives) at u from the regime's block.  The
+    # partials are the block's fresh result, their exact zeros made +0.0 in
+    # place: the value and zero sign of a sum from 0.0.
     u = dom.check_field(u)
-    p, eps = params.p, params.epsilon
-    e_val, raw = 0.0, np.zeros(u.size)
-    for links in _links(dom, regime, p):
-        e, partials = links.parts(u, p, eps)
-        e_val += e
-        raw += partials
-    return e_val, raw
+    e, raw = _links(dom, regime, params.p).parts(u, params.p, params.epsilon)
+    raw += 0.0
+    return e, raw
 
 
 def energy_hessian(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime) -> np.ndarray:
@@ -544,14 +540,12 @@ def energy_hessian(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime)
     degree p - 2 in (u, eps).
     """
     u = dom.check_field(u)
-    blocks = _links(dom, regime, params.p)
+    block = _links(dom, regime, params.p)
     # Built transposed, one row per band column, with a spare row n for the
-    # links that have no place off the diagonal (no two blocks link the
-    # same pair).  The band is the first n rows, transposed back, which is
-    # Fortran-ordered.
-    abT = np.zeros((u.size + 1, blocks[0].width))
-    for links in blocks:
-        links.add_hessian(abT, u, params.p, params.epsilon)
+    # links that have no place off the diagonal.  The band is the first n
+    # rows, transposed back, which is Fortran-ordered.
+    abT = np.zeros((u.size + 1, block.width))
+    block.add_hessian(abT, u, params.p, params.epsilon)
     return abT[:u.size].T
 
 

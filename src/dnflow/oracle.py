@@ -38,7 +38,7 @@ from .elliptic import (
     project_pmean,
 )
 from .errors import BudgetError, DegenerateInputError, NonConvergenceError, SignViolationError
-from .fractional import kernel_for
+from . import fractional
 from .operators import (
     BoundaryRegime,
     EnergyParams,
@@ -119,8 +119,8 @@ def _start(dom, p, regime, seed):
 
     K2, the p = 2 stiffness a cold inverse start also uses, is factored once
     and dropped on return, so its band is not held during the sweeps; for
-    p != 2 so are the tables the start added to the domain's cache for p = 2
-    alone (the fractional kernel and fold), which the sweeps never read.
+    p != 2 so is the table the start added to the domain's cache for p = 2
+    alone (the fractional fold), which the sweeps never read.
     K2^-1 is positive for Dirichlet, Robin and fractional (an M-matrix
     inverse).  For Neumann the data is g's C-perp part, which the step
     weights toward the first nontrivial mode, and the start is shifted to
@@ -337,7 +337,7 @@ def operator_matrix(dom: Domain, regime: BoundaryRegime) -> np.ndarray:
     """
     validate_regime(dom, regime)
     if regime.kind == "fractional":
-        ker = kernel_for(dom, regime.s, 2.0)
+        ker = fractional.build_kernel(dom, regime.s, 2.0)
         h = dom.hx
         w = np.concatenate(([0.0], ker.offsets))
         i = np.arange(dom.n_nodes)

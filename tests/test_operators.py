@@ -324,50 +324,80 @@ def test_energy_matches_serial_loop():
                     _assert_matches_loop(ab[1], sub_loop)
 
 
-def _serial_energy_2d(dom, u, p, eps, dirichlet):
+def _serial_2d(dom, u, p, eps, regime):
     # Independent per-cell loop over the 2-D layout: Dirichlet cells run
     # from one node before the grid to its last node on each axis (exterior
-    # zeros); Neumann cells sit at the nodes, and a difference to a node
-    # off the grid or off the mask counts as zero.
+    # zeros); Neumann and Robin cells sit at the nodes, and a difference to
+    # a node off the grid or off the mask counts as zero.  Robin adds, per
+    # boundary element of the domain, (beta/p) w |u_node|^p smoothed.  A
+    # difference's flux (vol / h) m g enters its head node and leaves its
+    # tail, each node's sum starting at 0.0.  Returns (energy, raw partials).
     ny, nx = dom.shape
     on = dom.mask if dom.mask is not None else np.ones((ny, nx), dtype=bool)
-    vals = np.zeros((ny, nx))
-    vals[on] = u
+    node = np.full((ny, nx), -1)
+    node[on] = np.arange(dom.n_nodes)
+    dirichlet = regime.kind == "dirichlet"
 
-    def value(i, j):
-        inside = 0 <= i < ny and 0 <= j < nx
-        return vals[i, j] if inside else 0.0
+    def at(i, j):
+        # The node at grid point (i, j), or -1 off the grid or the mask.
+        return int(node[i, j]) if 0 <= i < ny and 0 <= j < nx else -1
 
-    def diff(i, j, di, dj):
-        a, b = (i, j), (i + di, j + dj)
-        if not dirichlet:
-            for r, c in (a, b):
-                if not (0 <= r < ny and 0 <= c < nx and on[r, c]):
-                    return 0.0
-        return value(*b) - value(*a)
+    def value(k):
+        return float(u[k]) if k >= 0 else 0.0
 
+    def smoothed(gsq):
+        # (cell power minus its value at 0, multiplier m) as in the energy.
+        base = gsq + eps * eps
+        m = base ** ((p - 2) / 2)  # 0 ** 0 = 1 at p = 2, 0 ** a = 0 for p > 2
+        return m * base - (eps * eps) ** ((p - 2) / 2) * (eps * eps), m
+
+    energy, raw = 0.0, [0.0] * dom.n_nodes
     lo = -1 if dirichlet else 0
-    total = 0.0
     for i in range(lo, ny):
         for j in range(lo, nx):
-            gsq = (diff(i, j, 0, 1) / dom.hx) ** 2 + (diff(i, j, 1, 0) / dom.hy) ** 2
-            total += dom.cell_volume / p * ((gsq + eps * eps) ** (p / 2) - eps**p)
-    return total
+            diffs = []  # (head, tail, difference, length)
+            for di, dj, length in ((0, 1, dom.hx), (1, 0, dom.hy)):
+                tail, head = at(i, j), at(i + di, j + dj)
+                if dirichlet or (tail >= 0 and head >= 0):
+                    diffs.append((head, tail, (value(head) - value(tail)) / length, length))
+            cell, m = smoothed(sum(g * g for _, _, g, _ in diffs))
+            energy += dom.cell_volume / p * cell
+            for head, tail, g, length in diffs:
+                for k, sign in ((head, 1.0), (tail, -1.0)):
+                    if k >= 0:
+                        raw[k] += sign * (dom.cell_volume / length) * m * g
+    if regime.kind == "robin":
+        for k, w in zip(dom.trace_index, dom.trace_weight):
+            cell, m = smoothed(value(k) ** 2)
+            energy += regime.beta / p * w * cell
+            raw[k] += regime.beta * w * m * value(k)
+    return energy, np.array(raw)
 
 
 def test_energy_matches_serial_loop_2d():
-    # Pins the 2-D cell layout: the anchored Dirichlet cells and the
-    # Neumann cells of the last row, last column and corner.
+    # Pins the 2-D cell layout: the anchored Dirichlet cells, the Neumann
+    # cells of the last row, last column and corner, and the Robin trace on
+    # the Neumann cells; the energy and the raw partials, on random data,
+    # exact zeros of either sign and constant fields.
     rng = np.random.default_rng(12)
-    p, eps = 2.5, 1e-6
     bitmap = np.array([[0, 1, 1, 1, 0], [1, 1, 1, 1, 1], [1, 1, 0, 1, 1],
                        [0, 1, 1, 1, 1]], dtype=bool)
     for dom in (build_rectangle(6, 4, 1.0, 0.7), build_masked(bitmap, 0.15)):
-        u = rng.standard_normal(dom.n_nodes)
-        for regime in (DIRICHLET, NEUMANN):
-            total = _serial_energy_2d(dom, u, p, eps, regime is DIRICHLET)
-            val = energy(dom, u, EnergyParams(p, eps), regime)
-            assert val == pytest.approx(total, rel=1e-13), (dom.kind, regime.kind)
+        n = dom.n_nodes
+        mixed = rng.standard_normal(n)
+        mixed[::2], mixed[1::3] = 0.0, -0.0
+        fields = (rng.standard_normal(n), np.zeros(n), -np.zeros(n), np.full(n, -2.5), mixed)
+        regimes = [DIRICHLET, NEUMANN]
+        if dom.kind != "masked":
+            regimes.append(BoundaryRegime.robin(0.7))
+        for p, eps in ((2.5, 1e-6), (1.5, 1e-6), (2.0, 0.0), (3.0, 0.0)):
+            for regime in regimes:
+                for u in fields:
+                    e_loop, raw_loop = _serial_2d(dom, u, p, eps, regime)
+                    e_val, raw = energy_and_gradient(dom, u, EnergyParams(p, eps), regime)
+                    where = (dom.kind, regime.kind, p, eps, u)
+                    assert e_val == pytest.approx(e_loop, rel=1e-13, abs=1e-300), where
+                    _assert_matches_loop(raw, raw_loop)
 
 
 # --- hessian ----------------------------------------------------------------
@@ -439,7 +469,8 @@ def test_cell_table_built_once_per_family(monkeypatch):
     # Repeated energy, gradient and Hessian calls on one domain, over every
     # local regime and several p and eps, build one block per family and no
     # more: on an interval the line block of each regime, in 2-D one cell
-    # table for the Dirichlet family and one for Neumann and Robin.
+    # table for Dirichlet and one for Neumann, whose index arrays Robin's
+    # block shares.
     builds = []
     for name in ("_build_cells", "_line"):
         def counting_build(dom, family, _build=getattr(operators, name)):
@@ -463,7 +494,32 @@ def test_cell_table_built_once_per_family(monkeypatch):
             assert builds == ["dirichlet", "neumann", "robin"]
         else:
             assert builds == [True, False], dom.kind
+        if dom.kind == "rectangle":
+            neumann = operators._links(dom, NEUMANN, 3.0)
+            robin = operators._links(dom, BoundaryRegime.robin(0.7), 3.0)
+            assert robin.ends is neumann.ends and robin.band is neumann.band
         builds.clear()
+
+
+def _assert_results_survive(dom, params, regime, later):
+    # A result is never a cached work buffer, nor a view of one: calls on
+    # other data under each regime of later leave it as it was, and a call
+    # on the first data again reproduces it bit for bit.
+    u1, u2 = np.random.default_rng(15).standard_normal((2, dom.n_nodes))
+    e1, raw1 = energy_and_gradient(dom, u1, params, regime)
+    grad1, ab1 = energy_gradient(dom, u1, params, regime), energy_hessian(dom, u1, params, regime)
+    kept = raw1.copy(), grad1.copy(), ab1.copy()
+    for other in later:
+        e2, raw2 = energy_and_gradient(dom, u2, params, other)
+        energy_gradient(dom, u2, params, other)
+        energy_hessian(dom, u2, params, other)
+        assert e2 != e1
+    for got, was in zip((raw1, grad1, ab1), kept):
+        assert np.array_equal(got, was)
+    e3, raw3 = energy_and_gradient(dom, u1, params, regime)
+    assert e3 == e1
+    assert np.array_equal(raw3, raw1)
+    assert np.array_equal(energy_hessian(dom, u1, params, regime), ab1)
 
 
 @pytest.mark.parametrize("n", [32, 33])
@@ -471,25 +527,22 @@ def test_cell_table_built_once_per_family(monkeypatch):
                                     BoundaryRegime.fractional(0.5)], ids=lambda r: r.kind)
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_results_survive_later_calls(n, regime, p):
-    # A result is never a cached work buffer, nor a view of one: a later
-    # call on other data leaves it as it was, and a call on the first data
-    # again reproduces it bit for bit.
-    dom = build_interval(n)
-    params = EnergyParams(p, 1e-6)
-    u1, u2 = np.random.default_rng(15).standard_normal((2, n))
-    e1, raw1 = energy_and_gradient(dom, u1, params, regime)
-    grad1, ab1 = energy_gradient(dom, u1, params, regime), energy_hessian(dom, u1, params, regime)
-    kept = raw1.copy(), grad1.copy(), ab1.copy()
-    e2, raw2 = energy_and_gradient(dom, u2, params, regime)
-    energy_gradient(dom, u2, params, regime)
-    energy_hessian(dom, u2, params, regime)
-    assert e2 != e1
-    for got, was in zip((raw1, grad1, ab1), kept):
-        assert np.array_equal(got, was)
-    e3, raw3 = energy_and_gradient(dom, u1, params, regime)
-    assert e3 == e1
-    assert np.array_equal(raw3, raw1)
-    assert np.array_equal(energy_hessian(dom, u1, params, regime), ab1)
+    _assert_results_survive(build_interval(n), EnergyParams(p, 1e-6), regime, [regime])
+
+
+@pytest.mark.parametrize("kind,regime", [
+    ("rectangle", DIRICHLET), ("rectangle", NEUMANN), ("rectangle", BoundaryRegime.robin(0.7)),
+    ("masked", DIRICHLET), ("masked", NEUMANN)], ids=lambda v: getattr(v, "kind", v))
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_results_survive_later_calls_2d(kind, regime, p):
+    # The later calls run every regime the domain offers, so Robin's calls
+    # also go through the cell arrays it shares with Neumann.
+    if kind == "rectangle":
+        dom, later = build_rectangle(7, 5, 1.0, 0.8), [DIRICHLET, NEUMANN, BoundaryRegime.robin(0.7)]
+    else:
+        bitmap = np.array([[0, 1, 1, 1], [1, 1, 0, 1], [1, 1, 1, 1], [1, 1, 1, 0]], dtype=bool)
+        dom, later = build_masked(bitmap, 0.2), [DIRICHLET, NEUMANN]
+    _assert_results_survive(dom, EnergyParams(p, 1e-6), regime, later)
 
 
 # --- trace ------------------------------------------------------------------

@@ -435,14 +435,14 @@ def test_oracle_work_from_the_p2_start(monkeypatch):
 
 
 def test_fractional_start_leaves_only_the_run_p_tables():
-    # The start builds the p = 2 kernel and fold for K2; at p = 3 the sweeps
-    # never read them, so the run leaves the domain only its own tables.
-    # Tables cached before the run stay.
+    # The start builds the p = 2 fold for K2; at p = 3 the sweeps never read
+    # it, so the run leaves the domain only its own block.  A block cached
+    # before the run stays.
     regime = BoundaryRegime.fractional(0.5)
     d = build_interval(32)
     minimize_rayleigh(d, EnergyParams(3.0, 1e-6), regime, CFG, seed=0)
-    assert set(d._cache) == {("fractional_kernel", 0.5, 3.0), ("links", regime, 3.0)}
+    assert set(d._cache) == {("links", regime, 3.0)}
     d = build_interval(32)
     energy(d, np.ones(32), EnergyParams(2.0), regime)
     minimize_rayleigh(d, EnergyParams(3.0, 1e-6), regime, CFG, seed=0)
-    assert sorted(key[-1] for key in d._cache) == [2.0, 2.0, 3.0, 3.0]
+    assert set(d._cache) == {("links", regime, 2.0), ("links", regime, 3.0)}
