@@ -5,9 +5,11 @@ normalized inverse-power sweeps: each sweep solves the regime's elliptic
 problem with data lambda*jp(u), renormalizes to unit L^p (shifting Neumann
 iterates back to zero p-mean), and re-reads lambda and the eigen-residual
 from one gradient, lambda being the multiplier <grad E(u), u> / sum |u_i|^p.
-The sweeps start from one p = 2 inverse-power step of a seeded positive
-field, K2^-1 (vol g) with K2 the p = 2 stiffness, which smooths the noise
-away before the first nonlinear solve.
+The sweeps start from the p = 2 ground state, which linear inverse power
+on one factor of K2, the p = 2 stiffness, reaches from a seeded positive
+field to the sweeps' own target: at p = 2 that is the answer, and no sweep
+runs.  At p != 2 the start is symmetric to rounding, so the sweeps have no
+antisymmetric part of the noise to crawl on.
 The sweep map's fixed points are exactly the discrete eigenfunctions, and
 the contraction rate is mesh-independent, so the eigen-residual reaches
 solver precision in a few dozen sweeps.  Where the sweeps stall above the
@@ -58,7 +60,7 @@ __all__ = [
     "eigen_residual",
 ]
 
-MAX_SWEEPS = 400  # inverse-power sweep budget of minimize_rayleigh
+MAX_SWEEPS = 400  # step budget of minimize_rayleigh: its sweeps, and its start's
 POLISH_STEPS = 10  # Newton step budget of _newton_polish
 DENSE_MAX_NODES = 2000  # node cap of dense_linear_reference's O(n^3) solve
 
@@ -113,18 +115,26 @@ def _normalize(dom, u, p, regime):
     return u / nrm
 
 
-def _start(dom, p, regime, seed):
-    """The sweeps' start: one p = 2 inverse-power step of the seeded positive
-    field g = U(0.5, 1.5), normalized.
+def _start(dom, p, regime, seed, target):
+    """The sweeps' start: the p = 2 ground state, by inverse power on K2 from
+    the seeded positive field g = U(0.5, 1.5), normalized.
 
-    K2, the p = 2 stiffness a cold inverse start also uses, is factored once
-    and dropped on return, so its band is not held during the sweeps; for
-    p != 2 so is the table the start added to the domain's cache for p = 2
-    alone (the fractional fold), which the sweeps never read.
+    K2, the p = 2 stiffness a cold inverse start also uses, is factored once,
+    and each step is u <- K2^-1 cperp(u) at max|u| = 1.  The steps stop when
+    the max-norm change of the iterate is at most target, the sweeps' own, or
+    after MAX_SWEEPS steps.  At p = 2 the start is then the oracle's answer.
+    At p != 2 it is symmetric to rounding, so the sweeps have no
+    antisymmetric part of the noise to crawl on.  The change is not watched
+    for a floor: at Neumann it rises for up to 4 steps while the first mode
+    overtakes the second, and a target below rounding stalls the sweeps
+    after the start at far greater cost.
+    The factor is dropped on return, so its band is not held during the
+    sweeps; for p != 2 so is the table the start added to the domain's cache
+    for p = 2 alone (the fractional fold), which the sweeps never read.
     K2^-1 is positive for Dirichlet, Robin and fractional (an M-matrix
-    inverse).  For Neumann the data is g's C-perp part, which the step
-    weights toward the first nontrivial mode, and the start is shifted to
-    zero p-mean.
+    inverse).  For Neumann each step takes the C-perp part, so the steps
+    converge to the first nontrivial mode, and the start is shifted to zero
+    p-mean.
     """
     g = np.random.default_rng(seed).uniform(0.5, 1.5, dom.n_nodes)
     cached = set(dom._cache)
@@ -133,7 +143,15 @@ def _start(dom, p, regime, seed):
         for key in dom._cache.keys() - cached:
             if key[-1] == 2.0:  # a table built for p = 2 (see Domain._cache)
                 del dom._cache[key]
-    u = _factor(k2)(dom.cell_volume * project_cperp(g, regime))
+    solve = _factor(k2)
+    u = project_cperp(g, regime)
+    for _ in range(MAX_SWEEPS):
+        # Neumann: the factor's FACTOR_SHIFT leaves the constant mode a tiny
+        # eigenvalue, which blows its rounding up; so project again.
+        w = project_cperp(solve(u), regime)
+        u, u_old = w / np.abs(w).max(), u
+        if float(np.abs(u - u_old).max()) <= target:
+            break
     return _normalize(dom, u, p, regime)
 
 
@@ -221,19 +239,20 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
                       cfg: SolverConfig, seed: int = 0) -> EigenResult:
     """Minimize p*E(u) / int |u|^p over unit-L^p fields (zero p-mean for Neumann).
 
-    Deterministic given the seed: the sweeps start from one p = 2 inverse
-    step of a seeded positive field (see _start).  Runs at most MAX_SWEEPS =
-    400 sweeps, whose inverse solves share one SolveContext, and then the
-    Newton polish.  lam is the eigen-relation multiplier.  The returned pair
-    satisfies the eigen-relation to within 10*grad_tol in the weighted
-    relative norm, or a non-convergence error carries out the best iterate.
+    Deterministic given the seed: the sweeps start from the p = 2 ground
+    state, reached by inverse power from a seeded positive field (see
+    _start).  Runs at most MAX_SWEEPS = 400 sweeps, whose inverse solves
+    share one SolveContext, and then the Newton polish.  lam is the
+    eigen-relation multiplier.  The returned pair satisfies the
+    eigen-relation to within 10*grad_tol in the weighted relative norm, or a
+    non-convergence error carries out the best iterate.
     """
     ctx = SolveContext(dom, regime, params.p)
     p = params.p
-    u = _start(dom, p, regime, seed)
+    target = 3.0 * cfg.grad_tol
+    u = _start(dom, p, regime, seed, target)
     res, lam, evaluation = _residual_lam(dom, u, params, regime)
 
-    target = 3.0 * cfg.grad_tol
     best = (math.inf, u, lam)
     sweeps = 0
     stall = 0

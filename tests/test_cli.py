@@ -666,9 +666,10 @@ report = {"import": loaded("scipy.linalg", "scipy.sparse", "concurrent.futures.p
 polish = dnflow.oracle._newton_polish
 polished = []
 dnflow.oracle._newton_polish = lambda *args: polished.append(1) or polish(*args)
-codes = [dnflow.cli.main([command, "--config", path, "--out", sys.argv[3]])
-         for command, path in (("evolve", sys.argv[1]), ("eigen", sys.argv[1]),
-                               ("oracle", sys.argv[2]))]
+codes = [dnflow.cli.main([command, "--config", sys.argv[1], "--out", sys.argv[3]])
+         for command in ("evolve", "eigen")]
+dnflow.oracle.MAX_SWEEPS = 1  # the start's step and one sweep, then the polish
+codes.append(dnflow.cli.main(["oracle", "--config", sys.argv[2], "--out", sys.argv[3]]))
 report.update(codes=codes, polished=len(polished), run=loaded("scipy.linalg", "scipy.sparse"))
 print(json.dumps(report))
 """
@@ -680,8 +681,10 @@ def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
     # Nor does any command but a parallel sweep import the process pool.
     base = tmp_path / "run.cfg"
     base.write_text(BASE)
-    polished = tmp_path / "polish.cfg"  # an oracle run that reaches the polish
-    polished.write_text("domain.kind = interval\ndomain.n = 32\np = 4\n"
+    # An oracle run held to one sweep by _LOADED, so it reaches the polish;
+    # at odd n the polish converges there (to 4e-14).
+    polished = tmp_path / "polish.cfg"
+    polished.write_text("domain.kind = interval\ndomain.n = 33\np = 4\n"
                         "regime.kind = dirichlet\nseed = 0\n")
     proc = subprocess.run([sys.executable, "-c", _LOADED, str(base), str(polished),
                            str(tmp_path)], capture_output=True, text=True)
