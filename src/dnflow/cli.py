@@ -35,7 +35,7 @@ from .flow import (
     evolve_until_settled,
     profile_gap,
     read_snapshot,
-    rescaled_profile,
+    settled_read_out,
     write_new_file,
     write_snapshot,
 )
@@ -201,19 +201,15 @@ def _eigen_numbers(run):
     g = _initial_field(run)
     traj = evolve_until_settled(dom, g, params, regime, solver, tau=cfg.tau,
                                 max_steps=cfg.steps)
-    k = traj.steps
-    lam = traj.diagnostics[k].lambda_decay
-    # At an extremal (-Delta_p)^-1 jp(u) = u / mu: the ray start from the
-    # profile lands next to the solution.
-    prof = rescaled_profile(traj, k)
-    mu = diag.dual_quotient(dom, traj.states[k], params, regime, solver, warm_start=prof)
+    lam, mu, prof = settled_read_out(dom, traj, solver)
     ref = minimize_rayleigh(dom, params, regime, solver, seed=cfg.seed)
     # A flow settled on a higher mode reads that mode's rate: refuse it.
     if not abs(lam / ref.lam - 1.0) <= LAMBDA_GAP_BOUND:
         raise NonConvergenceError(f"the flow settled at lambda {lam!r}, the oracle's lambda "
-                                  f"is {ref.lam!r}", step=k, regime=regime.kind, p=params.p)
+                                  f"is {ref.lam!r}", step=traj.steps, regime=regime.kind,
+                                  p=params.p)
     gap = math.nan if prof is None else profile_gap(dom, prof, ref.extremal, params.p)
-    return lam, mu, gap, k
+    return lam, mu, gap, traj.steps
 
 
 def cmd_eigen(run) -> int:

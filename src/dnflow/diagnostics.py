@@ -65,10 +65,10 @@ class DiagnosticsRow:
 
 
 def dual_norm_q(dom: Domain, f, params: EnergyParams, regime: BoundaryRegime,
-                cfg: SolverConfig, warm_start=None):
+                cfg: SolverConfig):
     """q-th power of the dual norm: <f, (-Delta_p)^{-1} f> = p E(u)."""
     f = dom.check_field(f)
-    u = inverse_operator(dom, f, params, regime, cfg, warm_start=warm_start)
+    u = inverse_operator(dom, f, params, regime, cfg)
     return dom.cell_volume * float(f @ u)
 
 
@@ -85,18 +85,17 @@ def dual_quotient(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime,
     return _unit_dual_quotient(dom, u, params, regime, cfg, warm_start)[0]
 
 
-def _unit_dual_quotient(dom, u, params, regime, cfg, warm_start, ctx=None, warm_eval=None):
+def _unit_dual_quotient(dom, u, params, regime, cfg, warm_start, ctx=None):
     """(dual_quotient of u, the inverse solved for it), read at x = u / max|u|
     with eps = params.epsilon; warm_start approximates (-Delta_p)^{-1} jp(x),
-    and warm_eval, when given, is its evaluation (see inverse_operator).
+    and the solve runs on ctx when given (see inverse_operator).
 
     jp(x) is first projected off solver drift out of C-perp.  A pairing
     outside (0, inf) raises DegenerateInputError, since quotients divide by it.
     """
     x = u / float(np.abs(u).max())
     f = project_cperp(jp(x, params.p), regime)
-    sol = inverse_operator(dom, f, params, regime, cfg, warm_start=warm_start, ctx=ctx,
-                           warm_eval=warm_eval)
+    sol = inverse_operator(dom, f, params, regime, cfg, warm_start=warm_start, ctx=ctx)
     val = dom.cell_volume * float(f @ sol)
     if not 0.0 < val < math.inf:
         raise DegenerateInputError(
@@ -150,9 +149,9 @@ def fill_dual_columns(dom: Domain, traj, cfg: SolverConfig) -> None:
     max|u| = 1, the state of the row before it, and the quotient is
     degree-0 homogeneous, so it takes that row's dual_q.  Every other row
     solves its inverse at max|u| = 1 (see _unit_dual_quotient),
-    warm-started from the last solved row's solution and, unless the
-    Neumann shift moved that solution, from the evaluation its solve left
-    there in the SolveContext the solves share.
+    warm-started from the last solved row's solution on the SolveContext
+    the solves share, which hands that solve's evaluation on unless the
+    Neumann shift moved the solution (see inverse_operator).
     """
     ctx = SolveContext(dom, traj.regime, traj.params.p)
     warm, rows, repeats = None, traj.diagnostics, set(traj.predicted)
@@ -162,10 +161,8 @@ def fill_dual_columns(dom: Domain, traj, cfg: SolverConfig) -> None:
         if k in repeats and rows[k - 1].Np > 0.0:
             row.dual_q = rows[k - 1].dual_q
             continue
-        held = ctx.evaluation
         row.dual_q, warm = _unit_dual_quotient(
-            dom, traj.states[k], traj.params, traj.regime, cfg, warm, ctx,
-            held[1:] if held and held[0] is warm else None)
+            dom, traj.states[k], traj.params, traj.regime, cfg, warm, ctx)
 
 
 def rows_to_csv(rows) -> str:

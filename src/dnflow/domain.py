@@ -144,34 +144,19 @@ def build_rectangle(nx: int, ny: int, lx: float, ly: float) -> Domain:
     ys = hy * np.arange(1, ny + 1, dtype=float)
     gx, gy = np.meshgrid(xs, ys)  # row-major: iy outer, ix inner
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
-
-    def flat(iy, ix):
-        return iy * nx + ix
-
-    idx, wts = [], []
+    # Boundary elements edge by edge: bottom (y = 0), top (y = ly), left
+    # (x = 0), right (x = lx).
+    flat = np.arange(nx * ny).reshape(ny, nx)
     wx = _edge_voronoi_weights(nx, hx)
     wy = _edge_voronoi_weights(ny, hy)
-    for ix in range(nx):  # bottom edge (y = 0)
-        idx.append(flat(0, ix))
-        wts.append(wx[ix])
-    for ix in range(nx):  # top edge (y = ly)
-        idx.append(flat(ny - 1, ix))
-        wts.append(wx[ix])
-    for iy in range(ny):  # left edge (x = 0)
-        idx.append(flat(iy, 0))
-        wts.append(wy[iy])
-    for iy in range(ny):  # right edge (x = lx)
-        idx.append(flat(iy, nx - 1))
-        wts.append(wy[iy])
-
     return Domain(
         kind="rectangle",
         dimension=2,
         hx=hx,
         hy=hy,
         nodes=nodes,
-        trace_index=np.array(idx),
-        trace_weight=np.array(wts),
+        trace_index=np.concatenate((flat[0], flat[-1], flat[:, 0], flat[:, -1])),
+        trace_weight=np.concatenate((wx, wx, wy, wy)),
         shape=(ny, nx),
     )
 

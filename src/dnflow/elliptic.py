@@ -50,8 +50,8 @@ evaluation there gives the step's stopping test: the reference
 ||g(u_prev)|| = tau ||grad E(u_prev)|| follows from grad E(t u_prev) by the
 degree-(p-1) homogeneity of grad E.  A prediction the test rejects is
 dropped and the step runs from u_prev as any other.  A step given the very
-u_prev of an accepted prediction, with t unchanged, has that step's inputs
-and returns its point and evaluation again without evaluating.
+u_prev of an accepted prediction, with t and the params unchanged, has that
+step's inputs and returns its point and evaluation again without evaluating.
 
 The Neumann zero-p-mean shift is a safeguarded Newton iteration on the
 p-mean, started at c = 0, with bisection as its fallback.
@@ -273,8 +273,8 @@ class SolveContext:
     counts the solves that started on a kept factor instead of a fresh one,
     predicted the implicit steps that returned their prediction, repeated
     those of them that took the step before's prediction again without an
-    evaluation, and handed_over the inverse solves that started from an
-    evaluation their caller handed over (warm_eval) instead of making it.
+    evaluation, and handed_over the inverse solves that started from the
+    held evaluation of their warm start instead of making it.
 
     ray is the factor t of the last solve when that solve returned t times
     its start without an NCG iteration (1.0 when it returned the start
@@ -282,10 +282,13 @@ class SolveContext:
     t u_prev (see implicit_step); an accepted prediction keeps t, and
     source is the u_prev it started from (None after any other solve).
 
-    evaluation is the last solve's evaluation of the point x it returned,
-    so the caller need not evaluate x again; None before the first.  A
-    march holds (x, E(x), sum |x|^p), which the step's diagnostics row
-    reads, and a run of inverse solves (x, E(x), raw partials of E at x),
+    The context holds one evaluation: that of the point x the last solve
+    returned, or one its caller stored with hold, as the oracle stores its
+    residual's before each sweep; None before the first.  held(x, params)
+    hands it on only for the very array x under the same params, so it
+    never crosses a change of eps, and no other module reads its layout.
+    A march holds (E(x), sum |x|^p), which the step's diagnostics row
+    reads, and a run of inverse solves (E(x), raw partials of E at x),
     which the next solve takes when it starts at x.  x is the returned
     array unless the Neumann shift moved it.
     """
@@ -311,6 +314,16 @@ class SolveContext:
     def _check(self, dom, regime, p, tau):
         if dom is not self.dom or (regime, p, tau) != (self.regime, self.p, self.tau):
             raise ValueError("the solve context belongs to another problem")
+
+    def hold(self, x, params, *evaluation):
+        """Hold evaluation, made at the array x under params (see held)."""
+        self.evaluation = (x, params, evaluation)
+
+    def held(self, x, params):
+        """The held evaluation when it was made at the very array x under
+        params, else None."""
+        held = self.evaluation
+        return held[2] if held and held[0] is x and held[1] == params else None
 
     def factor(self, x, precondition):
         """Factor M = precondition(x), keep it unless x = 0; returns z -> M^-1 g."""
@@ -519,16 +532,17 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     test (see _prediction); otherwise ctx.ray is cleared by the solve that
     follows.  When u_prev is ctx.source, the very array the accepted
     prediction before started from (so a caller must not write into it),
-    the step returns that prediction again without evaluating.  The first
-    step of a march also tries the p = 2 linear step as its start, unless
-    ctx was made with linear_start False (see the module docstring).  The
-    step leaves the evaluation of the point it returns in ctx.evaluation.
+    under the same params, the step returns that prediction again without
+    evaluating.  The first step of a march also tries the p = 2 linear step
+    as its start, unless ctx was made with linear_start False (see the
+    module docstring).  The step holds its evaluation of the point it
+    returns in ctx (see SolveContext.held).
     """
     if ctx is None:
         ctx = SolveContext(dom, regime, params.p, tau)
     else:
         ctx._check(dom, regime, params.p, tau)
-    if ctx.ray is not None and u_prev is ctx.source:
+    if ctx.ray is not None and u_prev is ctx.source and ctx.evaluation[1] == params:
         ctx.solves += 1
         ctx.predicted += 1
         ctx.repeated += 1
@@ -547,18 +561,19 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
         return e_val, raw, float((np.abs(u) ** p).sum())
 
     def fg(u):
-        # F and its gradient, then E(u) and sum |u|^p for ctx.evaluation.
+        # F and its gradient, then E(u) and sum |u|^p for ctx to hold.
         e_val, raw, power_sum = evaluate(u)
         return (tau * e_val + (vol / p) * power_sum - float(b @ u),
                 tau * raw + vol * jp(u, p) - b, e_val, power_sum)
 
     if ctx.ray is not None:
-        held = _prediction(ctx, u_prev, b, evaluate, cfg)
-        if held is not None:
+        predicted = _prediction(ctx, u_prev, b, evaluate, cfg)
+        if predicted is not None:
             ctx.solves += 1
             ctx.predicted += 1
-            ctx.source, ctx.evaluation = u_prev, held
-            return held[0]
+            ctx.source = u_prev
+            ctx.hold(predicted[0], params, *predicted[1:])
+            return predicted[0]
 
     def precondition(x):
         ab = energy_hessian(dom, x, params, regime)
@@ -569,7 +584,7 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
 
     alt = _linear_step(ctx, u_prev) if ctx.solves == 0 and ctx.linear_start else None
     x, extra = _solve(fg, b, u_prev, 0.0, cfg, precondition, params, ctx, alt)
-    ctx.evaluation = (x, *extra)
+    ctx.hold(x, params, *extra)
     return x
 
 
@@ -592,8 +607,7 @@ def _prediction(ctx: SolveContext, u_prev, b, evaluate, cfg: SolverConfig):
 
 def inverse_operator(dom: Domain, f, params: EnergyParams,
                      regime: BoundaryRegime, cfg: SolverConfig,
-                     warm_start=None, ctx: SolveContext | None = None,
-                     warm_eval=None) -> np.ndarray:
+                     warm_start=None, ctx: SolveContext | None = None) -> np.ndarray:
     """Solve -Delta_p u = f weakly: minimize E(u) - int f u.
 
     For the Neumann regime f must annihilate constants (zero weighted mean);
@@ -601,10 +615,11 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
     post-shift.  The stopping reference is the data norm ||w f||, so a warm
     start that already satisfies the equation returns immediately.  ctx is
     the SolveContext of a run of inverse solves for this p (tau None);
-    without one the call is a run of its own.  warm_eval, when the caller
-    already has it, is energy_and_gradient's (E, raw partials) at warm_start
-    under these params, and the solve then makes no evaluation there.  The
-    solve leaves its own such evaluation in ctx.evaluation.
+    without one the call is a run of its own.  When ctx holds
+    energy_and_gradient's (E, raw partials) at the very array warm_start
+    under these params (see SolveContext.held), as the last solve leaves it
+    at the point it returns, the solve makes no evaluation there.  The
+    solve holds its own such evaluation in ctx.
     """
     if ctx is None:
         ctx = SolveContext(dom, regime, params.p)
@@ -624,7 +639,7 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
 
     def objective(e_val, raw, u):
         # E(u) - <b, u> and its gradient from an evaluation of E at u, then
-        # that evaluation for ctx.evaluation.
+        # that evaluation for ctx to hold.
         return e_val - float(b @ u), raw - b, e_val, raw
 
     def fg(u):
@@ -636,10 +651,11 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
         return energy_hessian(dom, x, params if x.any() else EnergyParams(2.0), regime)
 
     x0 = dom.check_field(warm_start) if warm_start is not None else np.zeros_like(f)
-    start = None if warm_eval is None else objective(*warm_eval, x0)
+    held = ctx.held(x0, params)
+    start = None if held is None else objective(*held, x0)
     ctx.handed_over += start is not None
     u, extra = _solve(fg, b, x0, bnorm, cfg, precondition, params, ctx, start=start)
-    ctx.evaluation = (u, *extra)
+    ctx.hold(u, params, *extra)
     return project_pmean(dom, u, params.p, regime)
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "FlowTrajectory",
     "evolve",
     "evolve_until_settled",
+    "settled_read_out",
     "auto_tau",
     "interpolant_v",
     "interpolant_w",
@@ -139,9 +140,7 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
             x = project_pmean(dom, x, params.p, regime)  # stay on the constraint set
         traj.states.append(scale * x)
         # The step's own evaluation of x, unless the Neumann shift moved it.
-        held = ctx.evaluation
-        row = diag.build_row(dom, traj, k, x, scale,
-                             held[1:] if held and held[0] is x else None)
+        row = diag.build_row(dom, traj, k, x, scale, ctx.held(x, params))
         _record(traj, row)
         row.lambda_decay = diag.lambda_decay_estimate(traj, k)
         row.energy_residual = diag.energy_identity_residual(traj, k)
@@ -239,6 +238,22 @@ def evolve_until_settled(dom: Domain, g, params: EnergyParams,
 
     return _march(dom, g, tau, max_steps, params, regime, cfg, stop,
                   linear_start=not separated)
+
+
+def settled_read_out(dom: Domain, traj: FlowTrajectory, cfg: SolverConfig):
+    """(lambda-hat, mu-hat, profile) of a settled trajectory's last state.
+
+    lambda-hat is the last row's decay-rate estimate, profile the last
+    state at unit L^p (None at the degenerate floor, see rescaled_profile)
+    and mu-hat that state's dual quotient, its inverse solve warm-started at
+    the profile: at an extremal (-Delta_p)^-1 jp(u) = u / mu, so the ray
+    start from the profile lands next to the solution.
+    """
+    k = traj.steps
+    prof = rescaled_profile(traj, k)
+    mu = diag.dual_quotient(dom, traj.states[k], traj.params, traj.regime, cfg,
+                            warm_start=prof)
+    return traj.diagnostics[k].lambda_decay, mu, prof
 
 
 def _check_time(traj: FlowTrajectory, t: float) -> None:

@@ -97,13 +97,14 @@ def _residual_lam(dom, u, params, regime):
     lam is the multiplier <grad E(u), u> / sum |u_i|^p of the eigen-relation;
     for eps = 0 it equals the Rayleigh quotient p E(u) / int |u|^p by Euler's
     identity.  evaluation is energy_and_gradient's (E, raw partials) at u,
-    which the next sweep's inverse solve takes as its warm start's.
+    which the next sweep holds on its context for its inverse solve, warm
+    started at u, to take.
     """
-    evaluation = energy_and_gradient(dom, u, params, regime)
-    g = evaluation[1] / dom.cell_volume
+    e_val, raw = energy_and_gradient(dom, u, params, regime)
+    g = raw / dom.cell_volume
     ju = jp(u, params.p)
     lam = float(g @ u) / float(ju @ u)
-    return _defect(g, lam * ju), lam, evaluation
+    return _defect(g, lam * ju), lam, (e_val, raw)
 
 
 def _normalize(dom, u, p, regime):
@@ -264,9 +265,9 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
         inner_cfg = SolverConfig(inner_tol)
         f = project_cperp(lam * jp(u, p), regime)
         u_old, res_old = u, res
+        ctx.hold(u, params, *evaluation)
         try:
-            u = inverse_operator(dom, f, params, regime, inner_cfg, warm_start=u, ctx=ctx,
-                                 warm_eval=evaluation)
+            u = inverse_operator(dom, f, params, regime, inner_cfg, warm_start=u, ctx=ctx)
         except NonConvergenceError as err:
             # Inner solve hit its rounding floor; its best iterate still
             # advances the sweep.

@@ -12,15 +12,10 @@ import math
 
 import numpy as np
 
-from .diagnostics import (
-    dual_norm_q,
-    dual_quotient,
-    lambda_decay_estimate,
-    mu_lambda_consistency,
-)
+from .diagnostics import dual_norm_q, dual_quotient, mu_lambda_consistency
 from .domain import Domain, integrate_power
 from .elliptic import SolverConfig, pmean_defect, project_cperp, project_pmean
-from .flow import evolve, evolve_until_settled, profile_gap, rescaled_profile
+from .flow import evolve, evolve_until_settled, profile_gap, settled_read_out
 from .operators import BoundaryRegime, EnergyParams, energy, energy_and_gradient
 from .oracle import minimize_rayleigh
 
@@ -136,11 +131,9 @@ def run_invariant_suite(dom: Domain, params: EnergyParams,
 
     # Flow estimates converge to the oracle pair.
     settled = evolve_until_settled(dom, g, params, regime, cfg, tau=tau)
-    k_last = settled.steps
-    lam_hat = lambda_decay_estimate(settled, k_last)
+    lam_hat, mu_hat, prof = settled_read_out(dom, settled, cfg)
     rows.append(_row("flow/oracle lambda gap",
                      abs(lam_hat / eig.lam - 1.0), LAMBDA_GAP_BOUND))
-    prof = rescaled_profile(settled, k_last)
     if prof is not None:
         run_profile_check = True
         if regime.kind == "neumann":
@@ -152,7 +145,6 @@ def run_invariant_suite(dom: Domain, params: EnergyParams,
         if run_profile_check:
             rows.append(_row("profile gap to oracle extremal",
                              profile_gap(dom, prof, eig.extremal, p), 1e-3))
-    mu_hat = dual_quotient(dom, settled.states[k_last], params, regime, cfg)
     rows.append(_row("mu-lambda consistency gap",
                      mu_lambda_consistency(lam_hat, mu_hat, p), 0.02))
     return rows

@@ -42,6 +42,30 @@ def test_rectangle_3x3():
     assert d.trace_index.size > 0
 
 
+@pytest.mark.parametrize("nx, ny", [(3, 3), (3, 7), (8, 5), (31, 31), (4, 129)])
+def test_rectangle_trace_matches_edge_loops(nx, ny):
+    # The trace arrays, edge by edge as the loops below walk them: bottom,
+    # top, left, right, each node's weight its edge's Voronoi share.
+    d = build_rectangle(nx, ny, 2.5, 0.3)
+
+    def share(i, count, h):
+        return (1.5 if i in (0, count - 1) else 1.0) * h
+
+    idx, wts = [], []
+    for iy in (0, ny - 1):
+        for ix in range(nx):
+            idx.append(iy * nx + ix)
+            wts.append(share(ix, nx, d.hx))
+    for ix in (0, nx - 1):
+        for iy in range(ny):
+            idx.append(iy * nx + ix)
+            wts.append(share(iy, ny, d.hy))
+    assert d.trace_index.dtype == np.array(idx).dtype
+    np.testing.assert_array_equal(d.trace_index, idx)
+    np.testing.assert_array_equal(d.trace_weight, wts)
+    assert d.trace_weight.sum() == pytest.approx(2 * 2.5 + 2 * 0.3)
+
+
 def test_rectangle_99():
     d = build_rectangle(99, 99, 1.0, 1.0)
     assert d.n_nodes == 9801

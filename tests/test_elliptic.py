@@ -520,6 +520,79 @@ def test_failed_solve_closes_the_gate(monkeypatch):
     assert (ctx.carried, ctx.fresh) == (1, fresh + 1)
 
 
+def _count_parts(monkeypatch):
+    # Counts every energy evaluation, however it is reached.
+    import dnflow.operators as operators
+
+    calls, parts = [0], operators._parts
+
+    def counted(*args):
+        calls[0] += 1
+        return parts(*args)
+
+    monkeypatch.setattr(operators, "_parts", counted)
+    return calls
+
+
+def _chained_solve(d, params, second, drop, calls):
+    # A cold inverse solve of f, then one of f2 under the params second,
+    # warm-started at the very array the first returned; drop clears the
+    # context's evaluation in between.  Returns (the second solution, its
+    # evaluations, the context).
+    f, f2 = np.ones(32), np.ones(32) + 0.5 * sine_mode(d, 2)
+    ctx = SolveContext(d, DIRICHLET, params.p)
+    u = inverse_operator(d, f, params, DIRICHLET, CFG, ctx=ctx)
+    if drop:
+        ctx.evaluation = None
+    before = calls[0]
+    got = inverse_operator(d, f2, second, DIRICHLET, CFG, warm_start=u, ctx=ctx)
+    return got, calls[0] - before, ctx
+
+
+def test_chained_inverse_solve_starts_from_the_held_evaluation(monkeypatch):
+    # The second solve takes the evaluation the first left at its solution
+    # instead of making it: one evaluation fewer, the same bits.
+    d, params = build_interval(32), EnergyParams(3.0, 1e-6)
+    calls = _count_parts(monkeypatch)
+    kept, kept_calls, kept_ctx = _chained_solve(d, params, params, False, calls)
+    dropped, dropped_calls, dropped_ctx = _chained_solve(d, params, params, True, calls)
+    np.testing.assert_array_equal(kept, dropped)
+    assert dropped_calls - kept_calls == 1
+    assert (kept_ctx.handed_over, dropped_ctx.handed_over) == (1, 0)
+
+
+def test_held_evaluation_is_not_taken_after_eps_changes(monkeypatch):
+    # An evaluation made at eps = 1e-6 is not the energy at eps = 1e-3: the
+    # solve under the new eps evaluates its start again, exactly as if the
+    # context held nothing.
+    d, params = build_interval(32), EnergyParams(3.0, 1e-6)
+    other = EnergyParams(3.0, 1e-3)
+    calls = _count_parts(monkeypatch)
+    kept, kept_calls, kept_ctx = _chained_solve(d, params, other, False, calls)
+    dropped, dropped_calls, _ = _chained_solve(d, params, other, True, calls)
+    np.testing.assert_array_equal(kept, dropped)
+    assert kept_calls == dropped_calls and kept_ctx.handed_over == 0
+    assert kept_ctx.held(kept_ctx.evaluation[0], other) is not None
+    assert kept_ctx.held(kept_ctx.evaluation[0], params) is None
+
+
+def test_prediction_is_not_repeated_after_eps_changes():
+    # At p = 2 a sine mode is separated, so the second step from the same
+    # array returns its prediction and the third repeats it, unless the
+    # third comes with another eps: then it evaluates its prediction anew.
+    d, tau = build_interval(32), 0.1
+    x = sine_mode(d) / np.abs(sine_mode(d)).max()
+    repeats = []
+    for eps in (1e-6, 1e-3):
+        ctx = SolveContext(d, DIRICHLET, 2.0, tau, linear_start=False)
+        for params in (EnergyParams(2.0, 1e-6),) * 2 + (EnergyParams(2.0, eps),):
+            u = implicit_step(d, x, tau, params, DIRICHLET, CFG, ctx)
+        assert ctx.predicted == 2
+        repeats.append(ctx.repeated)
+        np.testing.assert_allclose(u, x / (1.0 + tau * mode_eigenvalue(d)), rtol=1e-8)
+    assert repeats == [1, 0]
+
+
 def test_context_belongs_to_one_problem():
     d = build_interval(9)
     params = EnergyParams(3.0, 1e-6)

@@ -41,8 +41,10 @@ def _drop_handoffs(monkeypatch):
     monkeypatch.setattr(flow, "implicit_step",
                         lambda dom, u_prev, *args: step(dom, u_prev.copy(), *args))
     for module in (diagnostics, oracle):
-        def inverse_without(*args, warm_eval=None, _inverse=module.inverse_operator, **kwargs):
-            return _inverse(*args, **kwargs)
+        def inverse_without(*args, ctx=None, _inverse=module.inverse_operator, **kwargs):
+            if ctx is not None:
+                ctx.evaluation = None
+            return _inverse(*args, ctx=ctx, **kwargs)
 
         monkeypatch.setattr(module, "inverse_operator", inverse_without)
 

@@ -237,6 +237,29 @@ def test_exhausted_sweeps_raise_with_best_iterate(monkeypatch, tmp_path, capsys)
                                "eigen-residual above 10*grad_tol after 1 sweeps")
 
 
+def test_polish_finishes_sweeps_stalled_above_the_bound(monkeypatch):
+    # Neumann p = 1.2, n = 199, seed 0: the sweeps stall at a residual of
+    # 8.0e-8, above the 1e-8 bound, and the Newton polish takes it to 6.8e-9
+    # (seeds 1 and 2: 6.7e-8 -> 5.9e-9, 1.7e-7 -> 4.4e-9).  Without polish
+    # steps the same call raises.
+    import dnflow.oracle as oracle
+
+    d, params = build_interval(199), EnergyParams(1.2, 1e-6)
+    polish, stalled = oracle._newton_polish, []
+
+    def logged(dom, best, *args):
+        stalled.append(best[0])
+        return polish(dom, best, *args)
+
+    monkeypatch.setattr(oracle, "_newton_polish", logged)
+    result = minimize_rayleigh(d, params, NEUMANN, CFG, seed=0)
+    assert len(stalled) == 1 and stalled[0] > 10 * CFG.grad_tol
+    assert result.residual <= 10 * CFG.grad_tol
+    monkeypatch.setattr(oracle, "POLISH_STEPS", 0)
+    with pytest.raises(NonConvergenceError, match="eigen-residual above 10"):
+        minimize_rayleigh(d, params, NEUMANN, CFG, seed=0)
+
+
 def test_sign_normalize_flip_and_identity():
     d = build_interval(19)
     phi = np.sin(np.pi * d.nodes)
