@@ -16,10 +16,9 @@ from dnflow import (
     build_interval,
     dense_linear_reference,
     evolve_until_settled,
-    lambda_decay_estimate,
-    lp_norm,
     minimize_rayleigh,
-    rescaled_profile,
+    profile_gap,
+    settled_read_out,
 )
 
 n = 199
@@ -34,16 +33,13 @@ for p in (2.0, 3.0):
     regime = BoundaryRegime.dirichlet()
 
     traj = evolve_until_settled(dom, np.ones(n), params, regime, cfg)
-    k = traj.steps
-    lam_flow = lambda_decay_estimate(traj, k)
+    lam_flow, _, prof = settled_read_out(dom, traj, cfg)
 
     # Independent ground truth: direct minimization of the Rayleigh quotient.
     eig = minimize_rayleigh(dom, params, regime, cfg, seed=0)
-    prof = rescaled_profile(traj, k)
-    gap = min(lp_norm(dom, prof - eig.extremal, p),
-              lp_norm(dom, prof + eig.extremal, p))
+    gap = profile_gap(dom, prof, eig.extremal, p)
 
-    print(f"p = {p}: flow stopped after {k} steps at tau = {traj.tau:.4f}")
+    print(f"p = {p}: flow stopped after {traj.steps} steps at tau = {traj.tau:.4f}")
     print(f"  lambda from decay rate      {lam_flow:.10f}")
     print(f"  lambda from quotient min    {eig.lam:.10f}")
     print(f"  relative difference         {abs(lam_flow / eig.lam - 1):.2e}")

@@ -14,10 +14,9 @@ from dnflow import (
     EnergyParams,
     SolverConfig,
     build_interval,
-    dual_quotient,
     evolve_until_settled,
-    lambda_decay_estimate,
     minimize_rayleigh,
+    settled_read_out,
     zero_pmean_shift,
 )
 
@@ -40,11 +39,9 @@ for regime in (BoundaryRegime.dirichlet(),
     else:
         g = np.ones(n)
     traj = evolve_until_settled(dom, g, params, regime, cfg)
-    k = traj.steps
-    lam_hat = lambda_decay_estimate(traj, k)
-    mu_hat = dual_quotient(dom, traj.states[k], params, regime, cfg)
+    lam_hat, mu_hat, _ = settled_read_out(dom, traj, cfg)
     eig = minimize_rayleigh(dom, params, regime, cfg, seed=0)
-    print(f"{regime.kind:12s} {k:4d}   {lam_hat:14.8f}  {eig.lam:14.8f}  "
+    print(f"{regime.kind:12s} {traj.steps:4d}   {lam_hat:14.8f}  {eig.lam:14.8f}  "
           f"{mu_hat:14.8f}  {lam_hat ** (1 / (p - 1)):14.8f}")
 print()
 print("the last two columns agreeing is the mu = lambda^(1/(p-1)) duality;")

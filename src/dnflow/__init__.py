@@ -33,8 +33,10 @@ from .flow import (
     evolve_until_settled,
     interpolant_v,
     interpolant_w,
+    profile_gap,
     read_snapshot,
     rescaled_profile,
+    settled_read_out,
     write_snapshot,
 )
 from .fractional import FractionalKernel, build_kernel

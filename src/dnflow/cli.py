@@ -182,7 +182,8 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_evolve(run, snapshot_steps=()) -> int:
+def cmd_evolve(run, args) -> int:
+    snapshot_steps = _snapshot_steps(args.snapshots, run[0].steps)
     cfg, dom, params, regime, solver = run
     g = _initial_field(run)
     tau = cfg.tau if cfg.tau is not None else auto_tau(dom, g, params, regime, solver)
@@ -212,13 +213,13 @@ def _eigen_numbers(run):
     return lam, mu, gap, traj.steps
 
 
-def cmd_eigen(run) -> int:
+def cmd_eigen(run, args) -> int:
     lam, mu, gap, _ = _eigen_numbers(run)
     print(f"{lam!r} {mu!r} {gap!r}")
     return 0
 
 
-def cmd_oracle(run) -> int:
+def cmd_oracle(run, args) -> int:
     cfg, dom, params, regime, solver = run
     result = minimize_rayleigh(dom, params, regime, solver, seed=cfg.seed)
     out = _out_dir(cfg)
@@ -228,7 +229,7 @@ def cmd_oracle(run) -> int:
     return 0
 
 
-def cmd_verify(run) -> int:
+def cmd_verify(run, args) -> int:
     cfg, dom, params, regime, solver = run
     rows = run_invariant_suite(dom, params, regime, solver, seed=cfg.seed)
     for row in rows:
@@ -236,9 +237,12 @@ def cmd_verify(run) -> int:
     return 0 if all(ok for *_x, ok in rows) else 3
 
 
-def cmd_sweep(run, param: str, values, jobs: int | None) -> int:
+def cmd_sweep(run, args) -> int:
     """One eigen pipeline per value; every value's run is built first."""
-    cfg = run[0]
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
+    if not values:
+        raise ConfigError("sweep needs at least one value")
+    cfg, param, jobs = run[0], args.param, args.jobs
     if param not in _KEYS:
         raise ConfigError(f"unknown sweep parameter {param!r}")
     if jobs is None:
@@ -289,6 +293,23 @@ def _snapshot_steps(text: str, steps: int) -> list:
     return ks
 
 
+# The subcommands, each called as command(run, args) once the run is built.
+_COMMANDS = {"evolve": cmd_evolve, "eigen": cmd_eigen, "oracle": cmd_oracle,
+             "verify": cmd_verify, "sweep": cmd_sweep}
+
+# (exception type, exit code, label of its stderr line), most specific first:
+# the first type an error is an instance of decides.  A ValueError that no
+# layer typed (a config file that is not UTF-8) is a config error.
+_FAILURES = (
+    (ConfigError, 1, "config error"),
+    (NonConvergenceError, 2, "solver did not converge"),
+    (SignViolationError, 3, "invariant violation"),
+    (DnflowError, 1, "bad input"),
+    (OSError, 4, "i/o error"),
+    (ValueError, 1, "config error"),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are config errors (exit 1)
         raise ConfigError(message)
@@ -299,7 +320,7 @@ def _build_parser() -> _Parser:
     # Built once per process: parse_args keeps no state between calls.
     parser = _Parser(prog="dnflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("evolve", "eigen", "oracle", "verify", "sweep"):
+    for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", default=None)
@@ -322,37 +343,11 @@ def main(argv=None) -> int:
             print(f"dnflow: cannot read config: {exc}", file=sys.stderr)
             return 4
         run = parse_config(text)
-        cfg = run[0]
         if args.out is not None:
-            cfg.out_dir = args.out
-        if args.command == "evolve":
-            return cmd_evolve(run, _snapshot_steps(args.snapshots, cfg.steps))
-        commands = {"eigen": cmd_eigen, "oracle": cmd_oracle, "verify": cmd_verify}
-        if args.command in commands:
-            return commands[args.command](run)
-        values = [v.strip() for v in args.values.split(",") if v.strip()]
-        if not values:
-            raise ConfigError("sweep needs at least one value")
-        return cmd_sweep(run, args.param, values, args.jobs)
-    except ConfigError as exc:
-        print(f"dnflow: config error: {exc}", file=sys.stderr)
-        return 1
-    except NonConvergenceError as exc:
-        print(f"dnflow: solver did not converge: {exc}", file=sys.stderr)
-        return 2
-    except SignViolationError as exc:
-        print(f"dnflow: invariant violation: {exc}", file=sys.stderr)
-        return 3
-    except DnflowError as exc:
-        print(f"dnflow: bad input: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"dnflow: i/o error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"dnflow: config error: {exc}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+            run[0].out_dir = args.out
+        return _COMMANDS[args.command](run, args)
+    except (DnflowError, OSError, ValueError) as exc:
+        code, label = next((code, label) for kind, code, label in _FAILURES
+                           if isinstance(exc, kind))
+        print(f"dnflow: {label}: {exc}", file=sys.stderr)
+        return code

@@ -246,7 +246,9 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
     share one SolveContext, and then the Newton polish.  lam is the
     eigen-relation multiplier.  The returned pair satisfies the
     eigen-relation to within 10*grad_tol in the weighted relative norm, or a
-    non-convergence error carries out the best iterate.
+    non-convergence error carries out the best iterate.  A polish that
+    raises lam by more than 10*grad_tol relative has found a saddle, and
+    raises NonConvergenceError.
     """
     ctx = SolveContext(dom, regime, params.p)
     p = params.p
@@ -293,8 +295,10 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
         prev_step = step
 
         sweeps += 1
-        # Stalled at the rounding floor of this problem: stop retrying.
-        stall = stall + 1 if res >= 0.98 * best[0] else 0
+        # Stalled at the rounding floor of this problem: stop retrying.  A
+        # residual above 1e-4 is no floor: the sweeps there may still be
+        # leaving a saddle, which the polish would converge to.
+        stall = stall + 1 if 0.98 * best[0] <= res < 1e-4 else 0
         if res < best[0]:
             best = (res, u, lam)
 
@@ -303,7 +307,14 @@ def minimize_rayleigh(dom: Domain, params: EnergyParams, regime: BoundaryRegime,
     best = min((res, u, lam), best, key=lambda t: t[0])
     del ctx  # free the kept factor before the polish's LU
     if best[0] > target:
+        lam_in = best[2]
         best = _newton_polish(dom, best, params, regime, target)
+        # The polish only refines the sweeps' lambda; a rise past the
+        # tolerance means it converged to a saddle above the minimum.
+        if best[2] > lam_in * (1.0 + 10.0 * cfg.grad_tol):
+            raise NonConvergenceError(
+                f"the polish rose from lambda {lam_in!r} to {best[2]!r}: a saddle",
+                residual=best[0], regime=regime.kind, p=p)
     res, u, lam = best
     if res > 10.0 * cfg.grad_tol:
         raise NonConvergenceError(

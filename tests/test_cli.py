@@ -727,3 +727,14 @@ def test_outputs_are_replaced_by_new_files(tmp_path, monkeypatch):
     assert set(written[0]) == names
     assert written[0] == written[1]
     assert sorted(removed) == sorted((name, True) for name in names)
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # Reading it raises UnicodeDecodeError, a ValueError that no layer types:
+    # the last row of the failure table reports it.
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_bytes(BASE.encode() + b"# \xff\n")
+    assert main(["eigen", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("dnflow: config error: 'utf-8' codec can't decode byte 0xff")

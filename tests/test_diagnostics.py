@@ -243,3 +243,20 @@ def test_dual_pairing_outside_the_positive_floats_raises_typed_error():
     d = build_interval(16)
     with pytest.raises(DegenerateInputError, match="rounded to zero or not finite"):
         dual_quotient(d, np.full(16, 2.0), EnergyParams(3.0, 1e-6), NEUMANN, CFG)
+
+
+def test_zero_field_rows_keep_nan_dual_columns(monkeypatch):
+    # Every row of a flow from the zero field has Np = 0: no inverse solve
+    # runs, and every dual_q stays NaN.
+    import dnflow.diagnostics as diagnostics
+
+    d = build_interval(9)
+    traj = evolve(d, np.zeros(9), 0.1, 3, EnergyParams(3.0, 1e-6), DIRICHLET, CFG)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("inverse solve on a zero row")
+
+    monkeypatch.setattr(diagnostics, "inverse_operator", no_solve)
+    fill_dual_columns(d, traj, CFG)
+    assert len(traj.diagnostics) == 4
+    assert all(math.isnan(row.dual_q) for row in traj.diagnostics)

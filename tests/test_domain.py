@@ -241,3 +241,9 @@ def test_integrate_matches_serial_loop():
     for v in u:
         loop += d.cell_volume * abs(v) ** 2.7
     assert integrate_power(d, u, 2.7) == pytest.approx(loop, rel=1e-13)
+
+
+def test_check_field_converts_a_list_to_float64():
+    u = build_interval(3).check_field([1, 2, 3])
+    assert type(u) is np.ndarray and u.dtype == np.float64
+    np.testing.assert_array_equal(u, [1.0, 2.0, 3.0])

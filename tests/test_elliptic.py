@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from dnflow.domain import build_interval, build_rectangle, integrate_power
 from dnflow.elliptic import (
     SolveContext,
     SolverConfig,
+    _line_search,
     implicit_step,
     inverse_operator,
     pmean_defect,
@@ -692,3 +694,21 @@ def test_lapack_fallback_gives_identical_results(monkeypatch):
         elliptic._lapack_banded.cache_clear()
     for a, b in zip(direct, fallback):
         assert np.array_equal(a, b)
+
+
+def test_pmean_defect_of_the_zero_field_is_zero():
+    assert pmean_defect(build_interval(9), np.zeros(9), 3.0) == 0.0
+
+
+def test_line_search_halves_a_non_finite_trial():
+    # f = x^2 / 2 overflows beyond |x| = 10: the trials at steps 100, 50, 25
+    # and 12.5 are halved, and the search ends at the minimizer x = 0.
+    def value_grad(x):
+        if abs(x[0]) > 10.0:
+            return math.inf, np.array([math.inf])
+        return 0.5 * float(x[0]) ** 2, x.copy()
+
+    x = np.array([1.0])
+    f, g = value_grad(x)
+    a, xa, fa, ga = _line_search(value_grad, x, f, g, -g, -float(g @ g), 100.0)
+    assert (a, float(xa[0]), fa, float(ga[0])) == (1.0, 0.0, 0.0, 0.0)

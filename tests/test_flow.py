@@ -484,3 +484,11 @@ def test_library_rejections(call, error, message):
     # error that says why, instead of returning a value.
     with pytest.raises(error, match=message):
         call()
+
+
+def test_read_snapshot_skips_blank_lines(tmp_path):
+    path = tmp_path / "snap.txt"
+    path.write_text("kind=interval n=3 k=0\n1.0\n\n2.0\n   \n3.0\n\n")
+    meta, values = read_snapshot(path)
+    assert meta["n"] == "3"
+    np.testing.assert_array_equal(values, [1.0, 2.0, 3.0])
