@@ -224,18 +224,18 @@ def _load_flapack():
 
 
 @functools.cache
-def _lapack_banded():
-    """LAPACK's float64 banded Cholesky (pbtrf, pbtrs) and pivoted banded LU
-    (gbtrf, gbtrs) routines, fetched once; through scipy.linalg's public
-    lookup when the extension does not load from its file."""
+def _lapack_banded(names=("pbtrf", "pbtrs", "gbtrf", "gbtrs")):
+    """LAPACK's float64 routines of the given names, fetched once per tuple
+    of names; through scipy.linalg's public lookup when the extension does
+    not load from its file.  By default the banded Cholesky (pbtrf, pbtrs)
+    and pivoted banded LU (gbtrf, gbtrs) routines."""
     try:
         flapack = _load_flapack()
-        return flapack.dpbtrf, flapack.dpbtrs, flapack.dgbtrf, flapack.dgbtrs
+        return tuple(getattr(flapack, "d" + name) for name in names)
     except (ImportError, OSError):
         import scipy.linalg
 
-        return tuple(scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs", "gbtrf", "gbtrs"),
-                                                   dtype=np.float64))
+        return tuple(scipy.linalg.get_lapack_funcs(names, dtype=np.float64))
 
 
 def _factor(ab):
@@ -280,7 +280,8 @@ class SolveContext:
     its start without an NCG iteration (1.0 when it returned the start
     itself), else None.  An implicit step on this context first tries
     t u_prev (see implicit_step); an accepted prediction keeps t, and
-    source is the u_prev it started from (None after any other solve).
+    source is a copy of the u_prev it started from (None after any other
+    solve).
 
     The context holds one evaluation: that of the point x the last solve
     returned, or one its caller stored with hold, as the oracle stores its
@@ -530,19 +531,19 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     march of its own.  When ctx.ray holds a factor t, the step first tries
     t u_prev and returns it when one evaluation there passes that stopping
     test (see _prediction); otherwise ctx.ray is cleared by the solve that
-    follows.  When u_prev is ctx.source, the very array the accepted
-    prediction before started from (so a caller must not write into it),
-    under the same params, the step returns that prediction again without
-    evaluating.  The first step of a march also tries the p = 2 linear step
-    as its start, unless ctx was made with linear_start False (see the
-    module docstring).  The step holds its evaluation of the point it
+    follows.  When u_prev equals ctx.source, a copy of the u_prev the
+    accepted prediction before started from, under the same params, the
+    step returns that prediction again without evaluating.  The first step
+    of a march also tries the p = 2 linear step as its start, unless ctx
+    was made with linear_start False (see the module docstring).  The step holds its evaluation of the point it
     returns in ctx (see SolveContext.held).
     """
     if ctx is None:
         ctx = SolveContext(dom, regime, params.p, tau)
     else:
         ctx._check(dom, regime, params.p, tau)
-    if ctx.ray is not None and u_prev is ctx.source and ctx.evaluation[1] == params:
+    if (ctx.ray is not None and ctx.evaluation[1] == params
+            and np.array_equal(u_prev, ctx.source)):
         ctx.solves += 1
         ctx.predicted += 1
         ctx.repeated += 1
@@ -571,7 +572,7 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
         if predicted is not None:
             ctx.solves += 1
             ctx.predicted += 1
-            ctx.source = u_prev
+            ctx.source = u_prev.copy()
             ctx.hold(predicted[0], params, *predicted[1:])
             return predicted[0]
 

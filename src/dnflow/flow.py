@@ -205,6 +205,11 @@ def _lambda_settled(lams) -> bool:
                for prev, cur in zip(d, d[1:]))
 
 
+def _settled(traj: FlowTrajectory) -> bool:
+    """Whether traj's lambda-hat has settled (see _lambda_settled)."""
+    return _lambda_settled([row.lambda_decay for row in traj.diagnostics[1:]])
+
+
 def evolve_until_settled(dom: Domain, g, params: EnergyParams,
                          regime: BoundaryRegime, cfg: SolverConfig,
                          tau: float | None = None,
@@ -233,8 +238,7 @@ def evolve_until_settled(dom: Domain, g, params: EnergyParams,
 
     def stop(traj):
         # The degenerate limit leaves nothing to estimate.
-        return _degenerate(traj) or _lambda_settled(
-            [row.lambda_decay for row in traj.diagnostics[1:]])
+        return _degenerate(traj) or _settled(traj)
 
     return _march(dom, g, tau, max_steps, params, regime, cfg, stop,
                   linear_start=not separated)
@@ -247,9 +251,14 @@ def settled_read_out(dom: Domain, traj: FlowTrajectory, cfg: SolverConfig):
     state at unit L^p (None at the degenerate floor, see rescaled_profile)
     and mu-hat that state's dual quotient, its inverse solve warm-started at
     the profile: at an extremal (-Delta_p)^-1 jp(u) = u / mu, so the ray
-    start from the profile lands next to the solution.
+    start from the profile lands next to the solution.  A march that
+    stopped at the degenerate floor from a nonzero state before lambda-hat
+    settled, as a large given tau makes it, raises NonConvergenceError.
     """
     k = traj.steps
+    if traj.states[k].any() and _degenerate(traj) and not _settled(traj):
+        raise NonConvergenceError(f"lambda-hat did not settle in {k} steps", step=k,
+                                  regime=traj.regime.kind, p=traj.params.p)
     prof = rescaled_profile(traj, k)
     mu = diag.dual_quotient(dom, traj.states[k], traj.params, traj.regime, cfg,
                             warm_start=prof)

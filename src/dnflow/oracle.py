@@ -18,7 +18,7 @@ every regime and p, with one banded LU per step.
 
 ``dense_linear_reference`` is the independent p = 2 oracle: it assembles the
 operator matrix directly from the stencil (or the nonlocal offset weights) and
-calls numpy's dense symmetric eigensolver.
+asks LAPACK ``dsyevr`` for one pair, the smallest, by index.
 """
 
 from __future__ import annotations
@@ -382,19 +382,32 @@ def operator_matrix(dom: Domain, regime: BoundaryRegime) -> np.ndarray:
 def dense_linear_reference(dom: Domain, regime: BoundaryRegime) -> EigenResult:
     """Smallest eigenpair of the p = 2 operator via a dense symmetric solve.
 
-    For the Neumann regime the constant nullspace is skipped and the
-    smallest nonzero eigenvalue is returned.
+    LAPACK dsyevr (MRRR: Dhillon & Parlett, Linear Algebra Appl. 2004)
+    computes the smallest pairs by index, not the whole spectrum.  For the
+    Neumann regime the constant mode of each connected component is
+    skipped: the smallest pairs are asked for until one exceeds 1e-8 times
+    the largest absolute row sum of A, a bound on |lambda|, and the first
+    such is returned.
     """
     if dom.n_nodes > DENSE_MAX_NODES:
         raise BudgetError(f"dense reference capped at {DENSE_MAX_NODES} nodes, "
                           f"domain has {dom.n_nodes}")
     A = operator_matrix(dom, regime)
-    vals, vecs = np.linalg.eigh(A)
-    idx = 0
-    if regime.kind == "neumann":
-        floor = 1e-8 * max(abs(vals[0]), abs(vals[-1]))
-        while idx < vals.size and abs(vals[idx]) <= floor:
-            idx += 1
+    (syevr,) = _lapack_banded(("syevr",))
+    neumann = regime.kind == "neumann"
+    floor = 1e-8 * float(np.abs(A).sum(axis=1).max()) if neumann else -1.0
+    count = 2 if neumann else 1
+    while True:
+        # A is symmetric, so A.T is A in LAPACK's column order.  Only a
+        # Neumann A may be asked again, so the others are overwritten.
+        vals, vecs, _, _, info = syevr(A.T, range="I", iu=count, overwrite_a=not neumann)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info {info}")
+        above = np.flatnonzero(np.abs(vals[:count]) > floor)
+        if above.size:
+            break
+        count = min(2 * count, dom.n_nodes)
+    idx = int(above[0])
     lam = float(vals[idx])
     u = vecs[:, idx]
     u = u / integrate_power(dom, u, 2.0) ** 0.5

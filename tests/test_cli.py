@@ -174,6 +174,38 @@ def test_eigen_refuses_a_higher_mode(tmp_path, capsys):
     assert "lambda 39.475" in out.err and "lambda is 9.869" in out.err
 
 
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "fractional"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_eigen_prints_no_lambda_from_a_march_stopped_at_the_floor(tmp_path, capsys, kind, p):
+    # A large given tau shrinks u so fast that the settle march reaches the
+    # degenerate floor within a few steps, before lambda-hat settles.  eigen
+    # then exits 2 saying so; whatever it prints is the oracle's lambda to
+    # 1e-6.  Random data, as Neumann constant data projects to zero; the
+    # fractional order is the default s = 0.5.
+    from dnflow.domain import build_interval
+    from dnflow.elliptic import SolverConfig
+    from dnflow.operators import BoundaryRegime, EnergyParams
+    from dnflow.oracle import minimize_rayleigh
+
+    regime = BoundaryRegime(kind, s=0.5 if kind == "fractional" else 0.0)
+    lam_ref = minimize_rayleigh(build_interval(32), EnergyParams(p, 1e-6), regime,
+                                SolverConfig(1e-9), seed=0).lam
+    outcomes = []
+    for tau in ("1", "100", "1e6"):
+        cfg_path = tmp_path / f"tau{tau}.cfg"
+        cfg_path.write_text(f"domain.kind = interval\ndomain.n = 32\np = {p}\n"
+                            f"regime.kind = {kind}\ntau = {tau}\n"
+                            "init.kind = random\nseed = 0\n")
+        code = main(["eigen", "--config", str(cfg_path), "--out", str(tmp_path)])
+        out = capsys.readouterr()
+        if code == 0:
+            assert abs(float(out.out.split()[0]) / lam_ref - 1.0) <= 1e-6, (tau, out.out)
+        else:
+            assert code == 2 and "lambda-hat did not settle in" in out.err, (tau, out.err)
+        outcomes.append(code)
+    assert outcomes[-1] == 2  # tau = 1e6 reaches the floor in 2 to 4 steps
+
+
 def test_oracle_prints_summary(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(BASE)

@@ -658,7 +658,7 @@ def test_lapack_fallback_gives_identical_results(monkeypatch):
     import scipy.linalg
 
     import dnflow.elliptic as elliptic
-    from dnflow.oracle import minimize_rayleigh
+    from dnflow.oracle import dense_linear_reference, minimize_rayleigh
 
     looked_up = []
     lookup = scipy.linalg.get_lapack_funcs
@@ -678,9 +678,16 @@ def test_lapack_fallback_gives_identical_results(monkeypatch):
                 implicit_step(square, u2, 0.01, EnergyParams(3.0, 1e-6), DIRICHLET, CFG),
                 np.append(eig.extremal, eig.lam))
 
+    def anchor():
+        # The dense p = 2 anchor's LAPACK dsyevr, fetched by the same loader.
+        ref = dense_linear_reference(square, NEUMANN)
+        return (np.append(ref.extremal, ref.lam),)
+
     try:
         elliptic._lapack_banded.cache_clear()
         direct = results()
+        assert looked_up == []
+        direct += anchor()
         assert looked_up == []
 
         def no_file():
@@ -690,6 +697,8 @@ def test_lapack_fallback_gives_identical_results(monkeypatch):
         elliptic._lapack_banded.cache_clear()
         fallback = results()
         assert looked_up == [(("pbtrf", "pbtrs", "gbtrf", "gbtrs"),)]
+        fallback += anchor()
+        assert looked_up[1:] == [(("syevr",),)]
     finally:
         elliptic._lapack_banded.cache_clear()
     for a, b in zip(direct, fallback):
@@ -712,3 +721,40 @@ def test_line_search_halves_a_non_finite_trial():
     f, g = value_grad(x)
     a, xa, fa, ga = _line_search(value_grad, x, f, g, -g, -float(g @ g), 100.0)
     assert (a, float(xa[0]), fa, float(ga[0])) == (1.0, 0.0, 0.0, 0.0)
+
+
+def test_zero_pmean_shift_gives_up_after_100_iterations(monkeypatch):
+    # A NaN entry leaves no bracket and no stopping tolerance, so only the
+    # iteration budget ends the search.
+    import dnflow.elliptic as elliptic
+
+    calls, slope = [], elliptic._pmean_slope
+    monkeypatch.setattr(elliptic, "_pmean_slope", lambda r, p: calls.append(p) or slope(r, p))
+    u = np.linspace(-1.0, 2.0, 9)
+    u[3] = math.nan
+    with pytest.raises(NonConvergenceError, match="100 iterations") as caught:
+        zero_pmean_shift(build_interval(9), u, 3.0)
+    assert len(calls) == 100 and caught.value.p == 3.0
+
+
+def test_repeated_prediction_follows_the_values_of_u_prev():
+    # Dirichlet p = 1.5, tau 0.05: from the unit state before the march's
+    # first predicted step, a fresh context's solve moves along the ray
+    # only, and the next step from that state is an accepted prediction.
+    # A caller that then writes new values into the same array gets the
+    # step from those values, not the prediction again.
+    d = build_interval(32)
+    params, tau = EnergyParams(1.5, 1e-6), 0.05
+    traj = evolve(d, np.ones(32), tau, 40, params, DIRICHLET, CFG)
+    k0 = traj.predicted[0]
+    x = traj.states[k0 - 1] / np.abs(traj.states[k0 - 1]).max()
+    ctx = SolveContext(d, DIRICHLET, 1.5, tau)
+    implicit_step(d, x, tau, params, DIRICHLET, CFG, ctx)
+    assert ctx.ray is not None and ctx.predicted == 0
+    implicit_step(d, x, tau, params, DIRICHLET, CFG, ctx)
+    assert ctx.predicted == 1
+    x[:] = np.linspace(1.0, 0.1, 32)
+    step = implicit_step(d, x, tau, params, DIRICHLET, CFG, ctx)
+    fresh = implicit_step(d, x, tau, params, DIRICHLET, CFG, SolveContext(d, DIRICHLET, 1.5, tau))
+    assert np.abs(step - fresh).max() <= 1e-6 * np.abs(fresh).max()
+    assert ctx.repeated == 0

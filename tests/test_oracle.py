@@ -1,7 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from dnflow.domain import build_interval, build_masked, build_rectangle, lp_norm
+from dnflow.domain import (
+    build_interval,
+    build_masked,
+    build_rectangle,
+    integrate_power,
+    lp_norm,
+)
 from dnflow.elliptic import SolverConfig, pmean_defect
 from dnflow.errors import (
     BudgetError,
@@ -12,8 +20,10 @@ from dnflow.errors import (
 from dnflow.operators import BoundaryRegime, EnergyParams, energy, energy_gradient, jp
 from dnflow.oracle import (
     _bordered_solve,
+    _defect,
     _newton_polish,
     _newton_system,
+    _normalize,
     _start,
     dense_linear_reference,
     eigen_residual,
@@ -316,6 +326,56 @@ MATRIX_REGIMES = {
 }
 
 
+def _two_squares():
+    # Two 6 x 3 blocks of nodes, cut apart by an empty middle column.
+    bitmap = np.ones((6, 7), dtype=bool)
+    bitmap[:, 3] = False
+    return build_masked(bitmap, 1.0 / 7)
+
+
+@pytest.mark.parametrize("dom, regime, constants", [
+    *[(build_interval(n), MATRIX_REGIMES[kind], int(kind == "neumann"))
+      for kind in MATRIX_REGIMES for n in (32, 199)],
+    (build_rectangle(15, 15, 1.0, 1.0), DIRICHLET, 0),
+    (build_rectangle(15, 15, 1.0, 1.0), NEUMANN, 1),
+    (_two_squares(), NEUMANN, 2),
+], ids=[*(f"{kind}-{n}" for kind in MATRIX_REGIMES for n in (32, 199)),
+        "dirichlet-15x15", "neumann-15x15", "neumann-two-components"])
+def test_dense_reference_matches_the_full_spectrum(monkeypatch, dom, regime, constants):
+    # The reference is numpy's whole spectrum of the same matrix: its
+    # smallest eigenvalue after the constant mode of each Neumann component.
+    # The anchor itself solves for the pairs it returns, not with eigh.
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the anchor computed the whole spectrum")
+
+    vals = np.linalg.eigvalsh(operator_matrix(dom, regime))
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    dref = dense_linear_reference(dom, regime)
+    assert np.abs(vals[:constants]).max(initial=0.0) <= 1e-10 * vals[-1]
+    assert abs(dref.lam / vals[constants] - 1.0) <= 1e-11
+    assert dref.residual <= 1e-10
+    assert integrate_power(dom, dref.extremal, 2.0) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_dense_reference_dirichlet_closed_form():
+    d = build_interval(199)
+    h = d.hx
+    lam_h = 4.0 / h**2 * np.sin(np.pi * h / 2.0) ** 2
+    assert abs(dense_linear_reference(d, DIRICHLET).lam / lam_h - 1.0) <= 1e-12
+
+
+def test_dense_reference_refuses_a_failed_lapack_solve(monkeypatch):
+    import dnflow.oracle as oracle
+
+    def failed(a, **kwargs):
+        n = a.shape[0]
+        return np.zeros(n), np.zeros((n, 1)), 0, np.zeros(2, dtype=np.int32), 1
+
+    monkeypatch.setattr(oracle, "_lapack_banded", lambda names: (failed,))
+    with pytest.raises(np.linalg.LinAlgError, match="dsyevr"):
+        dense_linear_reference(build_interval(9), DIRICHLET)
+
+
 @pytest.mark.parametrize("n", [32, 199])
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 4.0])
 @pytest.mark.parametrize("kind", list(MATRIX_REGIMES))
@@ -378,6 +438,45 @@ def test_unfactorable_jacobian_ends_the_polish(monkeypatch):
                         lambda dom, u, params, regime: np.zeros((2, u.size)))
     best = (1.0, u, 0.0)
     assert _newton_polish(d, best, params, DIRICHLET, 1e-9) is best
+
+
+def test_bordered_solve_refuses_a_zero_schur_complement():
+    # K = I with b = e1 and c = e2: K factors, but c^T K^-1 b = 0, so the
+    # bordered matrix is singular.
+    lower = np.zeros((2, 4))
+    lower[0] = 1.0
+    e1, e2 = np.eye(4)[0], np.eye(4)[1]
+    assert _bordered_solve(lower, e1, e2, np.ones(4), 1.0) is None
+
+
+def test_polish_ends_when_no_damped_step_lowers_the_residual(monkeypatch):
+    # Every trial of the damped update reads a residual no lower than the
+    # one it started from: the polish tries the 30 halvings of its step
+    # once and returns the triple it was given.
+    import dnflow.oracle as oracle
+
+    d = build_interval(32)
+    params = EnergyParams(3.0, 1e-6)
+    eig = minimize_rayleigh(d, params, DIRICHLET, CFG, seed=0)
+    trials, residual_lam = [], oracle._residual_lam
+
+    def no_lower(*args):
+        trials.append(args[1])
+        return (1.0,) + residual_lam(*args)[1:]
+
+    monkeypatch.setattr(oracle, "_residual_lam", no_lower)
+    best = (1.0, eig.extremal, eig.lam)
+    assert _newton_polish(d, best, params, DIRICHLET, 1e-9) is best
+    assert len(trials) == 30
+
+
+def test_defect_of_a_zero_target_is_infinite():
+    assert _defect(np.ones(3), np.zeros(3)) == math.inf
+
+
+def test_normalize_refuses_the_zero_field():
+    with pytest.raises(DegenerateInputError, match="zero field"):
+        _normalize(build_interval(9), np.zeros(9), 3.0, DIRICHLET)
 
 
 def _l_shape(n):
