@@ -209,8 +209,7 @@ def _eigen_numbers(run):
         raise NonConvergenceError(f"the flow settled at lambda {lam!r}, the oracle's lambda "
                                   f"is {ref.lam!r}", step=traj.steps, regime=regime.kind,
                                   p=params.p)
-    gap = math.nan if prof is None else profile_gap(dom, prof, ref.extremal, params.p)
-    return lam, mu, gap, traj.steps
+    return lam, mu, profile_gap(dom, prof, ref.extremal, params.p), traj.steps
 
 
 def cmd_eigen(run, args) -> int:

@@ -106,8 +106,8 @@ def _unit_dual_quotient(dom, u, params, regime, cfg, warm_start, ctx=None):
 def lambda_decay_estimate(traj, k: int) -> float:
     """Decay-rate estimator ((Np(k-1)/Np(k))^((p-1)/p) - 1) / tau.
 
-    Exact on separated trajectories; returns nan once the state has decayed
-    to the degenerate floor.
+    Exact on separated trajectories; returns nan when either int |u|^p is 0
+    (the zero state, or one whose p-th powers underflow).
     """
     if k < 1:
         raise ValueError("estimator needs k >= 1")

@@ -49,9 +49,9 @@ NCG iteration, and the next implicit step first tries t u_prev.  One
 evaluation there gives the step's stopping test: the reference
 ||g(u_prev)|| = tau ||grad E(u_prev)|| follows from grad E(t u_prev) by the
 degree-(p-1) homogeneity of grad E.  A prediction the test rejects is
-dropped and the step runs from u_prev as any other.  A step given the very
-u_prev of an accepted prediction, with t and the params unchanged, has that
-step's inputs and returns its point and evaluation again without evaluating.
+dropped and the step runs from u_prev as any other.  A step given the
+values of an accepted prediction's u_prev, with t and the params unchanged,
+has that step's inputs and returns its point again without evaluating.
 
 The Neumann zero-p-mean shift is a safeguarded Newton iteration on the
 p-mean, started at c = 0, with bisection as its fallback.
@@ -280,14 +280,16 @@ class SolveContext:
     its start without an NCG iteration (1.0 when it returned the start
     itself), else None.  An implicit step on this context first tries
     t u_prev (see implicit_step); an accepted prediction keeps t, and
-    source is a copy of the u_prev it started from (None after any other
-    solve).
+    source is the bytes of the u_prev it started from (None after any
+    other solve).
 
     The context holds one evaluation: that of the point x the last solve
     returned, or one its caller stored with hold, as the oracle stores its
     residual's before each sweep; None before the first.  held(x, params)
-    hands it on only for the very array x under the same params, so it
-    never crosses a change of eps, and no other module reads its layout.
+    hands it on only for an x with the same values, bit for bit, under the
+    same params, so it crosses neither a change of eps nor a write into the
+    array it was made at: the context keeps its own copy of that array, and
+    returns no array it keeps.  No other module reads its layout.
     A march holds (E(x), sum |x|^p), which the step's diagnostics row
     reads, and a run of inverse solves (E(x), raw partials of E at x),
     which the next solve takes when it starts at x.  x is the returned
@@ -317,14 +319,15 @@ class SolveContext:
             raise ValueError("the solve context belongs to another problem")
 
     def hold(self, x, params, *evaluation):
-        """Hold evaluation, made at the array x under params (see held)."""
-        self.evaluation = (x, params, evaluation)
+        """Hold evaluation, made at x under params, with a copy of x (see held)."""
+        self.evaluation = (x.copy(), params, evaluation)
 
     def held(self, x, params):
-        """The held evaluation when it was made at the very array x under
-        params, else None."""
+        """The held evaluation when it was made at x's values, bit for bit,
+        under params, else None."""
         held = self.evaluation
-        return held[2] if held and held[0] is x and held[1] == params else None
+        return (held[2] if held and held[1] == params and held[0].tobytes() == x.tobytes()
+                else None)
 
     def factor(self, x, precondition):
         """Factor M = precondition(x), keep it unless x = 0; returns z -> M^-1 g."""
@@ -531,24 +534,25 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     march of its own.  When ctx.ray holds a factor t, the step first tries
     t u_prev and returns it when one evaluation there passes that stopping
     test (see _prediction); otherwise ctx.ray is cleared by the solve that
-    follows.  When u_prev equals ctx.source, a copy of the u_prev the
-    accepted prediction before started from, under the same params, the
-    step returns that prediction again without evaluating.  The first step
-    of a march also tries the p = 2 linear step as its start, unless ctx
-    was made with linear_start False (see the module docstring).  The step holds its evaluation of the point it
+    follows.  When u_prev has the values, bit for bit, of the u_prev the
+    accepted prediction before started from (ctx.source), under the same
+    params, the step returns t u_prev, that prediction again, without
+    evaluating.  The first step of a march also tries the p = 2 linear step
+    as its start, unless ctx was made with linear_start False (see the
+    module docstring).  The step holds its evaluation of the point it
     returns in ctx (see SolveContext.held).
     """
     if ctx is None:
         ctx = SolveContext(dom, regime, params.p, tau)
     else:
         ctx._check(dom, regime, params.p, tau)
+    u_prev = dom.check_field(u_prev)
     if (ctx.ray is not None and ctx.evaluation[1] == params
-            and np.array_equal(u_prev, ctx.source)):
+            and u_prev.tobytes() == ctx.source):
         ctx.solves += 1
         ctx.predicted += 1
         ctx.repeated += 1
-        return ctx.evaluation[0]
-    u_prev = dom.check_field(u_prev)
+        return ctx.ray * u_prev
     if not u_prev.any():
         return np.zeros_like(u_prev)
 
@@ -572,7 +576,7 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
         if predicted is not None:
             ctx.solves += 1
             ctx.predicted += 1
-            ctx.source = u_prev.copy()
+            ctx.source = u_prev.tobytes()
             ctx.hold(predicted[0], params, *predicted[1:])
             return predicted[0]
 
@@ -617,8 +621,8 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
     start that already satisfies the equation returns immediately.  ctx is
     the SolveContext of a run of inverse solves for this p (tau None);
     without one the call is a run of its own.  When ctx holds
-    energy_and_gradient's (E, raw partials) at the very array warm_start
-    under these params (see SolveContext.held), as the last solve leaves it
+    energy_and_gradient's (E, raw partials) at warm_start's values under
+    these params (see SolveContext.held), as the last solve leaves it
     at the point it returns, the solve makes no evaluation there.  The
     solve holds its own such evaluation in ctx.
     """

@@ -35,8 +35,9 @@ __all__ = [
     "read_snapshot",
 ]
 
-# States whose L^p norm falls below this multiple of the initial norm are
-# reported as the degenerate (identically vanishing) limit.
+# A state whose L^p norm falls below this multiple of the initial norm has
+# reached the degenerate (identically vanishing) limit: the settle march
+# stops there (see _degenerate).
 DEGENERATE_FLOOR = 1e3 * np.finfo(float).eps
 NORMAL_MIN = np.finfo(float).tiny  # a row's int |u|^p below it has lost digits
 
@@ -108,11 +109,11 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
     p = 2 linear start when linear_start is True, and whose later steps try
     the state the last ray factor predicts.  A step that returned its
     prediction t x is not shifted (t x keeps the zero p-mean of x), and
-    since max|x| = 1 its max is t, so the next step takes x itself, the
-    same array, and repeats the prediction (see implicit_step); such steps
-    are listed in traj.predicted.  Solver
-    failures propagate with the step index attached.  After each step
-    stop(traj) is asked whether to end the march early.
+    since max|x| = 1 its max is t, so the next step takes x itself and
+    repeats the prediction (see implicit_step); such steps are listed in
+    traj.predicted.  Solver failures propagate with the step index
+    attached.  After each step stop(traj) is asked whether to end the march
+    early.
     """
     if max_steps < 1:
         raise ValueError(f"need at least one step, got {max_steps}")
@@ -248,15 +249,16 @@ def settled_read_out(dom: Domain, traj: FlowTrajectory, cfg: SolverConfig):
     """(lambda-hat, mu-hat, profile) of a settled trajectory's last state.
 
     lambda-hat is the last row's decay-rate estimate, profile the last
-    state at unit L^p (None at the degenerate floor, see rescaled_profile)
-    and mu-hat that state's dual quotient, its inverse solve warm-started at
-    the profile: at an extremal (-Delta_p)^-1 jp(u) = u / mu, so the ray
-    start from the profile lands next to the solution.  A march that
-    stopped at the degenerate floor from a nonzero state before lambda-hat
-    settled, as a large given tau makes it, raises NonConvergenceError.
+    state at unit L^p (see rescaled_profile) and mu-hat that state's dual
+    quotient, its inverse solve warm-started at the profile: at an extremal
+    (-Delta_p)^-1 jp(u) = u / mu, so the ray start from the profile lands
+    next to the solution.  A nonzero last state whose lambda-hat has not
+    settled raises NonConvergenceError, whether the march stopped at the
+    degenerate floor (as a large given tau makes it) or after max_steps;
+    the zero state's dual quotient raises DegenerateInputError.
     """
     k = traj.steps
-    if traj.states[k].any() and _degenerate(traj) and not _settled(traj):
+    if traj.states[k].any() and not _settled(traj):
         raise NonConvergenceError(f"lambda-hat did not settle in {k} steps", step=k,
                                   regime=traj.regime.kind, p=traj.params.p)
     prof = rescaled_profile(traj, k)
@@ -292,17 +294,11 @@ def interpolant_w(traj: FlowTrajectory, t: float) -> np.ndarray:
 
 
 def rescaled_profile(traj: FlowTrajectory, k: int):
-    """u^k normalized to unit L^p norm, sign preserved.
-
-    Returns None (the degenerate-limit signal, not an error) once the state
-    has decayed below the floating-point floor relative to the initial data.
-    """
+    """u^k normalized to unit L^p norm, sign preserved; None when that norm
+    is 0 (the zero state, or one whose int |u|^p underflows)."""
     u = traj.states[k]
-    norm_k = lp_norm(traj.dom, u, traj.params.p)
-    norm_0 = lp_norm(traj.dom, traj.states[0], traj.params.p)
-    if norm_k <= DEGENERATE_FLOOR * norm_0 or norm_k == 0.0:
-        return None
-    return u / norm_k
+    norm = lp_norm(traj.dom, u, traj.params.p)
+    return u / norm if norm > 0.0 else None
 
 
 def profile_gap(dom: Domain, a, b, p: float) -> float:

@@ -43,7 +43,6 @@ def _row(name, measured, bound):
 
 def _fd_gradient_check(dom, params, regime, rng):
     worst = 0.0
-    vol = dom.cell_volume
     for _ in range(FD_SAMPLES):
         u = rng.standard_normal(dom.n_nodes)
         _, raw = energy_and_gradient(dom, u, params, regime)
@@ -134,17 +133,16 @@ def run_invariant_suite(dom: Domain, params: EnergyParams,
     lam_hat, mu_hat, prof = settled_read_out(dom, settled, cfg)
     rows.append(_row("flow/oracle lambda gap",
                      abs(lam_hat / eig.lam - 1.0), LAMBDA_GAP_BOUND))
-    if prof is not None:
-        run_profile_check = True
-        if regime.kind == "neumann":
-            # Conditional on the one-ray hypothesis: two seeds must land on
-            # the same extremal ray (sign flips allowed).
-            other = minimize_rayleigh(dom, params, regime, cfg, seed=seed + 1)
-            hyp = profile_gap(dom, eig.extremal, other.extremal, p)
-            run_profile_check = hyp <= 1e-4
-        if run_profile_check:
-            rows.append(_row("profile gap to oracle extremal",
-                             profile_gap(dom, prof, eig.extremal, p), 1e-3))
+    run_profile_check = True
+    if regime.kind == "neumann":
+        # Conditional on the one-ray hypothesis: two seeds must land on
+        # the same extremal ray (sign flips allowed).
+        other = minimize_rayleigh(dom, params, regime, cfg, seed=seed + 1)
+        hyp = profile_gap(dom, eig.extremal, other.extremal, p)
+        run_profile_check = hyp <= 1e-4
+    if run_profile_check:
+        rows.append(_row("profile gap to oracle extremal",
+                         profile_gap(dom, prof, eig.extremal, p), 1e-3))
     rows.append(_row("mu-lambda consistency gap",
                      mu_lambda_consistency(lam_hat, mu_hat, p), 0.02))
     return rows

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -204,6 +205,44 @@ def test_eigen_prints_no_lambda_from_a_march_stopped_at_the_floor(tmp_path, caps
             assert code == 2 and "lambda-hat did not settle in" in out.err, (tau, out.err)
         outcomes.append(code)
     assert outcomes[-1] == 2  # tau = 1e6 reaches the floor in 2 to 4 steps
+
+
+def _eigen_run(tmp_path, capsys, text):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("domain.kind = interval\ndomain.n = 32\nseed = 0\n" + text)
+    code = main(["eigen", "--config", str(cfg_path), "--out", str(tmp_path)])
+    return code, capsys.readouterr()
+
+
+def test_eigen_refuses_a_march_that_ends_unsettled_at_max_steps(tmp_path, capsys):
+    # _lambda_settled needs four lambda-hat estimates, so a settle march of
+    # one to three steps has not settled when it ends: eigen exits 2 instead
+    # of printing its last estimate.  Four steps settle here.
+    for steps in (1, 2, 3, 4):
+        code, out = _eigen_run(tmp_path, capsys,
+                               f"p = 2\nregime.kind = dirichlet\nsteps = {steps}\n")
+        if steps < 4:
+            assert code == 2 and not out.out, steps
+            assert f"lambda-hat did not settle in {steps} steps" in out.err
+    assert code == 0 and out.out.split()[0] == "9.862152635821731"
+
+
+def test_eigen_names_the_steps_of_an_unsettled_small_tau_march(tmp_path, capsys):
+    # tau = 0.001 at p = 1.5 moves lambda-hat too slowly to settle in 20
+    # steps; the refusal says so rather than comparing it with the oracle's.
+    code, out = _eigen_run(tmp_path, capsys, "p = 1.5\nregime.kind = dirichlet\n"
+                                             "tau = 0.001\nsteps = 20\n")
+    assert code == 2 and "lambda-hat did not settle in 20 steps" in out.err
+
+
+def test_eigen_prints_a_profile_gap_from_a_march_settled_at_the_floor(tmp_path, capsys):
+    # Fractional p = 2 at tau = 1 settles in the same step that it reaches the
+    # degenerate floor; its profile is still read, so the gap is a number.
+    code, out = _eigen_run(tmp_path, capsys, "p = 2\nregime.kind = fractional\ntau = 1\n"
+                                             "init.kind = random\n")
+    assert code == 0
+    gap = float(out.out.split()[2])
+    assert math.isfinite(gap) and gap <= 1e-3
 
 
 def test_oracle_prints_summary(tmp_path, capsys):
@@ -744,7 +783,7 @@ def test_outputs_are_replaced_by_new_files(tmp_path, monkeypatch):
     monkeypatch.setattr(pathlib.Path, "unlink", spy)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(BASE.replace("domain.n = 39", "domain.n = 15")
-                        .replace("steps = 30", "steps = 3"))
+                        .replace("steps = 30", "steps = 4"))
     out = tmp_path / "out"
     runs = (["evolve", "--snapshots", "0,3"], ["oracle"],
             ["sweep", "--param", "p", "--values", "2", "--jobs", "1"])

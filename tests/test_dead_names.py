@@ -1,0 +1,81 @@
+"""No dead names in src/dnflow: no function binds a plain local that it never
+reads, and no module but __init__.py imports a name that it never uses."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dnflow"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _read(node) -> set:
+    """Names read anywhere under node, nested functions included."""
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+
+
+def unread_locals(source: str) -> list:
+    """(function, line, name) for each plain `name = ...` in a function body
+    whose name the function, its nested functions included, never reads."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = _read(fn) | {name for n in ast.walk(fn)
+                            if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+        for node in ast.walk(fn):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AnnAssign, ast.NamedExpr))
+                       else [])
+            found.update((fn.name, t.lineno, t.id) for t in targets
+                         if isinstance(t, ast.Name) and t.id not in read)
+    return sorted(found)
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) for each name a module imports and never reads."""
+    tree = ast.parse(source)
+    read = _read(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    found.append((node.lineno, name))
+    return found
+
+
+def test_no_function_binds_a_local_it_never_reads():
+    assert len(MODULES) > 10
+    found = {path.name: unread_locals(path.read_text()) for path in MODULES}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {path.name: unused_imports(path.read_text()) for path in MODULES
+             if path.name != "__init__.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_checks_find_dead_names():
+    source = '''
+import math
+import os.path
+from json import dumps as to_json, loads
+
+
+def f(a):
+    unused = a + 1
+    kept = 2
+    (pair := 3)
+
+    def g():
+        return kept
+
+    return g, loads
+'''
+    assert unread_locals(source) == [("f", 8, "unused"), ("f", 10, "pair")]
+    assert unused_imports(source) == [(2, "math"), (3, "os"), (4, "to_json")]

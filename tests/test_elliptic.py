@@ -578,6 +578,40 @@ def test_held_evaluation_is_not_taken_after_eps_changes(monkeypatch):
     assert kept_ctx.held(kept_ctx.evaluation[0], params) is None
 
 
+def test_held_evaluation_follows_the_values_of_the_array():
+    # A caller that writes new values into the array a solve returned, then
+    # warm-starts the next solve at it, gets the solve from those values: the
+    # evaluation held at the old values is not handed on.
+    d, params = build_interval(32), EnergyParams(3.0, 1e-6)
+    ones = np.ones(32)
+    ctx = SolveContext(d, DIRICHLET, 3.0)
+    u = inverse_operator(d, ones, params, DIRICHLET, CFG, ctx=ctx)
+    u[:] = np.linspace(1.0, 0.1, 32)
+    got = inverse_operator(d, ones, params, DIRICHLET, CFG, warm_start=u, ctx=ctx)
+    fresh = inverse_operator(d, ones, params, DIRICHLET, CFG, warm_start=u,
+                             ctx=SolveContext(d, DIRICHLET, 3.0))
+    assert ctx.handed_over == 0
+    np.testing.assert_array_equal(got, fresh)
+
+
+def test_context_returns_no_array_it_keeps():
+    # Writing into the arrays that steps returned, a repeated prediction
+    # included, leaves the next repeat and its held evaluation unchanged.
+    d, tau = build_interval(32), 0.1
+    x = sine_mode(d) / np.abs(sine_mode(d)).max()
+    params = EnergyParams(2.0, 1e-6)
+    ctx = SolveContext(d, DIRICHLET, 2.0, tau, linear_start=False)
+    steps = [implicit_step(d, x, tau, params, DIRICHLET, CFG, ctx) for _ in range(3)]
+    assert ctx.repeated == 1
+    expected = steps[-1].copy()
+    for step in steps:
+        step[:] = 0.0
+    again = implicit_step(d, x, tau, params, DIRICHLET, CFG, ctx)
+    assert ctx.repeated == 2
+    np.testing.assert_array_equal(again, expected)
+    assert ctx.held(again, params) is not None
+
+
 def test_prediction_is_not_repeated_after_eps_changes():
     # At p = 2 a sine mode is separated, so the second step from the same
     # array returns its prediction and the third repeats it, unless the

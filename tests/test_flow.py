@@ -229,6 +229,15 @@ def test_rescaled_profile_degenerate_signal():
     assert rescaled_profile(traj, 2) is None
 
 
+def test_rescaled_profile_below_the_floor_has_unit_norm():
+    # tau = 1e6 at p = 1.5 takes the march below the degenerate floor in a
+    # few steps; the state is still nonzero, so its profile is read.
+    d, params = build_interval(32), EnergyParams(1.5, 1e-6)
+    traj = evolve(d, np.ones(32), 1e6, 4, params, DIRICHLET, CFG)
+    assert flow._degenerate(traj) and traj.states[-1].any()
+    assert lp_norm(d, rescaled_profile(traj, 4), 1.5) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_auto_tau_matches_half_rate():
     d = build_interval(29)
     params = EnergyParams(2.0, 0.0)
