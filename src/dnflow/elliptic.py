@@ -42,16 +42,16 @@ and starts from whichever ray-scaled candidate has the lower objective.  A
 march that continues from a separated state skips that step, which cannot
 win there.
 
-Once a march has separated, each step multiplies the state by one factor t,
-so at the flow's unit scale every step has the same u_prev.  A SolveContext
-therefore keeps t when its last solve returned t times its start without an
-NCG iteration, and the next implicit step first tries t u_prev.  One
-evaluation there gives the step's stopping test: the reference
-||g(u_prev)|| = tau ||grad E(u_prev)|| follows from grad E(t u_prev) by the
-degree-(p-1) homogeneity of grad E.  A prediction the test rejects is
-dropped and the step runs from u_prev as any other.  A step given the
-values of an accepted prediction's u_prev, with t and the params unchanged,
-has that step's inputs and returns its point again without evaluating.
+Once a march has separated, each step multiplies the state by one factor t.
+A SolveContext therefore keeps t when its last solve returned t times its
+start without an NCG iteration, and the next implicit step first tries
+t u_prev.  One evaluation there gives the step's stopping test: the
+reference ||g(u_prev)|| = tau ||grad E(u_prev)|| follows from
+grad E(t u_prev) by the degree-(p-1) homogeneity of grad E.  A prediction
+the test rejects is dropped and the step runs from u_prev as any other.
+Once a prediction is accepted, every later step of the march, at
+max|u| = 1, is that step again: the march (flow._march) repeats its point
+at a scale times t and calls no further step.
 
 The Neumann zero-p-mean shift is a safeguarded Newton iteration on the
 p-mean, started at c = 0, with bisection as its fallback.
@@ -271,28 +271,26 @@ class SolveContext:
     factorizations by kind, fresh (at a solve's start), refreshed (inside a
     solve) and linear (the p = 2 step of a march's first step); carried
     counts the solves that started on a kept factor instead of a fresh one,
-    predicted the implicit steps that returned their prediction, repeated
-    those of them that took the step before's prediction again without an
-    evaluation, and handed_over the inverse solves that started from the
-    held evaluation of their warm start instead of making it.
+    predicted the implicit steps that returned their prediction, and
+    handed_over the inverse solves that started from the held evaluation of
+    their warm start instead of making it.
 
     ray is the factor t of the last solve when that solve returned t times
     its start without an NCG iteration (1.0 when it returned the start
     itself), else None.  An implicit step on this context first tries
-    t u_prev (see implicit_step); an accepted prediction keeps t, and
-    source is the bytes of the u_prev it started from (None after any
-    other solve).
+    t u_prev (see implicit_step); an accepted prediction keeps t.
 
     The context holds one evaluation: that of the point x the last solve
     returned, or one its caller stored with hold, as the oracle stores its
     residual's before each sweep; None before the first.  held(x, params)
-    hands it on only for an x with the same values, bit for bit, under the
-    same params, so it crosses neither a change of eps nor a write into the
-    array it was made at: the context keeps its own copy of that array, and
-    returns no array it keeps.  No other module reads its layout.
-    A march holds (E(x), sum |x|^p), which the step's diagnostics row
-    reads, and a run of inverse solves (E(x), raw partials of E at x),
-    which the next solve takes when it starts at x.  x is the returned
+    matches by value: it hands the evaluation on only for an x with the
+    same values, bit for bit, under the same params, so it crosses neither
+    a change of eps nor a write into the array it was made at.  The context
+    keeps its own copy of that array and returns no array it keeps.  Two
+    readers unpack what it hands on: a march holds (E(x), sum |x|^p), which
+    the step's diagnostics row reads (see diagnostics.build_row), and a run
+    of inverse solves (E(x), raw partials of E at x), which the next
+    inverse_operator solve takes when it starts at x.  x is the returned
     array unless the Neumann shift moved it.
     """
 
@@ -305,10 +303,10 @@ class SolveContext:
         self.linear_start = linear_start
         self._solve = None  # z -> M^-1 g of the kept factor
         self._gate = False
-        self.ray = self.source = self.evaluation = None
+        self.ray = self.evaluation = None
         self.solves = self.iterations = 0
         self.fresh = self.refreshed = self.carried = self.linear = 0
-        self.predicted = self.repeated = self.handed_over = 0
+        self.predicted = self.handed_over = 0
 
     @property
     def factorizations(self) -> int:
@@ -500,7 +498,7 @@ def _solve(fg, b, x0, ref_norm, cfg, precondition, params, ctx, alt=None, start=
     # _ncg's (x, extra) with its work and gate recorded in ctx, and the
     # regime and p attached to its NonConvergenceError.
     ctx.solves += 1
-    ctx.ray = ctx.source = None
+    ctx.ray = None
     try:
         x, iterations, extra = _ncg(fg, b, params.p, x0, ref_norm, cfg, precondition, ctx,
                                     alt, start)
@@ -533,26 +531,17 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     SolveContext, for tau and this p; without one the call is a one-step
     march of its own.  When ctx.ray holds a factor t, the step first tries
     t u_prev and returns it when one evaluation there passes that stopping
-    test (see _prediction); otherwise ctx.ray is cleared by the solve that
-    follows.  When u_prev has the values, bit for bit, of the u_prev the
-    accepted prediction before started from (ctx.source), under the same
-    params, the step returns t u_prev, that prediction again, without
-    evaluating.  The first step of a march also tries the p = 2 linear step
-    as its start, unless ctx was made with linear_start False (see the
-    module docstring).  The step holds its evaluation of the point it
-    returns in ctx (see SolveContext.held).
+    test (see _prediction), keeping t; otherwise ctx.ray is cleared by the
+    solve that follows.  The first step of a march also tries the p = 2
+    linear step as its start, unless ctx was made with linear_start False
+    (see the module docstring).  The step holds its evaluation of the point
+    it returns in ctx (see SolveContext.held).
     """
     if ctx is None:
         ctx = SolveContext(dom, regime, params.p, tau)
     else:
         ctx._check(dom, regime, params.p, tau)
     u_prev = dom.check_field(u_prev)
-    if (ctx.ray is not None and ctx.evaluation[1] == params
-            and u_prev.tobytes() == ctx.source):
-        ctx.solves += 1
-        ctx.predicted += 1
-        ctx.repeated += 1
-        return ctx.ray * u_prev
     if not u_prev.any():
         return np.zeros_like(u_prev)
 
@@ -576,7 +565,6 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
         if predicted is not None:
             ctx.solves += 1
             ctx.predicted += 1
-            ctx.source = u_prev.tobytes()
             ctx.hold(predicted[0], params, *predicted[1:])
             return predicted[0]
 

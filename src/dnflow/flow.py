@@ -57,9 +57,10 @@ BOOTSTRAP_STEPS = 10
 class FlowTrajectory:
     """The scheme's state sequence u^0..u^K with per-step diagnostics.
 
-    predicted lists, in order, the steps k that returned their prediction
-    t u^(k-1) / max|u^(k-1)| (see _march): at max|u| = 1 such a state is
-    the one before it, so its scale-free quotients are that row's.
+    predicted lists, in order, the steps of the separated tail (see _march):
+    the first step k that returned its prediction t u^(k-1) / max|u^(k-1)|,
+    and every step after it.  At max|u| = 1 such a state is the one before
+    it, so its scale-free quotients are that row's.
     """
 
     dom: Domain
@@ -108,12 +109,14 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
     _record).  The steps share one SolveContext, whose first step tries the
     p = 2 linear start when linear_start is True, and whose later steps try
     the state the last ray factor predicts.  A step that returned its
-    prediction t x is not shifted (t x keeps the zero p-mean of x), and
-    since max|x| = 1 its max is t, so the next step takes x itself and
-    repeats the prediction (see implicit_step); such steps are listed in
-    traj.predicted.  Solver failures propagate with the step index
-    attached.  After each step stop(traj) is asked whether to end the march
-    early.
+    prediction x = t u_prev is not shifted (x keeps the zero p-mean of
+    u_prev), and since max|u_prev| = 1 its max is t: every later step would
+    start from u_prev and return x again.  So the march calls implicit_step
+    no more; each later step appends x at the scale times t, with the
+    predicting step's evaluation.  These tail steps, the predicting one
+    first, are listed in traj.predicted.  Solver failures propagate with
+    the step index attached.  After each step stop(traj) is asked whether
+    to end the march early.
     """
     if max_steps < 1:
         raise ValueError(f"need at least one step, got {max_steps}")
@@ -128,26 +131,28 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
 
     ctx = SolveContext(dom, regime, params.p, tau, linear_start=linear_start)
     for k in range(1, max_steps + 1):
-        u_prev, predictions = x, ctx.predicted
-        try:
-            x = implicit_step(dom, u_prev, tau, params, regime, cfg, ctx)
-        except NonConvergenceError as err:
-            err.step = k
-            raise
-        predicted = ctx.predicted > predictions  # x = t u_prev with t = ctx.ray
-        if predicted:
+        # ctx.predicted is 1 from the first step that returned its prediction
+        # x = t u_prev with t = ctx.ray, and the march steps no more after it.
+        if not ctx.predicted:
+            try:
+                x = implicit_step(dom, x, tau, params, regime, cfg, ctx)
+            except NonConvergenceError as err:
+                err.step = k
+                raise
+            if not ctx.predicted:
+                x = project_pmean(dom, x, params.p, regime)  # stay on the constraint set
+            # The step's own evaluation of x, unless the Neumann shift moved it.
+            evaluation = ctx.held(x, params)
+        if ctx.predicted:
             traj.predicted.append(k)
-        else:
-            x = project_pmean(dom, x, params.p, regime)  # stay on the constraint set
         traj.states.append(scale * x)
-        # The step's own evaluation of x, unless the Neumann shift moved it.
-        row = diag.build_row(dom, traj, k, x, scale, ctx.held(x, params))
+        row = diag.build_row(dom, traj, k, x, scale, evaluation)
         _record(traj, row)
         row.lambda_decay = diag.lambda_decay_estimate(traj, k)
         row.energy_residual = diag.energy_identity_residual(traj, k)
         if stop(traj):
             break
-        x, factor = (u_prev, ctx.ray) if predicted else _unit(x)
+        x, factor = (x, ctx.ray) if ctx.predicted else _unit(x)
         scale *= factor
     return traj
 

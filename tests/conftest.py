@@ -21,3 +21,23 @@ def evals(monkeypatch):
 
     monkeypatch.setattr(elliptic, "energy_and_gradient", counting)
     return calls
+
+
+@pytest.fixture
+def record_contexts(monkeypatch):
+    """record_contexts(*modules) -> a list that gets, in order, every
+    SolveContext the modules make through their binding of the name."""
+    import dnflow.elliptic as elliptic
+
+    def record(*modules):
+        made = []
+
+        def make(*args, **kwargs):
+            made.append(elliptic.SolveContext(*args, **kwargs))
+            return made[-1]
+
+        for module in modules:
+            monkeypatch.setattr(module, "SolveContext", make)
+        return made
+
+    return record

@@ -320,7 +320,7 @@ def test_zero_pmean_shift_work_per_call(monkeypatch):
     # the zero p-mean of u_prev) and one per solved dual row (a predicted
     # step's row takes the row before it).
     predicted = len(traj.predicted)
-    assert predicted == made[0].predicted > 0
+    assert made[0].predicted == 1 and predicted > 0
     assert len(counts) == 1 + (200 - predicted) + (201 - predicted)
     assert max(counts) <= 10
 
@@ -595,38 +595,38 @@ def test_held_evaluation_follows_the_values_of_the_array():
 
 
 def test_context_returns_no_array_it_keeps():
-    # Writing into the arrays that steps returned, a repeated prediction
-    # included, leaves the next repeat and its held evaluation unchanged.
+    # Writing into the arrays that steps returned, predictions included,
+    # leaves the next prediction and its held evaluation unchanged.
     d, tau = build_interval(32), 0.1
     x = sine_mode(d) / np.abs(sine_mode(d)).max()
     params = EnergyParams(2.0, 1e-6)
     ctx = SolveContext(d, DIRICHLET, 2.0, tau, linear_start=False)
     steps = [implicit_step(d, x, tau, params, DIRICHLET, CFG, ctx) for _ in range(3)]
-    assert ctx.repeated == 1
+    assert ctx.predicted == 2
     expected = steps[-1].copy()
     for step in steps:
         step[:] = 0.0
     again = implicit_step(d, x, tau, params, DIRICHLET, CFG, ctx)
-    assert ctx.repeated == 2
+    assert ctx.predicted == 3
     np.testing.assert_array_equal(again, expected)
     assert ctx.held(again, params) is not None
 
 
-def test_prediction_is_not_repeated_after_eps_changes():
+def test_prediction_is_not_repeated_after_eps_changes(monkeypatch):
     # At p = 2 a sine mode is separated, so the second step from the same
-    # array returns its prediction and the third repeats it, unless the
-    # third comes with another eps: then it evaluates its prediction anew.
+    # array returns its prediction, and the third evaluates its prediction
+    # anew, with one evaluation, under the same eps or another.
     d, tau = build_interval(32), 0.1
     x = sine_mode(d) / np.abs(sine_mode(d)).max()
-    repeats = []
+    calls = _count_parts(monkeypatch)
     for eps in (1e-6, 1e-3):
         ctx = SolveContext(d, DIRICHLET, 2.0, tau, linear_start=False)
         for params in (EnergyParams(2.0, 1e-6),) * 2 + (EnergyParams(2.0, eps),):
+            before = calls[0]
             u = implicit_step(d, x, tau, params, DIRICHLET, CFG, ctx)
+        assert calls[0] - before == 1
         assert ctx.predicted == 2
-        repeats.append(ctx.repeated)
         np.testing.assert_allclose(u, x / (1.0 + tau * mode_eigenvalue(d)), rtol=1e-8)
-    assert repeats == [1, 0]
 
 
 def test_context_belongs_to_one_problem():
@@ -791,4 +791,3 @@ def test_repeated_prediction_follows_the_values_of_u_prev():
     step = implicit_step(d, x, tau, params, DIRICHLET, CFG, ctx)
     fresh = implicit_step(d, x, tau, params, DIRICHLET, CFG, SolveContext(d, DIRICHLET, 1.5, tau))
     assert np.abs(step - fresh).max() <= 1e-6 * np.abs(fresh).max()
-    assert ctx.repeated == 0

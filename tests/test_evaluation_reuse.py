@@ -1,9 +1,9 @@
 """Each state is evaluated once: a march's diagnostics rows reuse the
-evaluation their implicit step made, a step that repeats the prediction
-before it reuses that prediction's evaluation, each dual row's inverse
-solve reuses the evaluation the previous row's solve made at its warm
-start, and each oracle sweep's inverse solve reuses the evaluation of its
-warm start made for the residual.
+evaluation their implicit step made, the rows of its separated tail reuse
+the evaluation of the step that returned its prediction, each dual row's
+inverse solve reuses the evaluation the previous row's solve made at its
+warm start, and each oracle sweep's inverse solve reuses the evaluation of
+its warm start made for the residual.
 
 The hand-offs must not change a bit of any output, so every comparison here
 is exact against a run with the hand-offs dropped.
@@ -15,7 +15,7 @@ import pytest
 from dnflow import diagnostics, elliptic, flow, oracle
 from dnflow.cli import main
 from dnflow.domain import build_interval
-from dnflow.elliptic import SolveContext, SolverConfig
+from dnflow.elliptic import SolverConfig
 from dnflow.flow import evolve
 from dnflow.operators import BoundaryRegime, EnergyParams
 from dnflow.oracle import minimize_rayleigh
@@ -32,14 +32,11 @@ EVALUATORS = ("energy", "energy_gradient", "energy_and_gradient")
 
 def _drop_handoffs(monkeypatch):
     # Rows evaluate their state again, and dual rows and sweeps their warm
-    # start.  Each step gets a copy of its u_prev, so a step after an
-    # accepted prediction tries that prediction anew instead of repeating it.
-    build_row, step = diagnostics.build_row, flow.implicit_step
+    # start.
+    build_row = diagnostics.build_row
     monkeypatch.setattr(diagnostics, "build_row",
                         lambda dom, traj, k, x, scale, evaluation=None:
                         build_row(dom, traj, k, x, scale))
-    monkeypatch.setattr(flow, "implicit_step",
-                        lambda dom, u_prev, *args: step(dom, u_prev.copy(), *args))
     for module in (diagnostics, oracle):
         def inverse_without(*args, ctx=None, _inverse=module.inverse_operator, **kwargs):
             if ctx is not None:
@@ -47,18 +44,6 @@ def _drop_handoffs(monkeypatch):
             return _inverse(*args, ctx=ctx, **kwargs)
 
         monkeypatch.setattr(module, "inverse_operator", inverse_without)
-
-
-def _record_contexts(monkeypatch):
-    made = []
-
-    def record(*args, **kwargs):
-        made.append(SolveContext(*args, **kwargs))
-        return made[-1]
-
-    for module in (flow, diagnostics):
-        monkeypatch.setattr(module, "SolveContext", record)
-    return made
 
 
 def _count_evaluations(monkeypatch):
@@ -97,15 +82,16 @@ def _evolve_lines(regime, p):
 
 
 @pytest.mark.parametrize("regime", list(REGIMES))
-def test_evolve_csv_is_bit_identical_without_the_handoff(tmp_path, monkeypatch, regime):
+def test_evolve_csv_is_bit_identical_without_the_handoff(tmp_path, monkeypatch, record_contexts,
+                                                          regime):
     # From this random data the Dirichlet and Robin p = 3 marches take no
-    # prediction in 200 steps; the p = 2 ones repeat predictions on their tail.
-    made = _record_contexts(monkeypatch)
+    # prediction in 200 steps; the p = 2 ones predict their tail.
+    made = record_contexts(flow, diagnostics)
     for p in (2, 3):
         _run(tmp_path, "evolve", _evolve_lines(regime, p), f"kept{p}")
-    # The runs repeat predictions, and their dual rows take handed-over
-    # evaluations except under Neumann, whose shift moves each solution.
-    assert sum(c.repeated for c in made if c.tau) > 0
+    # The runs predict, and their dual rows take handed-over evaluations
+    # except under Neumann, whose shift moves each solution.
+    assert sum(c.predicted for c in made if c.tau) > 0
     assert (sum(c.handed_over for c in made if c.tau is None) > 0) == (regime != "neumann")
     _drop_handoffs(monkeypatch)
     for p in (2, 3):

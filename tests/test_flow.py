@@ -300,29 +300,17 @@ def test_settle_continues_from_the_bootstrap(monkeypatch):
                                 max_steps=2).steps == 2
 
 
-def _record_contexts(monkeypatch):
-    # Every SolveContext that flow._march makes, in order.
-    made = []
-
-    def record(*args, **kwargs):
-        made.append(elliptic.SolveContext(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(flow, "SolveContext", record)
-    return made
-
-
 @pytest.mark.parametrize("dom, p, regime", [
     (build_rectangle(31, 31, 1.0, 1.0), 3.0, DIRICHLET),
     (build_interval(199), 1.5, BoundaryRegime.robin(1.0)),
 ])
-def test_carried_factors_match_fresh_factors(monkeypatch, dom, p, regime):
+def test_carried_factors_match_fresh_factors(monkeypatch, record_contexts, dom, p, regime):
     # The march's steps start on the kept factor after a one-iteration step;
     # refactoring at every start instead gives the same lambda-hat, with
     # more factorizations.
     params = EnergyParams(p, 1e-6)
     g = np.ones(dom.n_nodes)
-    made = _record_contexts(monkeypatch)
+    made = record_contexts(flow)
     carried = evolve_until_settled(dom, g, params, regime, CFG)
     start = elliptic.SolveContext.start
 
@@ -378,14 +366,14 @@ def test_separated_first_step_keeps_u_prev(monkeypatch):
 
 
 @pytest.mark.parametrize("p, regime", [(3.0, DIRICHLET), (1.5, BoundaryRegime.robin(1.0))])
-def test_settle_march_skips_the_linear_start(monkeypatch, p, regime):
+def test_settle_march_skips_the_linear_start(monkeypatch, record_contexts, p, regime):
     # The settle march continues from the bootstrap's separated state, where
     # the p = 2 linear candidate loses: only the bootstrap factors it, and
     # forcing it on the settle march gives the same states.
     d = build_interval(63)
     params = EnergyParams(p, 1e-6)
     g = np.ones(63)
-    made = _record_contexts(monkeypatch)
+    made = record_contexts(flow)
     traj = evolve_until_settled(d, g, params, regime, CFG)
     assert [c.linear for c in made] == [1, 0]
     assert sum(c.factorizations for c in made[1:]) > 0
@@ -395,7 +383,7 @@ def test_settle_march_skips_the_linear_start(monkeypatch, p, regime):
     for a, b in zip(traj.states, forced.states):
         np.testing.assert_array_equal(a, b)
     # A given tau marches from g and still tries the linear start.
-    made = _record_contexts(monkeypatch)
+    made = record_contexts(flow)
     evolve_until_settled(d, g, params, regime, CFG, tau=0.01, max_steps=2)
     assert [c.linear for c in made] == [1]
 

@@ -1,9 +1,10 @@
 """The separated tail steps without evaluations: an implicit step first
 tries the state its context's last ray factor t predicts, t u_prev, and
-the steps after an accepted prediction, which get the same u_prev, repeat
-it.  A dual row, solved at max|u| = 1 like the step, starts from the
-previous row's solution and the evaluation made there, and on that tail
-that solution is its own.
+once a step has returned its prediction the march takes every later step
+as that step's point at a scale times t, without calling implicit_step.
+A dual row, solved at max|u| = 1 like the step, starts from the previous
+row's solution and the evaluation made there, and on that tail that
+solution is its own.
 
 Switching the prediction off must leave every output within rounding, so
 the comparisons here are against runs with elliptic._prediction patched to
@@ -32,48 +33,71 @@ EVALUATORS = ("energy", "energy_gradient", "energy_and_gradient")
 
 
 def _count_predictions(monkeypatch):
-    # () -> (tried, accepted) predictions over the marches' contexts.  A
-    # repeated step takes the prediction before it again without calling
-    # _prediction, so the tried ones are those calls plus the repeats.
-    made, calls, inner = _record_contexts(monkeypatch), [0], elliptic._prediction
+    # [tried, accepted]: the calls of _prediction and those of them that
+    # returned a prediction.
+    counts, inner = [0, 0], elliptic._prediction
 
     def spy(*args):
-        calls[0] += 1
-        return inner(*args)
+        predicted = inner(*args)
+        counts[0] += 1
+        counts[1] += predicted is not None
+        return predicted
 
     monkeypatch.setattr(elliptic, "_prediction", spy)
-    return lambda: (calls[0] + sum(c.repeated for c in made), sum(c.predicted for c in made))
+    return counts
 
 
-def _kick_step(monkeypatch, k):
-    # Step k of a march starts from its u_prev plus a 1e-3 relative random
-    # field, as a restart from a perturbed state would; traj.states keeps
-    # the unperturbed state.
-    step, calls = flow.implicit_step, [0]
+def _kick_step(monkeypatch):
+    # [calls, k]: the march's implicit_step calls so far, and the step k
+    # that starts from its u_prev plus a 1e-3 relative random field, as a
+    # restart from a perturbed state would (none while k is 0);
+    # traj.states keeps the unperturbed state.
+    step, kick = flow.implicit_step, [0, 0]
 
     def kicked(dom, u_prev, *args):
-        calls[0] += 1
-        if calls[0] == k:
+        kick[0] += 1
+        if kick[0] == kick[1]:
             noise = np.random.default_rng(1).standard_normal(u_prev.size)
             u_prev = u_prev + 1e-3 * np.abs(u_prev).max() * noise
         return step(dom, u_prev, *args)
 
     monkeypatch.setattr(flow, "implicit_step", kicked)
-    return calls
+    return kick
 
 
-def _evolve_columns(regime, p, kicks):
-    # The CSV columns of a 200-step evolve at tau auto, n = 32, from
-    # constant data as in the benchmark's evolve cases; under Neumann
-    # constant data projects to zero, so that regime starts from random data.
+def _evolve_columns(regime, p, kick, counts=None):
+    # The CSV columns and the trajectory of a 200-step evolve at tau auto,
+    # n = 32, from constant data as in the benchmark's evolve cases; under
+    # Neumann constant data projects to zero, so that regime starts from
+    # random data.  The step calls in kick and the predictions in counts
+    # are counted from the march's first step, after the bootstrap.
     d = build_interval(32)
     params, regime = EnergyParams(p, 1e-6), REGIMES[regime]
     g = np.random.default_rng(0).standard_normal(32) if regime.kind == "neumann" else np.ones(32)
     tau = auto_tau(d, g, params, regime, CFG)
-    kicks[0] = 0
+    kick[0] = 0
+    if counts is not None:
+        counts[:] = [0, 0]
     traj = evolve(d, g, tau, 200, params, regime, CFG)
     diagnostics.fill_dual_columns(d, traj, CFG)
-    return {c: np.array([getattr(row, c) for row in traj.diagnostics]) for c in COLUMNS}
+    return {c: np.array([getattr(row, c) for row in traj.diagnostics]) for c in COLUMNS}, traj
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("regime", list(REGIMES))
+def test_march_steps_until_its_first_prediction(monkeypatch, record_contexts, regime, p):
+    # The march calls implicit_step up to the step k0 that returns its
+    # prediction, and takes steps k0..200 as that tail without it.
+    kick = _kick_step(monkeypatch)
+    made = record_contexts(flow)
+    traj = _evolve_columns(regime, p, kick)[1]
+    ctx = made[-1]  # the march's, after the bootstrap's
+    assert traj.steps == 200 and ctx.predicted <= 1
+    if traj.predicted:
+        assert kick[0] == traj.predicted[0]
+        assert traj.predicted == list(range(traj.predicted[0], 201))
+    else:
+        assert kick[0] == 200
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -81,16 +105,18 @@ def _evolve_columns(regime, p, kicks):
 def test_predicted_run_matches_the_run_without_predictions(monkeypatch, regime, p):
     # A march rejects no prediction on its own: after a ray-only step the
     # next step's problem is that step's scaled by t.  So the march is
-    # kicked off its ray once, at step 100; the first prediction after the
-    # kick must be rejected, and the flow separates again before the tail
-    # is predicted anew.
-    counted = _count_predictions(monkeypatch)
-    kicks = _kick_step(monkeypatch, 100)
-    kept = _evolve_columns(regime, p, kicks)
-    counts = counted()
-    assert counts[1] > 50 and counts[0] - counts[1] == 1
+    # kicked off its ray once, at the step k0 where the unkicked run first
+    # predicted; that prediction must be rejected.  The kicked march need
+    # not separate again within 200 steps.
+    counts = _count_predictions(monkeypatch)
+    kick = _kick_step(monkeypatch)
+    k0 = _evolve_columns(regime, p, kick, counts)[1].predicted[0]
+    assert counts[1] == 1
+    kick[1] = k0
+    kept = _evolve_columns(regime, p, kick, counts)[0]
+    assert counts[0] - counts[1] == 1
     monkeypatch.setattr(elliptic, "_prediction", lambda *args: None)
-    dropped = _evolve_columns(regime, p, kicks)
+    dropped = _evolve_columns(regime, p, kick)[0]
     for name in COLUMNS:
         a, b = kept[name], dropped[name]
         assert np.array_equal(np.isnan(a), np.isnan(b)), name
@@ -135,41 +161,31 @@ def _count_work(monkeypatch):
     return steps, rows, predicted
 
 
-def _record_contexts(monkeypatch, module=flow):
-    made = []
-
-    def record(*args, **kwargs):
-        made.append(SolveContext(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(module, "SolveContext", record)
-    return made
-
-
-def test_separated_tail_makes_no_evaluation_after_its_first_prediction(monkeypatch):
+def test_separated_tail_makes_no_evaluation_after_its_first_prediction(monkeypatch,
+                                                                       record_contexts):
     # The evolve_1d Dirichlet p = 1.5 case.  After the step k0 - 1 that
     # returned its start moved along the ray only, every step is a
-    # prediction: step k0 evaluates it once, and every later step gets the
-    # same u_prev and t and repeats it.  Every solved row after row 0
-    # starts from the evaluation the previous row's solve made at its
-    # solution; row k0 - 1's unit-scale state agrees with row k0 - 2's to
-    # rounding, so that solution is its own and the row stops there.  Rows
-    # k0..200, of predicted steps, take row k0 - 1's quotient unsolved.
+    # prediction: step k0 evaluates it once, and the march takes every
+    # later step as that point without calling implicit_step.  Every solved
+    # row after row 0 starts from the evaluation the previous row's solve
+    # made at its solution; row k0 - 1's unit-scale state agrees with row
+    # k0 - 2's to rounding, so that solution is its own and the row stops
+    # there.  Rows k0..200, of predicted steps, take row k0 - 1's quotient
+    # unsolved.
     d = build_interval(32)
     params, g = EnergyParams(1.5, 1e-6), np.ones(32)
     tau = auto_tau(d, g, params, DIRICHLET, CFG)
-    made = _record_contexts(monkeypatch)
-    dual = _record_contexts(monkeypatch, diagnostics)
+    made = record_contexts(flow)
+    dual = record_contexts(diagnostics)
     steps, rows, predicted = _count_work(monkeypatch)
     traj = evolve(d, g, tau, 200, params, DIRICHLET, CFG)
     diagnostics.fill_dual_columns(d, traj, CFG)
-    assert len(steps) == 200 and traj.steps == 200
     k0 = predicted.index(True) + 1  # predicted[k - 1] is step k
+    assert len(steps) == k0 and traj.steps == 200
     assert k0 <= 41
     assert traj.predicted == list(range(k0, 201))
-    assert made[0].predicted == 201 - k0
-    assert made[0].repeated == 200 - k0
-    assert steps[k0 - 1:] == [1] + [0] * (200 - k0)  # steps[k - 1] is step k
+    assert made[0].predicted == 1
+    assert steps[k0 - 1:] == [1]  # steps[k - 1] is step k
     assert min(steps[:k0 - 1]) >= 2
     assert dual[0].solves == len(rows) == k0 and dual[0].handed_over == k0 - 1
     quotients = [row.dual_q for row in traj.diagnostics]
@@ -218,11 +234,11 @@ def _step_gradient_norm(d, x, u_prev, tau, params):
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
-def test_prediction_from_an_unrelated_state_meets_the_stopping_test(monkeypatch, p):
+def test_prediction_from_an_unrelated_state_meets_the_stopping_test(record_contexts, p):
     d = build_interval(32)
     params = EnergyParams(p, 1e-6)
     tau = auto_tau(d, np.ones(32), params, DIRICHLET, CFG)
-    made = _record_contexts(monkeypatch)
+    made = record_contexts(flow)
     traj = evolve(d, np.ones(32), tau, 60, params, DIRICHLET, CFG)
     # The march's next step would take the last state at max|u| = 1.
     ctx, u, t = made[0], traj.states[-1] / np.abs(traj.states[-1]).max(), made[0].ray
@@ -237,3 +253,22 @@ def test_prediction_from_an_unrelated_state_meets_the_stopping_test(monkeypatch,
         ref = _step_gradient_norm(d, u_prev, u_prev, tau, params)
         assert _step_gradient_norm(d, x, u_prev, tau, params) <= CFG.grad_tol * ref
         assert ctx.predicted == predicted + 1
+
+
+def test_a_step_after_an_accepted_prediction_evaluates_it_again(evals):
+    # At p = 2 a sine mode is separated: the first step moves along the ray
+    # only and the second returns its prediction.  The step keeps no repeat
+    # of an accepted prediction (the march takes the separated tail itself),
+    # so a third step from the same values evaluates the prediction once
+    # more and returns the same bits.
+    d, tau = build_interval(32), 0.1
+    x = np.sin(np.pi * d.nodes) / np.abs(np.sin(np.pi * d.nodes)).max()
+    params = EnergyParams(2.0, 1e-6)
+    ctx = SolveContext(d, DIRICHLET, 2.0, tau, linear_start=False)
+    implicit_step(d, x, tau, params, DIRICHLET, CFG, ctx)
+    first = implicit_step(d, x, tau, params, DIRICHLET, CFG, ctx)
+    assert ctx.predicted == 1
+    before = evals[0]
+    again = implicit_step(d, x.copy(), tau, params, DIRICHLET, CFG, ctx)
+    assert evals[0] - before == 1 and ctx.predicted == 2
+    np.testing.assert_array_equal(again, first)

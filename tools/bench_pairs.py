@@ -19,10 +19,16 @@ min) / |median| over its runs, exceeds the bound: runs that spread that
 wide cannot show a move of the bound's size either way.  The tool also
 reports whether every run of both sides gave the same sha256 lists.
 
-It exits 1 when any run exits nonzero, reports itself incorrect or has a
-failed case, and 0 otherwise; a move past a bound is printed, not an exit
-status.  --json FILE writes every run and the comparison.  Only the
-standard library is used.
+After the pairs the tool runs the benchmark once more in each checkout
+with ``--trace 1`` and prints, parent against change, every per-layer
+metric of BENCHMARK.json whose unit is not ``s`` or ``us``: the counts of
+iterations, evaluations and bytes and their ratios, which do not depend on
+the machine.  A count that differs between the sides is flagged.
+
+It exits 1 when any run, traced or not, exits nonzero, reports itself
+incorrect or has a failed case, and 0 otherwise; a move past a bound or a
+changed count is printed, not an exit status.  --json FILE writes every
+run, the comparison and the counts.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -38,18 +44,19 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(root: Path, command: list, workload: str, seed: int, seconds) -> dict:
+def run_once(root: Path, command: list, workload: str, seed: int, seconds,
+             trace: int = 0) -> dict:
     """One benchmark run in the checkout at root: its summary, hashes and
     exit status."""
     proc = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
-                           "--trace", "0", "--seconds", str(seconds)],
+                           "--trace", str(trace), "--seconds", str(seconds)],
                           cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         summary = json.loads(lines[-1])
     except (IndexError, ValueError):
         summary = {}
-    report = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    report = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
     sha256 = json.loads(report.read_text()).get("sha256") if report.is_file() else None
     ok = proc.returncode == 0 and summary.get("correct") is True and summary.get("failed") == 0
     return {"exit": proc.returncode, "ok": ok, "summary": summary, "sha256": sha256,
@@ -89,6 +96,26 @@ def compare(spec: dict, runs: list) -> dict:
             "worse": worse, "spread": widest, "unresolved": widest > spec["bound"]}
 
 
+def print_run(label: str, run: dict) -> None:
+    values = " ".join(f"{k}={m['value']!r}" for k, m in run["summary"].get("metrics", {}).items())
+    print(f"{label}: {'ok' if run['ok'] else 'FAILED'} {values}")
+    if not run["ok"]:
+        print(f"  exit {run['exit']}: " + " | ".join(run["stderr"]))
+
+
+def compare_counts(specs: list, traced: dict) -> list:
+    """Parent and change values of each per-layer count metric in specs."""
+    counts = []
+    for spec in specs:
+        if spec["unit"] in ("s", "us"):  # times, which depend on the machine
+            continue
+        values = {side: traced[side]["summary"]["metrics"].get(spec["name"], {}).get("value")
+                  for side in SIDES}
+        counts.append({"name": spec["name"], "unit": spec["unit"], **values,
+                       "differs": values["parent"] != values["change"]})
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
@@ -110,16 +137,17 @@ def main(argv=None) -> int:
                                bench["run_seconds"]) for side in order}
         runs.append(pair)
         for side in order:
-            run = pair[side]
-            values = " ".join(f"{k}={m['value']!r}"
-                              for k, m in run["summary"].get("metrics", {}).items())
-            print(f"pair {i} {side}: {'ok' if run['ok'] else 'FAILED'} {values}")
-            if not run["ok"]:
-                print(f"  exit {run['exit']}: " + " | ".join(run["stderr"]))
+            print_run(f"pair {i} {side}", pair[side])
+    traced = {side: run_once(roots[side], bench["command"], args.workload, args.seed,
+                             bench["run_seconds"], trace=1) for side in SIDES}
+    for side in SIDES:
+        print_run(f"traced {side}", traced[side])
 
     bad = sum(not pair[side]["ok"] for pair in runs for side in SIDES)
+    bad_traced = sum(not run["ok"] for run in traced.values())
     result = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
-              "runs": runs, "failed_runs": bad}
+              "runs": runs, "failed_runs": bad, "traced": traced,
+              "failed_traced_runs": bad_traced}
     if not bad:
         hashes = [pair[side]["sha256"] for pair in runs for side in SIDES]
         result["sha256_match"] = all(h == hashes[0] for h in hashes) and hashes[0] is not None
@@ -135,9 +163,17 @@ def main(argv=None) -> int:
                   + (f", UNRESOLVED (spread {m['spread']:.2%})" if m["unresolved"] else ""))
     else:
         print(f"{bad} of {2 * args.pairs} runs failed or were incorrect")
+    if not bad_traced:
+        result["counts"] = compare_counts(bench.get("per_layer", []), traced)
+        print(f"{args.workload} seed {args.seed}, counts of one traced run per side:")
+        for c in result["counts"]:
+            print(f"{c['name']} ({c['unit']}): parent {c['parent']!r}, change {c['change']!r}"
+                  + (", DIFFERS" if c["differs"] else ""))
+    else:
+        print(f"{bad_traced} of 2 traced runs failed or were incorrect")
     if args.json:
         args.json.write_text(json.dumps(result, indent=1))
-    return 1 if bad else 0
+    return 1 if bad or bad_traced else 0
 
 
 if __name__ == "__main__":
