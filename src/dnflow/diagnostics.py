@@ -145,13 +145,13 @@ def energy_identity_residual(traj, k: int) -> float:
 def fill_dual_columns(dom: Domain, traj, cfg: SolverConfig) -> None:
     """Compute dual_q (and so mu_from_dual) for every row with Np > 0.
 
-    A row of a step that returned its prediction (traj.predicted) has, at
-    max|u| = 1, the state of the row before it, and the quotient is
-    degree-0 homogeneous, so it takes that row's dual_q.  Every other row
-    solves its inverse at max|u| = 1 (see _unit_dual_quotient),
-    warm-started from the last solved row's solution on the SolveContext
-    the solves share, which hands that solve's evaluation on unless the
-    Neumann shift moved the solution (see inverse_operator).
+    A row of the separated tail (traj.predicted) has, at max|u| = 1, the
+    state of the row before it, and the quotient is degree-0 homogeneous,
+    so it takes that row's dual_q.  Every other row solves its inverse at
+    max|u| = 1 (see _unit_dual_quotient), warm-started from the last
+    solved row's solution on the SolveContext the solves share, which hands
+    that solve's evaluation on unless the Neumann shift moved the solution
+    (see inverse_operator).
     """
     ctx = SolveContext(dom, traj.regime, traj.params.p)
     warm, rows, repeats = None, traj.diagnostics, set(traj.predicted)
@@ -169,18 +169,22 @@ def rows_to_csv(rows) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_line() for r in rows]) + "\n"
 
 
+def energy_and_power(dom: Domain, x, params: EnergyParams, regime: BoundaryRegime):
+    """(E(x), sum |x|^p): the evaluation a diagnostics row reads."""
+    return energy(dom, x, params, regime), float((np.abs(x) ** params.p).sum())
+
+
 def build_row(dom: Domain, traj, k: int, x, scale: float, evaluation=None) -> DiagnosticsRow:
     """Cheap (no inverse solve) diagnostics for step k of a trajectory, whose
     u^k = scale * x has eps relative to scale = max|u^(k-1)| (max|u^0| at
     k = 0): E and int |u|^p are read at x and scaled by scale^p.  evaluation,
-    when the caller already has it, is (E(x), sum |x|^p) at traj.params."""
+    when the caller already has it, is (E(x), sum |x|^p) at traj.params
+    (see energy_and_power)."""
     p = traj.params.p
     vol = dom.cell_volume
     if evaluation is None:
-        e_x = energy(dom, x, traj.params, traj.regime)
-        power_sum = float((np.abs(x) ** p).sum())
-    else:
-        e_x, power_sum = evaluation
+        evaluation = energy_and_power(dom, x, traj.params, traj.regime)
+    e_x, power_sum = evaluation
     try:
         size = scale ** p
     except OverflowError:  # refused by the march (see flow._record)

@@ -42,16 +42,9 @@ and starts from whichever ray-scaled candidate has the lower objective.  A
 march that continues from a separated state skips that step, which cannot
 win there.
 
-Once a march has separated, each step multiplies the state by one factor t.
-A SolveContext therefore keeps t when its last solve returned t times its
-start without an NCG iteration, and the next implicit step first tries
-t u_prev.  One evaluation there gives the step's stopping test: the
-reference ||g(u_prev)|| = tau ||grad E(u_prev)|| follows from
-grad E(t u_prev) by the degree-(p-1) homogeneity of grad E.  A prediction
-the test rejects is dropped and the step runs from u_prev as any other.
-Once a prediction is accepted, every later step of the march, at
-max|u| = 1, is that step again: the march (flow._march) repeats its point
-at a scale times t and calls no further step.
+A solve that returned t times its start without an NCG iteration leaves t
+in its SolveContext (ray): the march (flow._march) reads it as the sign
+that it has separated and takes every later step itself.
 
 The Neumann zero-p-mean shift is a safeguarded Newton iteration on the
 p-mean, started at c = 0, with bisection as its fallback.
@@ -69,12 +62,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import Domain, integrate_power
+from .domain import Domain
 from .errors import CompatibilityError, NonConvergenceError
 from .operators import (
     BoundaryRegime,
     EnergyParams,
-    energy,
     energy_and_gradient,
     energy_hessian,
     jp,
@@ -271,14 +263,13 @@ class SolveContext:
     factorizations by kind, fresh (at a solve's start), refreshed (inside a
     solve) and linear (the p = 2 step of a march's first step); carried
     counts the solves that started on a kept factor instead of a fresh one,
-    predicted the implicit steps that returned their prediction, and
-    handed_over the inverse solves that started from the held evaluation of
-    their warm start instead of making it.
+    and handed_over the inverse solves that started from the held
+    evaluation of their warm start instead of making it.
 
     ray is the factor t of the last solve when that solve returned t times
     its start without an NCG iteration (1.0 when it returned the start
-    itself), else None.  An implicit step on this context first tries
-    t u_prev (see implicit_step); an accepted prediction keeps t.
+    itself), else None.  Only the march reads it (see flow._march); no
+    solve does.
 
     The context holds one evaluation: that of the point x the last solve
     returned, or one its caller stored with hold, as the oracle stores its
@@ -306,7 +297,7 @@ class SolveContext:
         self.ray = self.evaluation = None
         self.solves = self.iterations = 0
         self.fresh = self.refreshed = self.carried = self.linear = 0
-        self.predicted = self.handed_over = 0
+        self.handed_over = 0
 
     @property
     def factorizations(self) -> int:
@@ -529,13 +520,11 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     Warm-starts from u_prev and stops once the gradient norm has dropped by
     grad_tol relative to its value at u_prev.  ctx is the march's
     SolveContext, for tau and this p; without one the call is a one-step
-    march of its own.  When ctx.ray holds a factor t, the step first tries
-    t u_prev and returns it when one evaluation there passes that stopping
-    test (see _prediction), keeping t; otherwise ctx.ray is cleared by the
-    solve that follows.  The first step of a march also tries the p = 2
-    linear step as its start, unless ctx was made with linear_start False
-    (see the module docstring).  The step holds its evaluation of the point
-    it returns in ctx (see SolveContext.held).
+    march of its own.  Every call is one solve, which sets ctx.ray anew
+    and reads nothing of it.  The first step of a march also tries the
+    p = 2 linear step as its start, unless ctx was made with linear_start
+    False (see the module docstring).  The step holds its evaluation of the
+    point it returns in ctx (see SolveContext.held).
     """
     if ctx is None:
         ctx = SolveContext(dom, regime, params.p, tau)
@@ -549,24 +538,12 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     p = params.p
     b = vol * jp(u_prev, p)  # linear-term coefficients
 
-    def evaluate(u):
-        # E(u), its raw partials and sum |u|^p.
-        e_val, raw = energy_and_gradient(dom, u, params, regime)
-        return e_val, raw, float((np.abs(u) ** p).sum())
-
     def fg(u):
         # F and its gradient, then E(u) and sum |u|^p for ctx to hold.
-        e_val, raw, power_sum = evaluate(u)
+        e_val, raw = energy_and_gradient(dom, u, params, regime)
+        power_sum = float((np.abs(u) ** p).sum())
         return (tau * e_val + (vol / p) * power_sum - float(b @ u),
                 tau * raw + vol * jp(u, p) - b, e_val, power_sum)
-
-    if ctx.ray is not None:
-        predicted = _prediction(ctx, u_prev, b, evaluate, cfg)
-        if predicted is not None:
-            ctx.solves += 1
-            ctx.predicted += 1
-            ctx.hold(predicted[0], params, *predicted[1:])
-            return predicted[0]
 
     def precondition(x):
         ab = energy_hessian(dom, x, params, regime)
@@ -579,23 +556,6 @@ def implicit_step(dom: Domain, u_prev, tau: float, params: EnergyParams,
     x, extra = _solve(fg, b, u_prev, 0.0, cfg, precondition, params, ctx, alt)
     ctx.hold(x, params, *extra)
     return x
-
-
-def _prediction(ctx: SolveContext, u_prev, b, evaluate, cfg: SolverConfig):
-    """(x, E(x), sum |x|^p) for x = t u_prev, t = ctx.ray, when x passes the
-    implicit step's stopping test, else None; one evaluation either way.
-
-    The test's reference ||g(u_prev)|| = tau ||grad E(u_prev)|| is taken from
-    x's own gradient as tau t^(1-p) ||grad E(x)||, by the degree-(p-1)
-    homogeneity of grad E (exact up to eps, which the step keeps fixed).
-    """
-    t, p, tau, vol = ctx.ray, ctx.p, ctx.tau, ctx.dom.cell_volume
-    x = t * u_prev
-    e_val, raw, power_sum = evaluate(x)
-    ref = tau * t ** (1.0 - p) * _norm(raw)
-    if _norm(tau * raw + vol * jp(x, p) - b) <= cfg.grad_tol * max(ref, _TINY):
-        return x, e_val, power_sum
-    return None
 
 
 def inverse_operator(dom: Domain, f, params: EnergyParams,
@@ -736,13 +696,3 @@ def pmean_defect(dom: Domain, u, p: float) -> float:
     if denom == 0.0:
         return 0.0
     return abs(float(np.sum(ju))) / denom
-
-
-def step_objective(dom: Domain, u, u_prev, tau: float,
-                   params: EnergyParams, regime: BoundaryRegime) -> float:
-    """The implicit-step functional F(u); exposed for monotonicity checks."""
-    vol = dom.cell_volume
-    p = params.p
-    return (tau * energy(dom, u, params, regime)
-            + integrate_power(dom, u, p) / p
-            - vol * float(jp(dom.check_field(u_prev), p) @ dom.check_field(u)))

@@ -58,9 +58,10 @@ class FlowTrajectory:
     """The scheme's state sequence u^0..u^K with per-step diagnostics.
 
     predicted lists, in order, the steps of the separated tail (see _march):
-    the first step k that returned its prediction t u^(k-1) / max|u^(k-1)|,
-    and every step after it.  At max|u| = 1 such a state is the one before
-    it, so its scale-free quotients are that row's.
+    the first step k after a solve that moved its start along the ray only,
+    and every step after it.  Each takes t u^(k-1) / max|u^(k-1)| for the
+    ray factor t, so at max|u| = 1 its state is the one before it, and its
+    scale-free quotients are that row's.
     """
 
     dom: Domain
@@ -107,16 +108,16 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
     result times max|u^(k-1)|, a scale carried as a product of maxima; row k
     reuses the step's evaluation of x (see diagnostics.build_row and
     _record).  The steps share one SolveContext, whose first step tries the
-    p = 2 linear start when linear_start is True, and whose later steps try
-    the state the last ray factor predicts.  A step that returned its
-    prediction x = t u_prev is not shifted (x keeps the zero p-mean of
-    u_prev), and since max|u_prev| = 1 its max is t: every later step would
-    start from u_prev and return x again.  So the march calls implicit_step
-    no more; each later step appends x at the scale times t, with the
-    predicting step's evaluation.  These tail steps, the predicting one
-    first, are listed in traj.predicted.  Solver failures propagate with
-    the step index attached.  After each step stop(traj) is asked whether
-    to end the march early.
+    p = 2 linear start when linear_start is True.  Once a step's solve has
+    returned its start moved along the ray only, by t = ctx.ray, the march
+    has separated and calls implicit_step no more: the next step takes
+    x = t u_prev, evaluated once (see diagnostics.energy_and_power) and not
+    shifted, since it keeps the zero p-mean of u_prev.  As max|u_prev| = 1,
+    the max of x is t, so every later step would start from u_prev and
+    return x again; each appends x at the scale times t, with that
+    evaluation.  These tail steps are listed in traj.predicted.  Solver
+    failures propagate with the step index attached.  After each step
+    stop(traj) is asked whether to end the march early.
     """
     if max_steps < 1:
         raise ValueError(f"need at least one step, got {max_steps}")
@@ -131,19 +132,19 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
 
     ctx = SolveContext(dom, regime, params.p, tau, linear_start=linear_start)
     for k in range(1, max_steps + 1):
-        # ctx.predicted is 1 from the first step that returned its prediction
-        # x = t u_prev with t = ctx.ray, and the march steps no more after it.
-        if not ctx.predicted:
+        if ctx.ray is None:
             try:
                 x = implicit_step(dom, x, tau, params, regime, cfg, ctx)
             except NonConvergenceError as err:
                 err.step = k
                 raise
-            if not ctx.predicted:
-                x = project_pmean(dom, x, params.p, regime)  # stay on the constraint set
+            x = project_pmean(dom, x, params.p, regime)  # stay on the constraint set
             # The step's own evaluation of x, unless the Neumann shift moved it.
             evaluation = ctx.held(x, params)
-        if ctx.predicted:
+        else:
+            if not traj.predicted:  # the first step of the separated tail
+                x = ctx.ray * x
+                evaluation = diag.energy_and_power(dom, x, params, regime)
             traj.predicted.append(k)
         traj.states.append(scale * x)
         row = diag.build_row(dom, traj, k, x, scale, evaluation)
@@ -152,7 +153,7 @@ def _march(dom: Domain, g, tau: float, max_steps: int, params: EnergyParams,
         row.energy_residual = diag.energy_identity_residual(traj, k)
         if stop(traj):
             break
-        x, factor = (x, ctx.ray) if ctx.predicted else _unit(x)
+        x, factor = (x, ctx.ray) if traj.predicted else _unit(x)
         scale *= factor
     return traj
 

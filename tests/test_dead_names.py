@@ -1,5 +1,6 @@
 """No dead names in src/dnflow: no function binds a plain local that it never
-reads, and no module but __init__.py imports a name that it never uses."""
+reads, no module but __init__.py imports a name that it never uses, and
+every module-level function or class is exported or named elsewhere."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,45 @@ def unused_imports(source: str) -> list:
     return found
 
 
+def _exported(tree) -> set:
+    """The strings of a module's __all__ and the names its imports bind."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names.update(elt.value for elt in node.value.elts)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unnamed_definitions(sources: dict) -> list:
+    """(module, line, name) for each module-level function or class of the
+    modules in sources (file name -> source) that is neither exported, by
+    its module's __all__ or by __init__.py, nor named by any top-level
+    statement but its own definition."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    exported_by_init = _exported(trees["__init__.py"]) if "__init__.py" in trees else set()
+    named = []  # (top-level statement, the names it holds)
+    for tree in trees.values():
+        for stmt in tree.body:
+            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            names |= {a.name for n in ast.walk(stmt) if isinstance(n, ast.ImportFrom)
+                      for a in n.names}
+            named.append((stmt, names))
+    found = []
+    for module, tree in trees.items():
+        exported = exported_by_init | _exported(tree)
+        for stmt in tree.body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and stmt.name not in exported
+                    and not any(stmt.name in names for other, names in named
+                                if other is not stmt)):
+                found.append((module, stmt.lineno, stmt.name))
+    return sorted(found)
+
+
 def test_no_function_binds_a_local_it_never_reads():
     assert len(MODULES) > 10
     found = {path.name: unread_locals(path.read_text()) for path in MODULES}
@@ -58,6 +98,10 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused_imports(path.read_text()) for path in MODULES
              if path.name != "__init__.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_every_definition_is_exported_or_named():
+    assert unnamed_definitions({path.name: path.read_text() for path in MODULES}) == []
 
 
 def test_the_checks_find_dead_names():
@@ -79,3 +123,32 @@ def f(a):
 '''
     assert unread_locals(source) == [("f", 8, "unused"), ("f", 10, "pair")]
     assert unused_imports(source) == [(2, "math"), (3, "os"), (4, "to_json")]
+    modules = {
+        "__init__.py": "from .a import public\n",
+        "a.py": """
+__all__ = ["listed"]
+
+
+def public():
+    return _helper()
+
+
+def _helper():
+    return 1
+
+
+def listed():
+    return 2
+
+
+def unused(n):
+    return unused(n - 1) if n else 0
+
+
+class Orphan:
+    pass
+""",
+        "b.py": "from . import a\n\n\ndef called():\n    return a.listed()\n",
+    }
+    assert unnamed_definitions(modules) == [
+        ("a.py", 17, "unused"), ("a.py", 21, "Orphan"), ("b.py", 4, "called")]
