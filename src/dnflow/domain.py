@@ -33,7 +33,11 @@ __all__ = [
 
 @dataclass
 class Domain:
-    """A discretized region; immutable after construction.
+    """A discretized region.
+
+    Its grid data are not changed after construction, but the link blocks in
+    ``_cache`` keep work buffers, so threads must not share a domain;
+    separate processes, such as the workers of ``sweep --jobs``, are fine.
 
     Attributes
     ----------

@@ -12,24 +12,25 @@ from a tail node to a head node, with energy (scale/p) weight *
 ``_links`` maps (domain, regime, p) to one block of such cells, cached in
 ``Domain._cache``; it is the only code that knows the regime:
 
-- line (every local regime in 1-D): one block without a table.  Dirichlet
-  differences the padded field [0, u, 0] by slicing: n + 1 cells, the
-  first and last against the exterior zeros.  Neumann differences u: the
-  n - 1 links.  Robin is Dirichlet's block with its first and last cell
-  the two trace links: h = 1, weight the surface weight, scale beta.  Each
-  node's gradient is the flux of the cell ending there minus that of the
-  next, two slices of one flux array, and the tridiagonal Hessian band is
-  filled from the same slices: no gather and no scatter.
-- cells (every local regime in 2-D): the forward differences from each
+- line (Dirichlet and Neumann in 1-D): one block without a table.
+  Dirichlet differences the padded field [0, u, 0] by slicing: n + 1
+  cells, the first and last against the exterior zeros.  Neumann
+  differences u: the n - 1 links.  Each node's gradient is the flux of the
+  cell ending there minus that of the next, two slices of one flux array,
+  and the tridiagonal Hessian band is filled from the same slices: no
+  gather and no scatter.
+- cells (Dirichlet and Neumann in 2-D): the forward differences from each
   node to its next neighbour along each axis, x first; scale the cell
   volume.  Node n stands for the exterior zero, and so does every
   off-mask node.  Dirichlet cells start one node before the grid on each
   axis, so differences reach the exterior zeros: (ny+1)(nx+1) cells.
   Neumann cells sit at the nodes, one per node; a difference that leaves
-  the grid or the mask has head = tail, so it is exactly zero.  Robin's
-  block is Neumann's, sharing its index arrays, with the trace: a link from
-  each boundary element's node to the exterior zero, h = 1, weight the
-  surface weight, scale beta.
+  the grid or the mask has head = tail, so it is exactly zero.
+- robin (in 1-D and 2-D): the domain's cached Neumann block, line or
+  cells, and the trace: a link from each boundary element's node to the
+  exterior zero, h = 1, weight the surface weight, scale beta.  Its energy
+  is added after the Neumann block's, its flux in one bincount scatter, and
+  its curvature to the band's diagonal.
 - pairs and exterior (fractional): one fold block, built from a kernel of
   :mod:`dnflow.fractional` that is not kept apart from it.  Its n x (D + 1)
   table pairs each node i with node (i + d) mod n for d = 1..D, D = n // 2,
@@ -50,17 +51,17 @@ volume, which approximates -Delta_p u pointwise for the local regimes.  No
 result is, or views, a block's work buffer.
 
 Reduction order: every sum is a serial numpy reduction: in cell order for
-the line block, whose Robin trace cells are summed after its links; in link
-order for the 2-D cells, whose Robin trace links are summed after them; and
-by fold rows for the fractional block, so results are deterministic for
-fixed inputs.  The line and fractional blocks' work buffers make their
-calls non-reentrant, so threads do not share a domain.
+the line block; in link order for the 2-D cells; Robin's trace links in
+boundary element order, after the Neumann block's; and by fold rows for the
+fractional block, so results are deterministic for fixed inputs.  The line
+and fractional blocks' work buffers make their calls non-reentrant, so
+threads do not share a domain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -204,8 +205,6 @@ class _Links:
     # The Hessian is a sum of links k (e_head - e_tail)(e_head - e_tail)^T:
     # one per difference, and a third set with the E-N link of each cell's
     # cross term, from the head of its y difference to that of its x.
-    # Robin's trace links, from each boundary element's node to the exterior
-    # zero, are summed after the cells.
     ends: np.ndarray     # (dim, 2, cells)
     h: np.ndarray        # (dim, 1) length of the differences along each axis
     scale: float         # the cells' energy is (scale / p) sum(cell)
@@ -214,61 +213,41 @@ class _Links:
     diag: np.ndarray     # (2, links) head and tail of each live link, n if dead
     band: np.ndarray     # flat index of each link's -k in the (n + 1, width) transposed band
     width: int           # band width
-    trace: tuple | None = None  # Robin: (trace_index, beta, trace_weight), links
-                                # of length 1 with energy (beta / p) sum(weight cell)
 
     def parts(self, u, p, eps):
         # (block energy, raw partials): one gather of the differences and
-        # one bincount scatter of their fluxes, then the trace's.
+        # one bincount scatter of their fluxes.
         g = _differences(u, self)
         cell, m = _cell_terms((g * g).sum(axis=0), p, eps)
         # In place, to hold one temporary of 2 x cells floats fewer.
         terms = self.flux * m
         terms *= g[:, None]
         e = (self.scale / p) * float(cell.sum())
-        raw = np.bincount(self.ends.ravel(), terms.ravel(), u.size + 1)[:u.size]
-        if self.trace is not None:
-            index, beta, weight = self.trace
-            g = u[index]
-            cell, m = _cell_terms(g * g, p, eps)
-            cell *= weight
-            e += (beta / p) * float(cell.sum())
-            m *= beta * weight
-            m *= g
-            raw += np.bincount(index, m, u.size)
-        return e, raw
+        return e, np.bincount(self.ends.ravel(), terms.ravel(), u.size + 1)[:u.size]
 
     def add_hessian(self, abT, u, p, eps):
         # Every live link adds k to the diagonal of its nodes, and a link of
-        # two nodes -k off it; a trace link k = beta w c, on its node alone.
+        # two nodes -k off it.
         k = _link_weights(u, p, eps, self).ravel()
         n = u.size
         abT[:, 0] += np.bincount(self.diag[1], k, n + 1) + np.bincount(self.diag[0], k, n + 1)
         np.put(abT, self.band, -k)
-        if self.trace is not None:
-            index, beta, weight = self.trace
-            g = u[index]
-            a2 = g * g
-            abT[:n, 0] += np.bincount(index, (beta * weight) * _cell_curvature(a2, a2, p, eps), n)
 
 
 @dataclass(frozen=True, eq=False)
 class _Line:
-    # The 1-D local regimes as one block of cells, cell j ending at node j.
-    # Dirichlet and Robin difference [0, u, 0]: n + 1 cells, the first and
-    # last against the exterior zeros, which for Robin are the trace links
-    # (length 1, flux coefficient beta w, and energy (beta / p) sum w cell
-    # added after that of the n - 1 links).  Neumann differences u: its
-    # n - 1 links, padded with a zero flux at each end.  A cell's flux
-    # s = m g enters the node it ends at and leaves the one before, so node
-    # j gets s_j - s_(j+1), which _parts adds to 0.0: the value and zero
-    # sign of a scatter from 0.0.  The buffers are work space of one call
-    # at a time: their ends stay zero, the middle is written before it is
-    # read, and no result is or views one.
-    h: float | np.ndarray      # each cell's length: hx, or [1, hx, ..., hx, 1] for Robin
+    # The 1-D Dirichlet or Neumann cells as one block, cell j ending at node
+    # j.  Dirichlet differences [0, u, 0]: n + 1 cells, the first and last
+    # against the exterior zeros.  Neumann differences u: its n - 1 links,
+    # padded with a zero flux at each end.  A cell's flux s = m g enters the
+    # node it ends at and leaves the one before, so node j gets s_j -
+    # s_(j+1), which _parts adds to 0.0: the value and zero sign of a
+    # scatter from 0.0.  The buffers are work space of one call at a time:
+    # their ends stay zero, the middle is written before it is read, and no
+    # result is or views one.
+    h: float                   # each cell's length, hx
     scale: float               # the cells' energy is (scale / p) sum(cell)
-    trace: tuple | None        # Robin: (beta, w, beta w) of the first and last cell
-    padded: np.ndarray | None  # Dirichlet and Robin: (n + 2,) [0, u, 0]
+    padded: np.ndarray | None  # Dirichlet: (n + 2,) [0, u, 0]
     links: np.ndarray | None   # Neumann: (n + 1,) [0, one value per link, 0]
     width: int = 2
 
@@ -293,43 +272,60 @@ class _Line:
     def parts(self, u, p, eps):
         g = self._differences(u)
         cell, m = _cell_terms(g * g, p, eps)
-        if self.trace is None:
-            e = (self.scale / p) * float(cell.sum())
-        else:
-            beta, weight, coef = self.trace
-            ends = cell[::cell.size - 1]
-            e = ((self.scale / p) * float(cell[1:-1].sum())
-                 + (beta / p) * float((ends * weight).sum()))
-            m[::m.size - 1] *= coef
         m *= g
         s = self._by_end(m)
-        return e, s[:-1] - s[1:]
+        return (self.scale / p) * float(cell.sum()), s[:-1] - s[1:]
 
     def add_hessian(self, abT, u, p, eps):
         # The tridiagonal band: k per cell, on the diagonal of both nodes
         # and, for a link of two nodes, -k below it.
         a2 = self._differences(u)
         a2 *= a2
-        k = _cell_curvature(a2, a2, p, eps) / self.h
-        if self.trace is not None:
-            k[::k.size - 1] *= self.trace[2]
-        k = self._by_end(k)
+        k = self._by_end(_cell_curvature(a2, a2, p, eps) / self.h)
         n = u.size
         abT[:n, 0] += k[:-1] + k[1:]
         np.negative(k[1:-1], out=abT[:n - 1, 1])
 
 
 def _line(dom, regime):
-    n, h = dom.n_nodes, dom.hx
+    n = dom.n_nodes
     if regime.kind == "neumann":
-        return _Line(h=h, scale=dom.cell_volume, trace=None, padded=None, links=np.zeros(n + 1))
-    trace = None
-    if regime.kind == "robin":
-        w = dom.trace_weight
-        trace = (regime.beta, w, regime.beta * w)
-        h = np.full(n + 1, h)
-        h[::n] = 1.0
-    return _Line(h=h, scale=dom.cell_volume, trace=trace, padded=np.zeros(n + 2), links=None)
+        return _Line(h=dom.hx, scale=dom.cell_volume, padded=None, links=np.zeros(n + 1))
+    return _Line(h=dom.hx, scale=dom.cell_volume, padded=np.zeros(n + 2), links=None)
+
+
+@dataclass(frozen=True, eq=False)
+class _Robin:
+    # The Neumann block and the trace: a link of length 1 from each boundary
+    # element's node to the exterior zero, with energy (beta / p) sum(weight
+    # cell) and flux beta weight m g, summed after the Neumann block's.
+    base: _Line | _Links  # the domain's cached Neumann block
+    index: np.ndarray     # dom.trace_index: the node of each boundary element
+    beta: float
+    weight: np.ndarray    # dom.trace_weight: each element's surface measure
+
+    @property
+    def width(self):
+        return self.base.width
+
+    def parts(self, u, p, eps):
+        e, raw = self.base.parts(u, p, eps)
+        g = u[self.index]
+        cell, m = _cell_terms(g * g, p, eps)
+        cell *= self.weight
+        e += (self.beta / p) * float(cell.sum())
+        m *= self.beta * self.weight
+        m *= g
+        raw += np.bincount(self.index, m, u.size)
+        return e, raw
+
+    def add_hessian(self, abT, u, p, eps):
+        # A trace link k = beta w c, on the diagonal of its node alone.
+        self.base.add_hessian(abT, u, p, eps)
+        g = u[self.index]
+        a2 = g * g
+        abT[:u.size, 0] += np.bincount(
+            self.index, (self.beta * self.weight) * _cell_curvature(a2, a2, p, eps), u.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,12 +448,11 @@ def _links(dom, regime, p):
     validate_regime(dom, regime)
     if regime.kind == "fractional":
         block = _fold(dom, regime.s, p)
+    elif regime.kind == "robin":
+        block = _Robin(_links(dom, BoundaryRegime.neumann(), p), dom.trace_index,
+                       regime.beta, dom.trace_weight)
     elif dom.dimension == 1:
         block = _line(dom, regime)
-    elif regime.kind == "robin":
-        # The Neumann cells, whose index arrays it shares, and the trace.
-        block = replace(_links(dom, BoundaryRegime.neumann(), p),
-                        trace=(dom.trace_index, regime.beta, dom.trace_weight))
     else:
         block = _build_cells(dom, regime.kind == "dirichlet")
     dom._cache[key] = block

@@ -1,6 +1,7 @@
 """No dead names in src/dnflow: no function binds a plain local that it never
-reads, no module but __init__.py imports a name that it never uses, and
-every module-level function or class is exported or named elsewhere."""
+reads, no module but __init__.py imports a name that it never uses, every
+module-level function or class is exported or named elsewhere, and every
+dataclass field is read."""
 
 import ast
 from pathlib import Path
@@ -88,6 +89,34 @@ def unnamed_definitions(sources: dict) -> list:
     return sorted(found)
 
 
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list)
+
+
+def unread_fields(sources: dict) -> list:
+    """(module, line, class, field) for each field of a dataclass of the
+    modules in sources (file name -> source) that no module reads, either as
+    an attribute load or as a string constant naming it, the way the CSV
+    columns and the config keys are read."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    return sorted((module, stmt.lineno, cls.name, stmt.target.id)
+                  for module, tree in trees.items()
+                  for cls in ast.walk(tree) if _is_dataclass(cls)
+                  for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in read)
+
+
 def test_no_function_binds_a_local_it_never_reads():
     assert len(MODULES) > 10
     found = {path.name: unread_locals(path.read_text()) for path in MODULES}
@@ -102,6 +131,11 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_every_definition_is_exported_or_named():
     assert unnamed_definitions({path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_every_dataclass_field_is_read():
+    found = unread_fields({path.name: path.read_text() for path in MODULES})
+    assert found == []
 
 
 def test_the_checks_find_dead_names():
@@ -152,3 +186,34 @@ class Orphan:
     }
     assert unnamed_definitions(modules) == [
         ("a.py", 17, "unused"), ("a.py", 21, "Orphan"), ("b.py", 4, "called")]
+    fields = {
+        "a.py": """
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Block:
+    ends: list
+    width: int
+    trace: tuple | None = None
+
+
+@dataclass
+class Row:
+    column: float
+    stale: float
+
+
+class Plain:
+    left: int
+""",
+        "b.py": """
+COLUMNS = ("column",)
+
+
+def size(block):
+    block.trace = None
+    return len(block.ends) * block.width
+""",
+    }
+    assert unread_fields(fields) == [("a.py", 9, "Block", "trace"), ("a.py", 15, "Row", "stale")]

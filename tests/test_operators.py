@@ -468,9 +468,9 @@ def test_energy_hessian_matches_gradient_differences():
 def test_cell_table_built_once_per_family(monkeypatch):
     # Repeated energy, gradient and Hessian calls on one domain, over every
     # local regime and several p and eps, build one block per family and no
-    # more: on an interval the line block of each regime, in 2-D one cell
-    # table for Dirichlet and one for Neumann, whose index arrays Robin's
-    # block shares.
+    # more: on an interval the Dirichlet and the Neumann line block, in 2-D
+    # one cell table for Dirichlet and one for Neumann; Robin's block holds
+    # the cached Neumann block in both.
     builds = []
     for name in ("_build_cells", "_line"):
         def counting_build(dom, family, _build=getattr(operators, name)):
@@ -491,14 +491,42 @@ def test_cell_table_built_once_per_family(monkeypatch):
                     energy_and_gradient(dom, u, params, regime)
                     energy_hessian(dom, u, params, regime)
         if dom.dimension == 1:
-            assert builds == ["dirichlet", "neumann", "robin"]
+            assert builds == ["dirichlet", "neumann"]
         else:
             assert builds == [True, False], dom.kind
-        if dom.kind == "rectangle":
-            neumann = operators._links(dom, NEUMANN, 3.0)
-            robin = operators._links(dom, BoundaryRegime.robin(0.7), 3.0)
-            assert robin.ends is neumann.ends and robin.band is neumann.band
+        if dom.kind != "masked":
+            for p in (1.5, 3.0):
+                robin = operators._links(dom, BoundaryRegime.robin(0.7), p)
+                assert robin.base is operators._links(dom, NEUMANN, p)
         builds.clear()
+
+
+@pytest.mark.parametrize("dom", [build_interval(3), build_interval(4), build_interval(32),
+                                 build_rectangle(5, 4, 1.0, 0.8)], ids=lambda d: str(d.shape))
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_robin_is_neumann_plus_the_trace(dom, p):
+    # Robin adds the trace links to the Neumann block and nothing else: its
+    # raw partials match Neumann's bit for bit off the trace nodes, its
+    # energy is Neumann's plus (beta/p) sum w ((u_b^2 + eps^2)^(p/2) -
+    # eps^p), and its Hessian band differs only on the trace nodes' diagonal.
+    # The energy is checked to 1e-13 of itself: at n = 32 the links' energy
+    # is 6e5 times the trace's, so their difference carries the rounding of
+    # the sum, one ulp of which is 9e-11 of the trace.
+    beta, u = 0.7, np.random.default_rng(16).standard_normal(dom.n_nodes)
+    robin = BoundaryRegime.robin(beta)
+    inner = np.setdiff1d(np.arange(dom.n_nodes), dom.trace_index)
+    for eps in (1e-6, 0.0) if p >= 2 else (1e-6,):
+        params = EnergyParams(p, eps)
+        e_n, raw_n = energy_and_gradient(dom, u, params, NEUMANN)
+        e_r, raw_r = energy_and_gradient(dom, u, params, robin)
+        assert raw_r[inner].tobytes() == raw_n[inner].tobytes()
+        ub = u[dom.trace_index]
+        trace = beta / p * np.sum(dom.trace_weight * ((ub * ub + eps * eps) ** (p / 2) - eps ** p))
+        assert e_r == pytest.approx(e_n + trace, rel=1e-13)
+        band_n, band_r = energy_hessian(dom, u, params, NEUMANN), energy_hessian(dom, u, params, robin)
+        assert np.array_equal(band_r[1:], band_n[1:])
+        assert np.array_equal(band_r[0, inner], band_n[0, inner])
+        assert np.all(band_r[0, dom.trace_index] > band_n[0, dom.trace_index])
 
 
 def _assert_results_survive(dom, params, regime, later):
