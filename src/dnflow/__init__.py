@@ -31,8 +31,6 @@ from .flow import (
     auto_tau,
     evolve,
     evolve_until_settled,
-    interpolant_v,
-    interpolant_w,
     profile_gap,
     read_snapshot,
     rescaled_profile,
@@ -46,7 +44,6 @@ from .operators import (
     energy,
     energy_gradient,
     jp,
-    trace_lp,
 )
 from .oracle import (
     EigenResult,

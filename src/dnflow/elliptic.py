@@ -39,8 +39,11 @@ first step of a march also tries the p = 2 linear step from u_prev, which
 from flat data at p > 2 is far closer than u_prev (there H_E vanishes inside
 the domain, so each direction of M reaches only about one cell further in),
 and starts from whichever ray-scaled candidate has the lower objective.  A
-march that continues from a separated state skips that step, which cannot
-win there.
+march that continues from a separated state skips that step.  The skip
+saves one factorization of K2 and two evaluations, and from the separated
+states of Dirichlet at p = 3 and Robin at p = 1.5 the candidate changes no
+bit of the step.  At p = 2 the linear step is the exact step, so the skip
+gives up an exact start there.
 
 A solve that returned t times its start without an NCG iteration leaves t
 in its SolveContext (ray): the march (flow._march) reads it as the sign
@@ -70,6 +73,7 @@ from .operators import (
     energy_and_gradient,
     energy_hessian,
     jp,
+    stiffness,
     validate_regime,
 )
 
@@ -254,8 +258,9 @@ class SolveContext:
     solve converged within one NCG iteration.  While the gate is open the
     next solve starts on that factor as it is, since the solves of one
     problem run at one scale (see the module docstring).  A factor built at
-    the zero field (a cold inverse start, on the p = 2 stiffness) is not
-    kept, and a solve that fails closes the gate.
+    the zero field (a cold inverse start, on the p = 2 stiffness K2 of
+    ``operators.stiffness``) is not kept, and a solve that fails closes the
+    gate.
 
     The first step of a march tries the p = 2 linear step as its start unless
     linear_start is False, as for a march that continues from a separated
@@ -503,9 +508,9 @@ def _solve(fg, b, x0, ref_norm, cfg, precondition, params, ctx, alt=None, start=
 
 def _linear_step(ctx: SolveContext, u_prev):
     """The p = 2 step from u_prev, (tau K2 + vol I) x = vol u_prev, with K2 the
-    p = 2 stiffness (the Hessian a cold inverse start uses); one factorization."""
-    dom, vol = ctx.dom, ctx.dom.cell_volume
-    ab = energy_hessian(dom, np.zeros_like(u_prev), EnergyParams(2.0), ctx.regime)
+    p = 2 stiffness (see operators.stiffness); one factorization."""
+    vol = ctx.dom.cell_volume
+    ab = stiffness(ctx.dom, ctx.regime, ctx.p)
     ab *= ctx.tau
     ab[0] += vol
     ctx.linear += 1
@@ -600,8 +605,9 @@ def inverse_operator(dom: Domain, f, params: EnergyParams,
 
     def precondition(x):
         # At the zero field (a cold start) H_E vanishes or blows up, so the
-        # first direction comes from the scale-free p = 2 stiffness.
-        return energy_hessian(dom, x, params if x.any() else EnergyParams(2.0), regime)
+        # first direction comes from the scale-free K2.
+        return (energy_hessian(dom, x, params, regime) if x.any()
+                else stiffness(dom, regime, params.p))
 
     x0 = dom.check_field(warm_start) if warm_start is not None else np.zeros_like(f)
     held = ctx.held(x0, params)

@@ -1,4 +1,4 @@
-"""Run the implicit scheme, build its interpolants, expose rescaled iterates.
+"""Run the implicit scheme and expose its rescaled iterates.
 
 Each step minimizes the backward functional at the regularization length
 eps_k = epsilon * max|u^{k-1}|, relative, so the scheme is exactly degree-p
@@ -19,7 +19,7 @@ from . import diagnostics as diag
 from .domain import Domain, lp_norm
 from .elliptic import SolveContext, SolverConfig, implicit_step, project_pmean
 from .errors import DegenerateInputError, InvalidSnapshotError, NonConvergenceError
-from .operators import BoundaryRegime, EnergyParams, jp
+from .operators import BoundaryRegime, EnergyParams
 
 __all__ = [
     "FlowTrajectory",
@@ -27,8 +27,6 @@ __all__ = [
     "evolve_until_settled",
     "settled_read_out",
     "auto_tau",
-    "interpolant_v",
-    "interpolant_w",
     "rescaled_profile",
     "profile_gap",
     "write_snapshot",
@@ -226,7 +224,8 @@ def evolve_until_settled(dom: Domain, g, params: EnergyParams,
     With tau = None the auto_tau bootstrap runs once: tau is its choice,
     and the settle march continues from its last state, so states[0] is
     that state, not g.  That state is separated, so the march's first step
-    skips the p = 2 linear start, which cannot win there.  It starts from g
+    skips the p = 2 linear start (see the elliptic module docstring for what
+    the skip saves and gives up).  It starts from g
     when the bootstrap decayed to zero or to the degenerate floor.  A given
     tau marches from g.
 
@@ -271,32 +270,6 @@ def settled_read_out(dom: Domain, traj: FlowTrajectory, cfg: SolverConfig):
     mu = diag.dual_quotient(dom, traj.states[k], traj.params, traj.regime, cfg,
                             warm_start=prof)
     return traj.diagnostics[k].lambda_decay, mu, prof
-
-
-def _check_time(traj: FlowTrajectory, t: float) -> None:
-    top = traj.steps * traj.tau
-    if not 0.0 <= t <= top + 1e-12 * traj.tau:
-        raise ValueError(f"t = {t} outside [0, {top}]")
-
-
-def interpolant_v(traj: FlowTrajectory, t: float) -> np.ndarray:
-    """Piecewise-constant interpolant: g at t=0, u^k on ((k-1)tau, k tau]."""
-    _check_time(traj, t)
-    if t == 0.0:
-        return traj.states[0]
-    k = int(math.ceil(t / traj.tau - 1e-12))
-    return traj.states[min(max(k, 1), traj.steps)]
-
-
-def interpolant_w(traj: FlowTrajectory, t: float) -> np.ndarray:
-    """Piecewise-linear interpolant of jp(u^k) between the step images."""
-    _check_time(traj, t)
-    tau, p = traj.tau, traj.params.p
-    k = min(int(t / tau), traj.steps - 1)
-    theta = (t - k * tau) / tau
-    w0 = jp(traj.states[k], p)
-    w1 = jp(traj.states[k + 1], p)
-    return w0 + theta * (w1 - w0)
 
 
 def rescaled_profile(traj: FlowTrajectory, k: int):

@@ -43,6 +43,8 @@ from a tail node to a head node, with energy (scale/p) weight *
 
 ``_parts`` (energy and raw partials, read by ``energy``, ``energy_gradient``
 and ``energy_and_gradient``) and ``energy_hessian`` call the block once.
+``stiffness`` is K2, the Hessian at the zero field under p = 2, which the
+solvers' cold starts factor; it is the one code that drops a cached block.
 The Hessian is a sum of links k (e_head - e_tail)(e_head - e_tail)^T, one
 per difference and in 2-D one E-N link per cell for the g_x g_y term, in
 the lower-banded storage ``scipy.linalg.cholesky_banded`` factors.
@@ -78,7 +80,7 @@ __all__ = [
     "energy_gradient",
     "energy_and_gradient",
     "energy_hessian",
-    "trace_lp",
+    "stiffness",
     "validate_regime",
 ]
 
@@ -544,6 +546,22 @@ def energy_hessian(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime)
     return abT[:u.size].T
 
 
+def stiffness(dom: Domain, regime: BoundaryRegime, p: float) -> np.ndarray:
+    """K2, the p = 2 stiffness: ``energy_hessian``'s band at the zero field
+    under p = 2, for a run at p.
+
+    The run reads only its own link block, so a p = 2 block that building
+    K2 adds to the domain (the fractional fold, for p != 2) is dropped
+    again; one cached before stays.
+    """
+    key = ("links", regime, 2.0)  # the p = 2 fold's; local blocks are keyed None
+    drop = p != 2.0 and key not in dom._cache
+    k2 = energy_hessian(dom, np.zeros(dom.n_nodes), EnergyParams(2.0), regime)
+    if drop:
+        dom._cache.pop(key, None)
+    return k2
+
+
 def energy(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime) -> float:
     """The regime's convex energy at u; zero at the zero field."""
     return _parts(dom, u, params, regime)[0]
@@ -558,16 +576,3 @@ def energy_and_gradient(dom, u, params, regime):
     """(energy, raw partial derivatives) in one pass; solver hot path."""
     return _parts(dom, u, params, regime)
 
-
-def trace_lp(dom: Domain, u, p: float) -> float:
-    """Discrete boundary integral int |Tu|^p dsigma.
-
-    Trace values are read at the boundary-adjacent interior nodes with the
-    domain's surface weights.  Only interval and rectangle domains carry a
-    boundary trace.
-    """
-    if dom.kind == "masked":
-        raise UnsupportedRegimeError("masked domains have no boundary trace")
-    u = dom.check_field(u)
-    ub = u[dom.trace_index]
-    return float(np.sum(dom.trace_weight * np.abs(ub) ** p))

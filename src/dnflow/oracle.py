@@ -48,6 +48,7 @@ from .operators import (
     energy_gradient,
     energy_hessian,
     jp,
+    stiffness,
     validate_regime,
 )
 
@@ -120,7 +121,7 @@ def _start(dom, p, regime, seed, target):
     """The sweeps' start: the p = 2 ground state, by inverse power on K2 from
     the seeded positive field g = U(0.5, 1.5), normalized.
 
-    K2, the p = 2 stiffness a cold inverse start also uses, is factored once,
+    K2, the p = 2 stiffness of operators.stiffness, is factored once,
     and each step is u <- K2^-1 cperp(u) at max|u| = 1.  The steps stop when
     the max-norm change of the iterate is at most target, the sweeps' own, or
     after MAX_SWEEPS steps.  At p = 2 the start is then the oracle's answer.
@@ -130,21 +131,14 @@ def _start(dom, p, regime, seed, target):
     overtakes the second, and a target below rounding stalls the sweeps
     after the start at far greater cost.
     The factor is dropped on return, so its band is not held during the
-    sweeps; for p != 2 so is the table the start added to the domain's cache
-    for p = 2 alone (the fractional fold), which the sweeps never read.
+    sweeps.
     K2^-1 is positive for Dirichlet, Robin and fractional (an M-matrix
     inverse).  For Neumann each step takes the C-perp part, so the steps
     converge to the first nontrivial mode, and the start is shifted to zero
     p-mean.
     """
     g = np.random.default_rng(seed).uniform(0.5, 1.5, dom.n_nodes)
-    cached = set(dom._cache)
-    k2 = energy_hessian(dom, np.zeros_like(g), EnergyParams(2.0), regime)
-    if p != 2.0:
-        for key in dom._cache.keys() - cached:
-            if key[-1] == 2.0:  # a table built for p = 2 (see Domain._cache)
-                del dom._cache[key]
-    solve = _factor(k2)
+    solve = _factor(stiffness(dom, regime, p))
     u = project_cperp(g, regime)
     for _ in range(MAX_SWEEPS):
         # Neumann: the factor's FACTOR_SHIFT leaves the constant mode a tiny

@@ -1,7 +1,8 @@
 """No dead names in src/dnflow: no function binds a plain local that it never
 reads, no module but __init__.py imports a name that it never uses, every
 module-level function or class is exported or named elsewhere, and every
-dataclass field is read."""
+dataclass field is read.  And one owner of the link cache: no module but
+operators.py reads or writes Domain._cache."""
 
 import ast
 from pathlib import Path
@@ -117,6 +118,14 @@ def unread_fields(sources: dict) -> list:
                   and stmt.target.id not in read)
 
 
+def attribute_uses(sources: dict, attr: str) -> list:
+    """(module, line) for each use of the attribute attr, read, written or
+    deleted, in the modules of sources (file name -> source)."""
+    return sorted((module, n.lineno) for module, source in sources.items()
+                  for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and n.attr == attr)
+
+
 def test_no_function_binds_a_local_it_never_reads():
     assert len(MODULES) > 10
     found = {path.name: unread_locals(path.read_text()) for path in MODULES}
@@ -136,6 +145,13 @@ def test_every_definition_is_exported_or_named():
 def test_every_dataclass_field_is_read():
     found = unread_fields({path.name: path.read_text() for path in MODULES})
     assert found == []
+
+
+def test_only_operators_uses_the_link_cache():
+    # domain.py declares the field; operators builds, reads and drops the
+    # blocks in it, K2's p = 2 fold included (operators.stiffness).
+    found = attribute_uses({path.name: path.read_text() for path in MODULES}, "_cache")
+    assert found and {module for module, _ in found} == {"operators.py"}, found
 
 
 def test_the_checks_find_dead_names():
@@ -217,3 +233,13 @@ def size(block):
 """,
     }
     assert unread_fields(fields) == [("a.py", 9, "Block", "trace"), ("a.py", 15, "Row", "stale")]
+    owners = {
+        "a.py": "class Domain:\n    _cache: dict\n",
+        "b.py": """
+def drop(dom, key):
+    del dom._cache[key]
+    dom._cache = {}
+    return dom.cache, key[-1] == 2.0
+""",
+    }
+    assert attribute_uses(owners, "_cache") == [("b.py", 3), ("b.py", 4)]

@@ -383,10 +383,11 @@ def _fail_searches_on_stale_factor(monkeypatch, failures):
     # Fails `failures` line searches in a row, starting with the first one
     # that follows an accepted step inside REFRESH_STEPS, or a solve's start
     # on a carried factor, so M was not factored at x for it.  Logs every
-    # Hessian build, every carried start and every search start.
+    # Hessian build, K2 at the zero field included, every carried start and
+    # every search start.
     import dnflow.elliptic as elliptic
 
-    inner, hessian = elliptic._line_search, elliptic.energy_hessian
+    inner, hessian, k2 = elliptic._line_search, elliptic.energy_hessian, elliptic.stiffness
     start = elliptic.SolveContext.start
     lo, hi = elliptic.REFRESH_STEPS
     log, prev, failed = [], [None], []
@@ -399,7 +400,9 @@ def _fail_searches_on_stale_factor(monkeypatch, failures):
         return solve, fresh
 
     def search(value_grad, x, f, g, d, gd, alpha0):
-        stale = (prev[0] is not None and lo <= prev[0] <= hi) or (log and log[-1][0] == "carried")
+        # A bool, not the log itself, which the append below would make true.
+        carried = bool(log) and log[-1][0] == "carried"
+        stale = (prev[0] is not None and lo <= prev[0] <= hi) or carried
         log.append(("search", x.copy(), alpha0))
         if len(failed) < failures and (failed or stale):
             failed.append(alpha0)
@@ -413,8 +416,13 @@ def _fail_searches_on_stale_factor(monkeypatch, failures):
         log.append(("hessian", u.copy(), None))
         return hessian(dom, u, params, regime)
 
+    def counting_stiffness(dom, regime, p):
+        log.append(("hessian", np.zeros(dom.n_nodes), None))
+        return k2(dom, regime, p)
+
     monkeypatch.setattr(elliptic, "_line_search", search)
     monkeypatch.setattr(elliptic, "energy_hessian", counting_hessian)
+    monkeypatch.setattr(elliptic, "stiffness", counting_stiffness)
     monkeypatch.setattr(elliptic.SolveContext, "start", logged_start)
     return log
 
@@ -651,12 +659,14 @@ def test_unfactorable_preconditioner_raises_nonconvergence(monkeypatch):
     # error, carrying the regime, p and the best iterate.
     import dnflow.elliptic as elliptic
 
-    def indefinite(dom, u, params, regime):
+    def indefinite(dom, *args):
         ab = np.zeros((2, dom.n_nodes), order="F")
         ab[0] = -1.0
         return ab
 
+    # Both Hessians a solve factors: H_E, and K2 at a cold start.
     monkeypatch.setattr(elliptic, "energy_hessian", indefinite)
+    monkeypatch.setattr(elliptic, "stiffness", indefinite)
     d = build_interval(9)
     with pytest.raises(NonConvergenceError) as err:
         inverse_operator(d, np.ones(9), EnergyParams(3.0, 1e-6), DIRICHLET, CFG)

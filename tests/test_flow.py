@@ -13,13 +13,11 @@ from dnflow.flow import (
     auto_tau,
     evolve,
     evolve_until_settled,
-    interpolant_v,
-    interpolant_w,
     read_snapshot,
     rescaled_profile,
     write_snapshot,
 )
-from dnflow.operators import BoundaryRegime, EnergyParams, jp
+from dnflow.operators import BoundaryRegime, EnergyParams
 from dnflow.oracle import dense_linear_reference, minimize_rayleigh
 
 DIRICHLET = BoundaryRegime.dirichlet()
@@ -179,32 +177,6 @@ def test_limit_profile_positive():
     prof = rescaled_profile(traj, traj.steps)
     assert prof is not None
     assert np.all(prof > 0)
-
-
-def test_interpolant_v():
-    d = build_interval(9)
-    g = sine_mode(d)
-    traj = evolve(d, g, 0.1, 4, EnergyParams(2.0, 0.0), DIRICHLET, CFG)
-    np.testing.assert_array_equal(interpolant_v(traj, 0.0), traj.states[0])
-    np.testing.assert_array_equal(interpolant_v(traj, 0.15), traj.states[2])
-    np.testing.assert_array_equal(interpolant_v(traj, 0.4), traj.states[4])
-    with pytest.raises(ValueError):
-        interpolant_v(traj, 0.5)
-    with pytest.raises(ValueError):
-        interpolant_v(traj, -0.01)
-
-
-def test_interpolant_w_endpoints_and_midpoint():
-    d = build_interval(9)
-    p = 2.5
-    traj = evolve(d, sine_mode(d) + 1.0, 0.1, 3, EnergyParams(p, 1e-6),
-                  DIRICHLET, CFG)
-    w0 = jp(traj.states[1], p)
-    w1 = jp(traj.states[2], p)
-    np.testing.assert_allclose(interpolant_w(traj, 0.1), w0, rtol=1e-14)
-    np.testing.assert_allclose(interpolant_w(traj, 0.2), w1, rtol=1e-14)
-    np.testing.assert_allclose(interpolant_w(traj, 0.15), 0.5 * (w0 + w1),
-                               rtol=1e-14)
 
 
 def test_rescaled_profile_normalization_and_sign():

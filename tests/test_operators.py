@@ -15,7 +15,6 @@ from dnflow.operators import (
     energy_gradient,
     energy_hessian,
     jp,
-    trace_lp,
 )
 
 DIRICHLET = BoundaryRegime.dirichlet()
@@ -572,28 +571,3 @@ def test_results_survive_later_calls_2d(kind, regime, p):
         dom, later = build_masked(bitmap, 0.2), [DIRICHLET, NEUMANN]
     _assert_results_survive(dom, EnergyParams(p, 1e-6), regime, later)
 
-
-# --- trace ------------------------------------------------------------------
-
-def test_trace_constant_unit_square():
-    d = build_rectangle(5, 5, 1.0, 1.0)
-    assert trace_lp(d, np.ones(25), 2.0) == pytest.approx(4.0, rel=1e-12)
-
-
-def test_trace_zero():
-    d = build_rectangle(5, 5, 1.0, 1.0)
-    assert trace_lp(d, np.zeros(25), 3.0) == 0.0
-
-
-def test_trace_interval_two_point():
-    d = build_interval(9)
-    u = np.zeros(9)
-    u[0], u[-1] = -1.5, 2.0  # boundary samples a, b
-    p = 2.5
-    assert trace_lp(d, u, p) == pytest.approx(1.5**p + 2.0**p, rel=1e-14)
-
-
-def test_trace_masked_rejected():
-    d = build_masked(np.ones((4, 4), dtype=bool), 0.2)
-    with pytest.raises(UnsupportedRegimeError):
-        trace_lp(d, np.ones(16), 2.0)

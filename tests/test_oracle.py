@@ -10,13 +10,15 @@ from dnflow.domain import (
     integrate_power,
     lp_norm,
 )
-from dnflow.elliptic import SolverConfig, pmean_defect
+from dnflow.diagnostics import fill_dual_columns
+from dnflow.elliptic import SolverConfig, inverse_operator, pmean_defect
 from dnflow.errors import (
     BudgetError,
     DegenerateInputError,
     NonConvergenceError,
     SignViolationError,
 )
+from dnflow.flow import evolve, evolve_until_settled, settled_read_out
 from dnflow.operators import BoundaryRegime, EnergyParams, energy, energy_gradient, jp
 from dnflow.oracle import (
     _bordered_solve,
@@ -606,17 +608,30 @@ def test_oracle_work_from_the_p2_start(monkeypatch):
 
 
 def test_fractional_start_leaves_only_the_run_p_tables():
-    # The start builds the p = 2 fold for K2; at p = 3 the sweeps never read
-    # it, so the run leaves the domain only its own block.  A block cached
-    # before the run stays.
+    # Building K2 builds the p = 2 fold, which no run at p = 3 reads again,
+    # so each run leaves the domain only its own block: the oracle (its
+    # start), a march and its dual rows (the linear step, a cold row
+    # solve), a cold inverse solve, and the settle march with its read-out.
+    # A block cached before the run stays.
     regime = BoundaryRegime.fractional(0.5)
-    d = build_interval(32)
-    minimize_rayleigh(d, EnergyParams(3.0, 1e-6), regime, CFG, seed=0)
-    assert set(d._cache) == {("links", regime, 3.0)}
-    d = build_interval(32)
-    energy(d, np.ones(32), EnergyParams(2.0), regime)
-    minimize_rayleigh(d, EnergyParams(3.0, 1e-6), regime, CFG, seed=0)
-    assert set(d._cache) == {("links", regime, 2.0), ("links", regime, 3.0)}
+    params = EnergyParams(3.0, 1e-6)
+    g = np.ones(32)
+
+    def march(d):
+        fill_dual_columns(d, evolve(d, g, 0.05, 5, params, regime, CFG), CFG)
+
+    def settle(d):
+        settled_read_out(d, evolve_until_settled(d, g, params, regime, CFG), CFG)
+
+    for run in (lambda d: minimize_rayleigh(d, params, regime, CFG, seed=0), march,
+                lambda d: inverse_operator(d, g, params, regime, CFG), settle):
+        d = build_interval(32)
+        run(d)
+        assert set(d._cache) == {("links", regime, 3.0)}
+        d = build_interval(32)
+        energy(d, g, EnergyParams(2.0), regime)
+        run(d)
+        assert set(d._cache) == {("links", regime, 2.0), ("links", regime, 3.0)}
 
 
 @pytest.mark.parametrize("n, p", [(15, 2.5), (15, 3.0), (31, 1.5)])
