@@ -62,12 +62,10 @@ class Domain:
         The bitmap for masked domains.
     _cache : dict
         The link blocks of :mod:`dnflow.operators`, one per regime, derived
-        from the grid alone and keyed ``("links", regime, p)`` with p None
-        for the local regimes; each is written once on first use and not
-        changed after.  An entry may be dropped, as ``operators.stiffness``
-        drops the p = 2 fractional block it built for a run at another p,
-        and is then built again on its next use.  No other module reads
-        this field.
+        from the grid alone and keyed ``("links", regime)``; each is written
+        once on first use and never dropped.  The fractional block adds one
+        weight table per p on the first use of that p and changes no table
+        after.  No other module reads this field.
     """
 
     kind: str

@@ -15,9 +15,10 @@ On the uniform grid |x_i - x_j| = |i - j| h, so a pair's weight depends only
 on its offset d = |i - j|: w_d = h^2 / (d h)^(1+ps), and the discretized
 operator is Toeplitz.  A kernel holds the n - 1 offset weights and the n
 exterior tails.  :mod:`dnflow.operators` builds one per (s, p) and folds it
-into a circulant table that holds each unordered pair once, with one
-exterior link per node; the fold is what the domain caches.  The p = 2
-reference matrix of :mod:`dnflow.oracle` builds its own.
+into a weight table of the circulant fold, which holds each unordered pair
+once, with one exterior link per node; the domain caches one fold, with a
+table per p.  The p = 2 reference matrix of :mod:`dnflow.oracle` builds its
+own.
 """
 
 from __future__ import annotations

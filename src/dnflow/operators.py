@@ -9,7 +9,7 @@ is subtracted cell-wise so E(0) = 0; gradients are unaffected.
 Link blocks.  Every energy term is a cell holding one difference per axis
 from a tail node to a head node, with energy (scale/p) weight *
 ((|g|^2 + eps^2)^(p/2) - eps^p) for the differences g over their length h.
-``_links`` maps (domain, regime, p) to one block of such cells, cached in
+``_links`` maps (domain, regime) to one block of such cells, cached in
 ``Domain._cache``; it is the only code that knows the regime:
 
 - line (Dirichlet and Neumann in 1-D): one block without a table.
@@ -31,20 +31,23 @@ from a tail node to a head node, with energy (scale/p) weight *
   exterior zero, h = 1, weight the surface weight, scale beta.  Its energy
   is added after the Neumann block's, its flux in one bincount scatter, and
   its curvature to the band's diagonal.
-- pairs and exterior (fractional): one fold block, built from a kernel of
-  :mod:`dnflow.fractional` that is not kept apart from it.  Its n x (D + 1)
-  table pairs each node i with node (i + d) mod n for d = 1..D, D = n // 2,
+- pairs and exterior (fractional): one fold block.  Its n x (D + 1)
+  layout pairs each node i with node (i + d) mod n for d = 1..D, D = n // 2,
   so it reads every unordered pair once (for even n the pairs at d = n / 2
   twice, and the repeats have weight 0); a pair weighs 2 w_|i-j|.  Its last
   column links each node to the exterior zero with weight 2 h kappa_i.  The
-  differences are strided views of u wrapped around, and each node's
-  gradient is a row sum minus a skewed row sum of the fluxes, in work
-  buffers the block keeps: no gather and no scatter.
+  weights depend on p: the block keeps one table per p, built from a
+  kernel of :mod:`dnflow.fractional` on the first use of that p, and the
+  kernel is not kept apart from it.  The differences are strided views of
+  u wrapped around, and each node's gradient is a row sum minus a skewed
+  row sum of the fluxes, in work buffers the block keeps: no gather and no
+  scatter.
 
 ``_parts`` (energy and raw partials, read by ``energy``, ``energy_gradient``
 and ``energy_and_gradient``) and ``energy_hessian`` call the block once.
 ``stiffness`` is K2, the Hessian at the zero field under p = 2, which the
-solvers' cold starts factor; it is the one code that drops a cached block.
+solvers' cold starts factor; it reads the run's own block, the fractional
+fold's p = 2 table.
 The Hessian is a sum of links k (e_head - e_tail)(e_head - e_tail)^T, one
 per difference and in 2-D one E-N link per cell for the g_x g_y term, in
 the lower-banded storage ``scipy.linalg.cholesky_banded`` factors.
@@ -341,7 +344,8 @@ class _Fold:
     # the row sums of a skewed view.  The views are built once over the
     # buffers, which are work space of one call at a time: written before
     # they are read, and never returned.
-    weight: np.ndarray   # (n, D + 1) 2 w_|i-j| per pair and 2 h kappa_i
+    weights: dict        # p -> (n, D + 1) 2 w_|i-j| per pair and 2 h kappa_i,
+                         # added by _links on the first use of p
     band: np.ndarray     # flat index of each link's -k in the (n + 1, width)
                          # transposed band; n * width, the cut-off row, if none
     width: int           # n: the band holds every offset 1..n-1
@@ -385,8 +389,8 @@ class _Fold:
             cell *= m
             cell -= e2 ** ((p - 2.0) / 2.0) * e2
             m *= g
-        m *= self.weight
-        cell *= self.weight
+        m *= self.weights[p]
+        cell *= self.weights[p]
         heads, rows = self._sums()
         # A numpy sum, not a BLAS dot with the weights: a dot this long wakes
         # the BLAS threads, which then slow the banded factorizations.
@@ -398,7 +402,7 @@ class _Fold:
         # same two sums as the gradient, and -k at its band place.
         k = self.rows
         if p == 2.0:
-            k[...] = self.weight
+            k[...] = self.weights[p]
         else:
             r2 = self._differences(u)
             r2 *= r2
@@ -408,31 +412,24 @@ class _Fold:
             r2 += 1.0
             k **= (p - 2.0) / 2.0
             k *= r2
-            k *= self.weight
+            k *= self.weights[p]
         heads, rows = self._sums()
         abT[:u.size, 0] += heads + rows
         np.put(abT, self.band, np.negative(k, out=k))
 
 
-def _fold(dom, s, p):
-    # The fold of the kernel's n - 1 offset weights and n exterior tails.
-    ker = fractional.build_kernel(dom, s, p)
-    n, h = dom.n_nodes, dom.hx
+def _fold(n):
+    # The fold's layout on n nodes, with no weight table yet.
     fold = n // 2
     i, d = np.arange(n)[:, None], np.arange(1, fold + 1)
     j = (i + d) % n
-    off = np.abs(j - i)
-    weight = np.empty((n, fold + 1))
-    weight[:, :fold] = 2.0 * ker.offsets[off - 1]
-    weight[:, fold] = 2.0 * h * ker.exterior
     band = np.full((n, fold + 1), n * n)
-    band[:, :fold] = np.minimum(i, j) * n + off
+    band[:, :fold] = np.minimum(i, j) * n + np.abs(j - i)
     if n % 2 == 0:
-        weight[fold:, fold - 1] = 0.0
         band[fold:, fold - 1] = n * n
     wrapped, flux = np.zeros(n + fold), np.zeros((n + fold, fold + 1))
     step = flux.itemsize
-    return _Fold(weight=weight, band=band.ravel(), width=n, wrapped=wrapped,
+    return _Fold(weights={}, band=band.ravel(), width=n, wrapped=wrapped,
                  heads=as_strided(wrapped[1:], (n, fold), (step, step), writeable=False),
                  g=np.zeros((n, fold + 1)), work=np.zeros((n, fold + 1)),
                  flux=flux, rows=flux[fold:],
@@ -442,22 +439,30 @@ def _fold(dom, s, p):
 
 def _links(dom, regime, p):
     # The one regime dispatch: the regime's link block, built on first use
-    # and cached on the domain.  Only the fractional block depends on p.
-    key = ("links", regime, p if regime.kind == "fractional" else None)
+    # and cached on the domain.  The fractional block adds its weight table
+    # for p on the first use of p: the kernel's 2 w_d at each pair's band
+    # place, whose offset d is the place mod n (0 at the place n * n, which
+    # holds no pair), and 2 h kappa_i in the exterior column.
+    key = ("links", regime)
     block = dom._cache.get(key)
-    if block is not None:
-        return block
-    validate_regime(dom, regime)
-    if regime.kind == "fractional":
-        block = _fold(dom, regime.s, p)
-    elif regime.kind == "robin":
-        block = _Robin(_links(dom, BoundaryRegime.neumann(), p), dom.trace_index,
-                       regime.beta, dom.trace_weight)
-    elif dom.dimension == 1:
-        block = _line(dom, regime)
-    else:
-        block = _build_cells(dom, regime.kind == "dirichlet")
-    dom._cache[key] = block
+    if block is None:
+        validate_regime(dom, regime)
+        if regime.kind == "fractional":
+            block = _fold(dom.n_nodes)
+        elif regime.kind == "robin":
+            block = _Robin(_links(dom, BoundaryRegime.neumann(), p), dom.trace_index,
+                           regime.beta, dom.trace_weight)
+        elif dom.dimension == 1:
+            block = _line(dom, regime)
+        else:
+            block = _build_cells(dom, regime.kind == "dirichlet")
+        dom._cache[key] = block
+    if regime.kind == "fractional" and p not in block.weights:
+        ker = fractional.build_kernel(dom, regime.s, p)
+        n = dom.n_nodes
+        weight = np.append(0.0, 2.0 * ker.offsets)[block.band % n].reshape(n, -1)
+        weight[:, -1] = 2.0 * dom.hx * ker.exterior
+        block.weights[p] = weight
     return block
 
 
@@ -550,16 +555,10 @@ def stiffness(dom: Domain, regime: BoundaryRegime, p: float) -> np.ndarray:
     """K2, the p = 2 stiffness: ``energy_hessian``'s band at the zero field
     under p = 2, for a run at p.
 
-    The run reads only its own link block, so a p = 2 block that building
-    K2 adds to the domain (the fractional fold, for p != 2) is dropped
-    again; one cached before stays.
+    It is the same band for every p.  It reads the run's own link block,
+    which for the fractional regime adds its p = 2 weight table once.
     """
-    key = ("links", regime, 2.0)  # the p = 2 fold's; local blocks are keyed None
-    drop = p != 2.0 and key not in dom._cache
-    k2 = energy_hessian(dom, np.zeros(dom.n_nodes), EnergyParams(2.0), regime)
-    if drop:
-        dom._cache.pop(key, None)
-    return k2
+    return energy_hessian(dom, np.zeros(dom.n_nodes), EnergyParams(2.0), regime)
 
 
 def energy(dom: Domain, u, params: EnergyParams, regime: BoundaryRegime) -> float:

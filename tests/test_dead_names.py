@@ -148,8 +148,8 @@ def test_every_dataclass_field_is_read():
 
 
 def test_only_operators_uses_the_link_cache():
-    # domain.py declares the field; operators builds, reads and drops the
-    # blocks in it, K2's p = 2 fold included (operators.stiffness).
+    # domain.py declares the field; operators builds and reads the blocks
+    # in it.
     found = attribute_uses({path.name: path.read_text() for path in MODULES}, "_cache")
     assert found and {module for module, _ in found} == {"operators.py"}, found
 

@@ -15,7 +15,9 @@ from dnflow.operators import (
     energy_gradient,
     energy_hessian,
     jp,
+    stiffness,
 )
+from dnflow.oracle import operator_matrix
 
 DIRICHLET = BoundaryRegime.dirichlet()
 NEUMANN = BoundaryRegime.neumann()
@@ -571,3 +573,31 @@ def test_results_survive_later_calls_2d(kind, regime, p):
         dom, later = build_masked(bitmap, 0.2), [DIRICHLET, NEUMANN]
     _assert_results_survive(dom, EnergyParams(p, 1e-6), regime, later)
 
+
+
+@pytest.mark.parametrize("shape, regime", [
+    *[((32,), regime) for regime in
+      (DIRICHLET, NEUMANN, BoundaryRegime.robin(0.7), BoundaryRegime.fractional(0.5))],
+    *[((15, 15), regime) for regime in (DIRICHLET, NEUMANN, BoundaryRegime.robin(0.7))]],
+    ids=lambda v: getattr(v, "kind", None))
+def test_stiffness_does_not_depend_on_the_run_p(shape, regime):
+    # K2 is one band for every run's p, whichever p's block was built
+    # first on the domain.  The fractional one is the p = 2 operator matrix
+    # of the oracle's dense reference, times the cell volume.
+    def build():
+        return build_interval(32) if shape == (32,) else build_rectangle(15, 15, 1.0, 1.0)
+
+    u = np.random.default_rng(17).standard_normal(build().n_nodes)
+    bands = []
+    for first in (1.5, 2.0, 3.0):
+        dom = build()
+        energy(dom, u, EnergyParams(first, 1e-6), regime)
+        bands += [stiffness(dom, regime, p).tobytes() for p in (1.5, 2.0, 3.0)]
+    assert len(set(bands)) == 1
+    if regime.kind == "fractional":
+        ab, n = stiffness(dom, regime, 3.0), dom.n_nodes
+        A = dom.cell_volume * operator_matrix(dom, regime)
+        want = np.zeros_like(ab)
+        for k in range(n):
+            want[k, :n - k] = np.diagonal(A, -k)
+        assert np.max(np.abs(ab - want)) <= 1e-12 * np.max(np.abs(want))

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from dnflow.domain import (
     integrate_power,
     lp_norm,
 )
+from dnflow import fractional, operators
 from dnflow.diagnostics import fill_dual_columns
 from dnflow.elliptic import SolverConfig, inverse_operator, pmean_defect
 from dnflow.errors import (
@@ -608,14 +611,15 @@ def test_oracle_work_from_the_p2_start(monkeypatch):
 
 
 def test_fractional_start_leaves_only_the_run_p_tables():
-    # Building K2 builds the p = 2 fold, which no run at p = 3 reads again,
-    # so each run leaves the domain only its own block: the oracle (its
-    # start), a march and its dual rows (the linear step, a cold row
-    # solve), a cold inverse solve, and the settle march with its read-out.
-    # A block cached before the run stays.
+    # Each run leaves the domain one block, the fold, with the weight tables
+    # of its own p and of K2's p = 2 and no other: the oracle (its start), a
+    # march and its dual rows (the linear step, a cold row solve), a cold
+    # inverse solve, and the settle march with its read-out.  A block cached
+    # before the run is the one it reads.
     regime = BoundaryRegime.fractional(0.5)
     params = EnergyParams(3.0, 1e-6)
     g = np.ones(32)
+    key = ("links", regime)
 
     def march(d):
         fill_dual_columns(d, evolve(d, g, 0.05, 5, params, regime, CFG), CFG)
@@ -625,13 +629,49 @@ def test_fractional_start_leaves_only_the_run_p_tables():
 
     for run in (lambda d: minimize_rayleigh(d, params, regime, CFG, seed=0), march,
                 lambda d: inverse_operator(d, g, params, regime, CFG), settle):
-        d = build_interval(32)
-        run(d)
-        assert set(d._cache) == {("links", regime, 3.0)}
-        d = build_interval(32)
-        energy(d, g, EnergyParams(2.0), regime)
-        run(d)
-        assert set(d._cache) == {("links", regime, 2.0), ("links", regime, 3.0)}
+        for before in (False, True):
+            d = build_interval(32)
+            if before:
+                energy(d, g, EnergyParams(2.0), regime)
+                fold = d._cache[key]
+            run(d)
+            assert set(d._cache) == {key}
+            assert set(d._cache[key].weights) == {2.0, 3.0}
+            if before:
+                assert d._cache[key] is fold
+
+
+def test_one_fold_per_domain_freed_by_reference_counting(monkeypatch):
+    # A fractional p = 3 march with its dual rows, then a settle march and
+    # its read-out, on one domain build one fold layout and two weight
+    # tables, p = 3 and K2's p = 2.  The fold holds no reference to its
+    # domain, so with the cycle collector off the domain still dies with
+    # its last name.
+    folds, kernels = [], []
+
+    def counting_fold(*args, _fold=operators._fold):
+        folds.append(args)
+        return _fold(*args)
+
+    def counting_kernel(dom, s, p, _build=fractional.build_kernel):
+        kernels.append(p)
+        return _build(dom, s, p)
+
+    monkeypatch.setattr(operators, "_fold", counting_fold)
+    monkeypatch.setattr(fractional, "build_kernel", counting_kernel)
+    regime, params = BoundaryRegime.fractional(0.5), EnergyParams(3.0, 1e-6)
+    d, g = build_interval(32), np.ones(32)
+    fill_dual_columns(d, evolve(d, g, 0.05, 5, params, regime, CFG), CFG)
+    settled_read_out(d, evolve_until_settled(d, g, params, regime, CFG), CFG)
+    assert len(folds) == 1
+    assert sorted(kernels) == [2.0, 3.0]
+    gc.disable()
+    try:
+        alive = weakref.ref(d)
+        del d
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n, p", [(15, 2.5), (15, 3.0), (31, 1.5)])

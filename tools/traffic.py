@@ -12,6 +12,8 @@ process, so ``tools/untraced.py`` traces it:
   each of the four regimes;
 - ``eigen`` on a masked domain, and ``evolve`` from a snapshot file
   (``init.kind = file``);
+- ``oracle`` on a Neumann rectangle whose sweeps stop above their target,
+  so the Newton polish finishes the run;
 - the five demos.
 
 A statement that no run here reaches is one that only the tests, if
@@ -104,6 +106,16 @@ def test_eigen_on_a_masked_domain(tmp_path):
     cfg = _config(tmp_path, **{"domain.kind": "masked", "domain.mask": mask, "p": 2.5,
                                "regime.kind": "dirichlet"})
     assert main(["eigen", "--config", cfg]) == 0
+
+
+def test_oracle_polish_on_a_neumann_rectangle(tmp_path, capsys):
+    # At seed 0 the sweeps stop at a residual of 6.0e-8, above their 3e-9
+    # target, and the polish takes it to 4.2e-14: the summary's third field.
+    cfg = _config(tmp_path, **{"domain.kind": "rectangle", "domain.n": 31, "domain.ny": 31,
+                               "domain.lx": 1, "domain.ly": 0.8, "p": 4,
+                               "regime.kind": "neumann", "seed": 0})
+    assert main(["oracle", "--config", cfg]) == 0
+    assert float(capsys.readouterr().out.split()[2]) < 1e-12
 
 
 def test_evolve_from_a_snapshot_file(tmp_path):
